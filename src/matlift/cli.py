@@ -1,7 +1,8 @@
 """Command-line surface with JSON certificate emission.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed (the report
-carries its witness), 2 usage or parse error.  Reports are deterministic;
+carries its witness), 2 usage or parse error, 3 inconclusive (a search ran
+out of its budget; the report says which).  Reports are deterministic;
 wall time lives in its own key so the rest of a report is byte-stable
 across runs.
 """
@@ -17,8 +18,10 @@ from typing import Optional, Sequence
 
 from matlift.core import (
     CircuitAxiomError,
+    DEFAULT_NODE_BUDGET,
     HyperplaneAxiomError,
     Matroid,
+    SearchBudgetExceeded,
     find_isomorphism,
     is_quotient,
     is_sparse_paving,
@@ -39,10 +42,10 @@ from matlift.io import (
     write_matroid,
 )
 from matlift.krt import (
+    MINOR_SCAN_LIMIT,
     KrtSpec,
     build_krt,
     ingleton_inequality,
-    intersection_certificate,
     is_ingleton_sparse_paving,
     obstruction_report,
     scan_vamos_like_minors,
@@ -60,6 +63,7 @@ from matlift.lifts import (
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INCONCLUSIVE = 3
 
 VAMOS_SCAN_CAP = 10  # certify runs the minor scan only up to this ground size
 
@@ -85,7 +89,7 @@ class Report:
     def all_pass(self) -> bool:
         return all(c["pass"] for c in self.checks)
 
-    def as_dict(self, wall_time_s: float) -> dict:
+    def as_dict(self) -> dict:
         body = {
             "command": self.command,
             "inputs": self.inputs,
@@ -93,7 +97,6 @@ class Report:
             "conclusion": self.conclusion,
         }
         body.update(self.extra)
-        body["wall_time_s"] = round(wall_time_s, 6)
         return body
 
 
@@ -135,11 +138,11 @@ def _class_indices(value: str, m: Matroid) -> frozenset[int]:
 
 
 # ---------------------------------------------------------------------------
-# command handlers; each returns (exit_code, report_dict)
+# command handlers; each returns (exit_code, report_dict), and main adds the
+# report's wall_time_s
 
 
 def cmd_check(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
-    t0 = time.perf_counter()
     rep = Report(argv, {"matroid": args.matroid})
     m = parse_matroid(args.matroid, validate=False)
     result = validate_circuits(m.circuits, m.n)
@@ -152,11 +155,10 @@ def cmd_check(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]
     )
     print(rep.conclusion)
     code = EXIT_OK if result.ok else EXIT_CHECK_FAILED
-    return code, rep.as_dict(time.perf_counter() - t0)
+    return code, rep.as_dict()
 
 
 def cmd_rank(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
-    t0 = time.perf_counter()
     m = parse_matroid(args.matroid)
     mask = _parse_element_set(args.set, m.n)
     rep = Report(argv, {"matroid": args.matroid, "set": one_based(mask)})
@@ -165,11 +167,10 @@ def cmd_rank(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
     rep.check("rank_computed", True)
     rep.conclusion = f"rank {one_based(mask)} = {value}"
     print(rep.conclusion)
-    return EXIT_OK, rep.as_dict(time.perf_counter() - t0)
+    return EXIT_OK, rep.as_dict()
 
 
 def cmd_lift_elementary(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
-    t0 = time.perf_counter()
     m = parse_matroid(args.matroid)
     members = _class_indices(args.linear_class, m)
     rep = Report(
@@ -179,7 +180,7 @@ def cmd_lift_elementary(args: argparse.Namespace, argv: Sequence[str]) -> tuple[
     if not rep.check("linear_class", is_linear_class(m, members)):
         rep.conclusion = "the given circuits are not a linear class"
         print(rep.conclusion)
-        return EXIT_CHECK_FAILED, rep.as_dict(time.perf_counter() - t0)
+        return EXIT_CHECK_FAILED, rep.as_dict()
     lifted = elementary_lift(m, members)
     rep.check("rank_increase", lifted.full_rank in (m.full_rank, m.full_rank + 1))
     rep.extra["lift"] = {
@@ -192,11 +193,10 @@ def cmd_lift_elementary(args: argparse.Namespace, argv: Sequence[str]) -> tuple[
         Path(args.out).write_text(out)
     else:
         sys.stdout.write(out)
-    return EXIT_OK, rep.as_dict(time.perf_counter() - t0)
+    return EXIT_OK, rep.as_dict()
 
 
 def cmd_lift_general(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
-    t0 = time.perf_counter()
     spec = parse_lift(args.spec)
     rep = Report(argv, {"spec": args.spec})
     ok_prime, witness_prime = check_star_prime(spec)
@@ -236,11 +236,10 @@ def cmd_lift_general(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int
         rep.conclusion = f"lift refused: {witness_prime}"
         print(rep.conclusion)
     code = EXIT_OK if rep.all_pass else EXIT_CHECK_FAILED
-    return code, rep.as_dict(time.perf_counter() - t0)
+    return code, rep.as_dict()
 
 
 def cmd_rep_witness(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
-    t0 = time.perf_counter()
     a = parse_matrix(args.matrix)
     cols = []
     if args.x:
@@ -262,11 +261,10 @@ def cmd_rep_witness(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int,
     )
     print(rep.conclusion)
     code = EXIT_OK if rep.all_pass else EXIT_CHECK_FAILED
-    return code, rep.as_dict(time.perf_counter() - t0)
+    return code, rep.as_dict()
 
 
 def cmd_krt_build(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
-    t0 = time.perf_counter()
     spec = KrtSpec(args.r, args.t)
     m = build_krt(spec)
     rep = Report(argv, {"r": args.r, "t": args.t})
@@ -279,14 +277,13 @@ def cmd_krt_build(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, d
         print(" ".join(str(e) for e in ch))
     if args.out:
         write_matroid(m, args.out)
-    return EXIT_OK if rep.all_pass else EXIT_CHECK_FAILED, rep.as_dict(time.perf_counter() - t0)
+    return EXIT_OK if rep.all_pass else EXIT_CHECK_FAILED, rep.as_dict()
 
 
 def cmd_krt_certify(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
-    t0 = time.perf_counter()
     spec = KrtSpec(args.r, args.t)
     m = build_krt(spec)
-    facts = obstruction_report(spec)
+    facts = obstruction_report(spec, m)
     ingleton_ok, ingleton_witness = is_ingleton_sparse_paving(m)
 
     body: dict = {
@@ -301,39 +298,34 @@ def cmd_krt_certify(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int,
                 "antichain_guarantee": spec.in_antichain_regime,
             },
         },
-        "sparse_paving": intersection_certificate(spec) and is_sparse_paving(m),
+        "sparse_paving": True,  # build_krt raised otherwise
         "facts": facts.as_dict(),
         "ingleton": {
             "is_ingleton": ingleton_ok,
             "witness": ingleton_witness.as_dict() if ingleton_witness else None,
         },
     }
-    if args.deep or spec.ground_size <= VAMOS_SCAN_CAP:
-        minors = scan_vamos_like_minors(m)
-        body["vamos_like_minors"] = {
-            "scanned": True,
-            "witnesses": [w.as_dict() for w in minors],
-        }
+    n = spec.ground_size
+    scan: dict = {"scanned": False}
+    if not args.deep and n > VAMOS_SCAN_CAP:
+        scan["reason"] = f"ground size {n} above scan cap {VAMOS_SCAN_CAP}; run krt vamos-scan"
+    elif n > MINOR_SCAN_LIMIT:
+        scan["reason"] = f"ground size {n} above the minor scan limit {MINOR_SCAN_LIMIT}"
     else:
-        body["vamos_like_minors"] = {
-            "scanned": False,
-            "reason": f"ground size {spec.ground_size} above scan cap {VAMOS_SCAN_CAP}; run krt vamos-scan",
-        }
-    all_facts = facts.all_true and body["sparse_paving"]
+        scan = {"scanned": True, "witnesses": [w.as_dict() for w in scan_vamos_like_minors(m)]}
+    body["vamos_like_minors"] = scan
     body["conclusion"] = (
-        "non-representable over every field" if all_facts else "certificate incomplete"
+        "non-representable over every field" if facts.all_true else "certificate incomplete"
     )
-    body["wall_time_s"] = round(time.perf_counter() - t0, 6)
     print(
         f"K({spec.r},{spec.t}): sparse_paving={body['sparse_paving']} "
         f"facts a={facts.fact_a} b={facts.fact_b} c={facts.fact_c} d={facts.fact_d} "
         f"ingleton={ingleton_ok} -> {body['conclusion']}"
     )
-    return (EXIT_OK if all_facts else EXIT_CHECK_FAILED), body
+    return (EXIT_OK if facts.all_true else EXIT_CHECK_FAILED), body
 
 
 def cmd_krt_ingleton(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
-    t0 = time.perf_counter()
     spec = KrtSpec(args.r, args.t)
     m = build_krt(spec)
     rep = Report(argv, {"r": args.r, "t": args.t})
@@ -350,11 +342,10 @@ def cmd_krt_ingleton(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int
         else f"K({args.r},{args.t}) violates Ingleton at {witness.as_dict()}"
     )
     print(rep.conclusion)
-    return (EXIT_OK if ok else EXIT_CHECK_FAILED), rep.as_dict(time.perf_counter() - t0)
+    return (EXIT_OK if ok else EXIT_CHECK_FAILED), rep.as_dict()
 
 
 def cmd_krt_vamos_scan(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
-    t0 = time.perf_counter()
     spec = KrtSpec(args.r, args.t)
     m = build_krt(spec)
     rep = Report(argv, {"r": args.r, "t": args.t})
@@ -367,11 +358,10 @@ def cmd_krt_vamos_scan(args: argparse.Namespace, argv: Sequence[str]) -> tuple[i
         else f"{len(minors)} Vamos-like minor(s) found"
     )
     print(rep.conclusion)
-    return (EXIT_OK if not minors else EXIT_CHECK_FAILED), rep.as_dict(time.perf_counter() - t0)
+    return (EXIT_OK if not minors else EXIT_CHECK_FAILED), rep.as_dict()
 
 
 def cmd_gain_build(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
-    t0 = time.perf_counter()
     group = _load_group(args.group)
     gg = full_gain_graph(group, args.n)
     rep = Report(argv, {"group": args.group, "n": args.n})
@@ -383,11 +373,10 @@ def cmd_gain_build(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, 
     rep.conclusion = f"full gain graph over {group.name} on {args.n} vertices: {gg.edge_count} edges"
     for e in gg.edges:
         print(e.i + 1, e.j + 1, group.names[e.label])
-    return EXIT_OK, rep.as_dict(time.perf_counter() - t0)
+    return EXIT_OK, rep.as_dict()
 
 
 def cmd_gain_partitions(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
-    t0 = time.perf_counter()
     group = _load_group(args.group)
     rep = Report(argv, {"group": args.group})
     partitions = group_partitions(group)
@@ -399,11 +388,10 @@ def cmd_gain_partitions(args: argparse.Namespace, argv: Sequence[str]) -> tuple[
     print(rep.conclusion)
     for p in rep.extra["partitions"]:
         print("  " + " | ".join(",".join(part) for part in p))
-    return (EXIT_OK if partitions else EXIT_CHECK_FAILED), rep.as_dict(time.perf_counter() - t0)
+    return (EXIT_OK if partitions else EXIT_CHECK_FAILED), rep.as_dict()
 
 
 def cmd_gain_lift3(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
-    t0 = time.perf_counter()
     group = _load_group(args.group)
     rep = Report(argv, {"group": args.group})
     try:
@@ -412,7 +400,7 @@ def cmd_gain_lift3(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, 
         rep.check("nontrivial_partition", False, str(exc))
         rep.conclusion = "no nontrivial partition"
         print(rep.conclusion)
-        return EXIT_CHECK_FAILED, rep.as_dict(time.perf_counter() - t0)
+        return EXIT_CHECK_FAILED, rep.as_dict()
     rep.check("nontrivial_partition", True)
     rep.check("hyperplane_axioms", True)
     rep.check("rank_is_4", result.matroid.full_rank == 4)
@@ -431,15 +419,20 @@ def cmd_gain_lift3(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, 
     print(rep.conclusion)
     if args.out:
         write_matroid(result.matroid, args.out)
-    return (EXIT_OK if rep.all_pass else EXIT_CHECK_FAILED), rep.as_dict(time.perf_counter() - t0)
+    return (EXIT_OK if rep.all_pass else EXIT_CHECK_FAILED), rep.as_dict()
 
 
 def cmd_iso(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
-    t0 = time.perf_counter()
     m1 = parse_matroid(args.m1)
     m2 = parse_matroid(args.m2)
     rep = Report(argv, {"m1": args.m1, "m2": args.m2})
-    perm = find_isomorphism(m1, m2)
+    try:
+        perm = find_isomorphism(m1, m2, node_budget=DEFAULT_NODE_BUDGET)
+    except SearchBudgetExceeded as exc:
+        rep.check("isomorphic", False, {"node_budget": DEFAULT_NODE_BUDGET, "detail": str(exc)})
+        rep.conclusion = "inconclusive: the isomorphism search ran out of its node budget"
+        print(rep.conclusion)
+        return EXIT_INCONCLUSIVE, rep.as_dict()
     rep.check("isomorphic", perm is not None, None if perm else "no ground-set bijection maps circuits onto circuits")
     if perm is not None:
         rep.extra["permutation"] = [p + 1 for p in perm]
@@ -448,7 +441,7 @@ def cmd_iso(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
     else:
         rep.conclusion = "not isomorphic"
         print(rep.conclusion)
-    return (EXIT_OK if perm is not None else EXIT_CHECK_FAILED), rep.as_dict(time.perf_counter() - t0)
+    return (EXIT_OK if perm is not None else EXIT_CHECK_FAILED), rep.as_dict()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -478,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = lift_sub.add_parser("general", help="the M^N lift from a .lift spec")
     p.add_argument("spec")
     p.add_argument("--check-star", action="store_true", help="also check the perfect-collection condition")
-    p.add_argument("--check-star-prime", action="store_true", help="(default) check the modular-pair condition")
     p.add_argument("--force", action="store_true", help="evaluate the formula even when (*') fails and report the first axiom violation")
     p.add_argument("--out", help="write the lifted matroid here")
     p.set_defaults(handler=cmd_lift_general)
@@ -500,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = krt_sub.add_parser("certify", help="the non-representability certificate")
     p.add_argument("r", type=int)
     p.add_argument("t", type=int)
-    p.add_argument("--deep", action="store_true", help="run the Vamos-like minor scan regardless of size")
+    p.add_argument("--deep", action="store_true", help="run the Vamos-like minor scan above the inline cap, up to the scan's 14-element limit")
     p.set_defaults(handler=cmd_krt_certify)
     p = krt_sub.add_parser("ingleton", help="the sparse-paving Ingleton criterion")
     p.add_argument("r", type=int)
@@ -558,6 +550,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    t0 = time.perf_counter()
     try:
         code, report = args.handler(args, _strip_json_flag(argv))
     except (ParseError, GroupAxiomError, CircuitAxiomError, HyperplaneAxiomError) as exc:
@@ -569,6 +562,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    report["wall_time_s"] = round(time.perf_counter() - t0, 6)
     _emit(report, args.json)
     return code
 

@@ -24,6 +24,8 @@ MAX_GROUND = 64
 
 RANK_CACHE_LIMIT = 1 << 20
 
+DEFAULT_NODE_BUDGET = 10**7  # isomorphism search nodes before SearchBudgetExceeded
+
 
 class CircuitAxiomError(ValueError):
     """A would-be circuit family violates the circuit axioms."""
@@ -532,7 +534,7 @@ def find_isomorphism(
     m1: Matroid,
     m2: Matroid,
     *,
-    node_budget: int = 10**7,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Optional[list[int]]:
     """A ground-set bijection mapping circuits onto circuits, or None.
 
@@ -639,7 +641,7 @@ def minors_with_shape(
             yield cmask, dmask, contracted.delete(dmask_small)
 
 
-def has_minor_isomorphic_to(m: Matroid, target: Matroid, *, node_budget: int = 10**7) -> bool:
+def has_minor_isomorphic_to(m: Matroid, target: Matroid, *, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """True iff some contract-then-delete sequence yields a matroid isomorphic to target."""
     if target.n > m.n or target.full_rank > m.full_rank:
         return False

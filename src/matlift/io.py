@@ -190,10 +190,6 @@ def emit_matrix_text(a: GfMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_matrix(a: GfMatrix, path: str | Path) -> None:
-    Path(path).write_text(emit_matrix_text(a))
-
-
 # ---------------------------------------------------------------------------
 # .lift
 
@@ -249,7 +245,3 @@ def emit_lift_text(spec: LiftSpec) -> str:
         lines.append(f"# circuit {k}: {' '.join(str(e) for e in one_based(c))}")
     lines.append(emit_matroid_text(overlay).rstrip("\n"))
     return "\n".join(lines) + "\n"
-
-
-def write_lift(spec: LiftSpec, path: str | Path) -> None:
-    Path(path).write_text(emit_lift_text(spec))

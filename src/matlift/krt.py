@@ -25,6 +25,8 @@ from matlift.core import (
     subsets_of_size,
 )
 
+MINOR_SCAN_LIMIT = 14  # largest ground set the brute-force minor scans accept
+
 
 @dataclass(frozen=True)
 class KrtSpec:
@@ -189,17 +191,19 @@ class ObstructionReport:
         }
 
 
-def obstruction_report(spec: KrtSpec) -> ObstructionReport:
-    """Evaluate facts (a)-(d) on M = K/X and L = K\\X.
+def obstruction_report(spec: KrtSpec, k: Matroid) -> ObstructionReport:
+    """Evaluate facts (a)-(d) on M = K/X and L = K\\X, where K is normally
+    build_krt(spec) (any matroid on the same ground set is accepted).
 
-    X holds the two top elements, so deleting or contracting it keeps the
-    labels of [2t] unchanged.
+    Neither minor is materialized: X holds the two top elements, so the
+    block unions avoid it and r_M(S) = r_K(S | X) - r_K(X), r_L(S) = r_K(S).
     """
-    k = build_krt(spec)
     x = spec.x_mask
-    m = k.contract(x)
-    l = k.delete(x)
+    rank_x = k.rank(x)
     blocks = spec.blocks
+
+    def rank_m(mask: Mask) -> int:
+        return k.rank(mask | x) - rank_x
 
     def witness(i: int, j: int) -> FactWitness:
         union = blocks[i - 1] | blocks[j - 1]
@@ -207,17 +211,20 @@ def obstruction_report(spec: KrtSpec) -> ObstructionReport:
             pair=(i, j),
             union=union,
             union_size=union.bit_count(),
-            rank_in_quotient=m.rank(union),
-            rank_in_deletion=l.rank(union),
+            rank_in_quotient=rank_m(union),
+            rank_in_deletion=k.rank(union),
+        )
+
+    def is_circuit_of_m(b: Mask) -> bool:
+        # Dependent with every one-element deletion independent.
+        size = b.bit_count()
+        return rank_m(b) == size - 1 and all(
+            rank_m(b & ~(1 << e)) == size - 1 for e in elements_of(b)
         )
 
     consecutive = tuple(witness(i, i + 1) for i in range(1, spec.t))
     wrap = witness(1, spec.t)
-
-    def blocks_are_circuits() -> bool:
-        return all(m.is_circuit(b) for b in blocks)
-
-    circuits_ok = blocks_are_circuits()
+    circuits_ok = all(is_circuit_of_m(b) for b in blocks)
     fact_a = circuits_ok and all(w.modular_defect == 2 for w in consecutive)
     fact_b = circuits_ok and wrap.modular_defect == 2
     fact_c = all(w.rank_gap == 1 for w in consecutive)
@@ -372,8 +379,8 @@ class VamosLikeMinor:
 
 def scan_vamos_like_minors(m: Matroid) -> list[VamosLikeMinor]:
     """Enumerate rank-4, 8-element minors and test each for Vamos-likeness."""
-    if m.n > 14:
-        raise ValueError("minor scan supports at most 14 elements")
+    if m.n > MINOR_SCAN_LIMIT:
+        raise ValueError(f"minor scan supports at most {MINOR_SCAN_LIMIT} elements")
     out = []
     for cmask, dmask, minor in minors_with_shape(m, 4, 8):
         if minor.full_rank != 4 or not is_sparse_paving(minor):
@@ -388,8 +395,8 @@ def antichain_check(big: KrtSpec, small: KrtSpec, *, proper: bool = True) -> boo
     """True iff no (proper) minor of K(big) is isomorphic to K(small)."""
     if not big.in_antichain_regime or not small.in_antichain_regime:
         raise ValueError("antichain check applies in the r <= 2t-3 regime")
-    if big.ground_size > 14:
-        raise ValueError("antichain check supports at most 14 elements")
+    if big.ground_size > MINOR_SCAN_LIMIT:
+        raise ValueError(f"antichain check supports at most {MINOR_SCAN_LIMIT} elements")
     m_big = build_krt(big)
     m_small = build_krt(small)
     same_shape = big.ground_size == small.ground_size and m_big.full_rank == m_small.full_rank

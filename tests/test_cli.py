@@ -71,14 +71,15 @@ class TestKrt:
         assert sorted(perm) == list(range(1, 9))
 
     def test_certify_golden(self, capsys, tmp_path):
-        json_path = tmp_path / "cert.json"
-        code, out = run(["--json", str(json_path), "krt", "certify", "4", "3"], capsys)
-        assert code == 0
-        assert "non-representable over every field" in out
-        got = load_report(json_path)
-        expected = json.loads((GOLDEN / "krt_certify_4_3.json").read_text())
-        expected.pop("wall_time_s", None)
-        assert got == expected
+        for r, t in [(4, 3), (7, 5)]:
+            json_path = tmp_path / f"cert_{r}_{t}.json"
+            code, out = run(["--json", str(json_path), "krt", "certify", str(r), str(t)], capsys)
+            assert code == 0
+            assert "non-representable over every field" in out
+            got = load_report(json_path)
+            expected = json.loads((GOLDEN / f"krt_certify_{r}_{t}.json").read_text())
+            expected.pop("wall_time_s", None)
+            assert got == expected
 
     def test_certify_reports_byte_identical(self, capsys, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -123,6 +124,17 @@ class TestKrt:
         body = load_report(json_path)
         assert body["vamos_like_minors"]["scanned"] is True
         assert body["vamos_like_minors"]["witnesses"] == []
+
+    def test_certify_deep_above_scan_limit_records_skip(self, capsys, tmp_path):
+        json_path = tmp_path / "cert.json"
+        code, _ = run(["--json", str(json_path), "krt", "certify", "4", "7", "--deep"], capsys)
+        assert code == 0
+        body = load_report(json_path)
+        assert body["conclusion"] == "non-representable over every field"
+        assert body["vamos_like_minors"] == {
+            "scanned": False,
+            "reason": "ground size 16 above the minor scan limit 14",
+        }
 
     def test_krt_build_roundtrip_through_file(self, capsys, tmp_path):
         from matlift.io import parse_matroid
@@ -250,3 +262,19 @@ class TestIso:
         code, out = run(["iso", str(a), str(b)], capsys)
         assert code == 1
         assert "not isomorphic" in out
+
+    def test_budget_exhausted_is_inconclusive(self, capsys, tmp_path, monkeypatch):
+        from matlift.core import SearchBudgetExceeded
+
+        def exhausted(m1, m2, *, node_budget):
+            raise SearchBudgetExceeded(f"isomorphism search exceeded {node_budget} nodes")
+
+        monkeypatch.setattr("matlift.cli.find_isomorphism", exhausted)
+        json_path = tmp_path / "iso.json"
+        v8 = str(TESTDATA / "v8.ckt")
+        code, out = run(["--json", str(json_path), "iso", v8, v8], capsys)
+        assert code == 3
+        assert "inconclusive" in out
+        (check,) = load_report(json_path)["checks"]
+        assert check["name"] == "isomorphic" and check["pass"] is False
+        assert check["witness"]["node_budget"] == 10**7

@@ -19,7 +19,9 @@ from matlift.core import (
     validate_circuits,
 )
 from matlift.krt import (
+    FactWitness,
     KrtSpec,
+    ObstructionReport,
     antichain_check,
     build_krt,
     ingleton_inequality,
@@ -116,11 +118,13 @@ class TestBuild:
 class TestObstruction:
     @pytest.mark.parametrize("r,t", [(4, 3), (5, 4), (6, 4), (5, 5), (6, 5), (7, 5)])
     def test_facts_all_true(self, r, t):
-        rep = obstruction_report(KrtSpec(r, t))
+        spec = KrtSpec(r, t)
+        rep = obstruction_report(spec, build_krt(spec))
         assert rep.fact_a and rep.fact_b and rep.fact_c and rep.fact_d
 
     def test_witness_values_43(self):
-        rep = obstruction_report(KrtSpec(4, 3))
+        spec = KrtSpec(4, 3)
+        rep = obstruction_report(spec, build_krt(spec))
         for w in rep.consecutive:
             assert w.union_size == 4 and w.rank_in_quotient == 2 and w.rank_in_deletion == 3
         assert rep.wraparound.rank_in_deletion == 4
@@ -161,12 +165,59 @@ class TestObstruction:
     def test_facts_witness_ranks_match_theory(self):
         # r_M(C_i | C_{i+1}) = r - 2 and r_L = r - 1 on consecutive unions
         for r, t in [(5, 4), (6, 5)]:
-            rep = obstruction_report(KrtSpec(r, t))
+            spec = KrtSpec(r, t)
+            rep = obstruction_report(spec, build_krt(spec))
             for w in rep.consecutive:
                 assert w.union_size == r
                 assert w.rank_in_quotient == r - 2
                 assert w.rank_in_deletion == r - 1
             assert rep.wraparound.rank_in_deletion - rep.wraparound.rank_in_quotient == 2
+
+    @pytest.mark.parametrize("r,t", ALL_DESK_SPECS)
+    def test_rank_oracle_matches_materialized_minors(self, r, t):
+        spec = KrtSpec(r, t)
+        k = build_krt(spec)
+        assert obstruction_report(spec, k) == _materialized_report(spec, k)
+
+    def test_rank_oracle_matches_materialized_minors_relaxed(self):
+        # Relaxing C_i | X makes C_i independent in K/X, so facts a and b
+        # fail on the block-circuit test alone; relaxing C_i | C_{i+1}
+        # breaks fact c.
+        spec = KrtSpec(4, 3)
+        k = build_krt(spec)
+        reports = []
+        for ch in spec.circuit_hyperplanes:
+            relaxed = relax(k, ch)
+            rep = obstruction_report(spec, relaxed)
+            assert rep == _materialized_report(spec, relaxed)
+            assert all(w.modular_defect == 2 for w in (*rep.consecutive, rep.wraparound))
+            reports.append(rep)
+        assert sum(not rep.fact_a and not rep.fact_b for rep in reports) == 3
+        assert sum(not rep.fact_c for rep in reports) == 2
+
+
+def _materialized_report(spec: KrtSpec, k: Matroid) -> ObstructionReport:
+    """Facts (a)-(d) read from K/X and K\\X built as circuit families."""
+    m = k.contract(spec.x_mask)
+    l = k.delete(spec.x_mask)
+    blocks = spec.blocks
+
+    def witness(i, j):
+        union = blocks[i - 1] | blocks[j - 1]
+        return FactWitness((i, j), union, union.bit_count(), m.rank(union), l.rank(union))
+
+    consecutive = tuple(witness(i, i + 1) for i in range(1, spec.t))
+    wrap = witness(1, spec.t)
+    circuits_ok = all(m.is_circuit(b) for b in blocks)
+    return ObstructionReport(
+        spec,
+        circuits_ok and all(w.modular_defect == 2 for w in consecutive),
+        circuits_ok and wrap.modular_defect == 2,
+        all(w.rank_gap == 1 for w in consecutive),
+        wrap.rank_gap == 2,
+        consecutive,
+        wrap,
+    )
 
 
 class TestIngleton:
