@@ -131,6 +131,18 @@ def _check_members(members: Sequence[Mask], n: int) -> Optional[ValidationReport
     return None
 
 
+def _index_pairs(
+    m: int, max_pairs: Optional[int], seed: int
+) -> tuple[Iterable[tuple[int, int]], bool]:
+    """All index pairs i < j below ``m``, or ``max_pairs`` seeded random ones
+    when there are more pairs than that; the flag says which."""
+    sampled = max_pairs is not None and m * (m - 1) // 2 > max_pairs
+    if sampled:
+        rng = random.Random(seed)
+        return (tuple(sorted(rng.sample(range(m), 2))) for _ in range(max_pairs or 0)), True
+    return ((i, j) for i in range(m) for j in range(i + 1, m)), False
+
+
 def validate_circuits(
     circuits: Sequence[Mask],
     n: int,
@@ -154,19 +166,8 @@ def validate_circuits(
     if bad is not None:
         return bad
     fam = canonical_circuits(circuits)
-    m = len(fam)
     sizes = [c.bit_count() for c in fam]
-
-    total_pairs = m * (m - 1) // 2
-    sampled = max_pairs is not None and total_pairs > max_pairs
-    if sampled:
-        rng = random.Random(seed)
-        pair_iter: Iterable[tuple[int, int]] = (
-            tuple(sorted(rng.sample(range(m), 2))) for _ in range(max_pairs or 0)
-        )
-    else:
-        pair_iter = ((i, j) for i in range(m) for j in range(i + 1, m))
-
+    pair_iter, sampled = _index_pairs(len(fam), max_pairs, seed)
     for i, j in pair_iter:
         ci, cj = fam[i], fam[j]
         # Canonical order makes ci the smaller set, so one test covers both
@@ -192,7 +193,45 @@ def validate_circuits(
     return ValidationReport(True, "ok", (), sampled)
 
 
-class Matroid:
+class RankMatroid:
+    """A matroid on ground set {0, ..., n-1} known through its rank oracle.
+
+    Subclasses set ``n``, ``_rank_cache`` (a memo seeded with {0: 0}) and
+    ``_full_rank = None``, and implement a memoized ``rank``; everything
+    else here is derived from ``rank``.
+    """
+
+    __slots__ = ("n", "_rank_cache", "_full_rank")
+
+    def rank(self, mask: Mask) -> int:
+        raise NotImplementedError
+
+    @property
+    def full_mask(self) -> Mask:
+        return (1 << self.n) - 1
+
+    @property
+    def full_rank(self) -> int:
+        if self._full_rank is None:
+            self._full_rank = self.rank(self.full_mask)
+        return self._full_rank
+
+    def closure(self, mask: Mask) -> Mask:
+        r = self.rank(mask)
+        closed = mask
+        rest = self.full_mask & ~mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if self.rank(mask | low) == r:
+                closed |= low
+        return closed
+
+    def is_flat(self, mask: Mask) -> bool:
+        return self.closure(mask) == mask
+
+
+class Matroid(RankMatroid):
     """A matroid given by its circuit family on ground set {0, ..., n-1}.
 
     The rank oracle is greedy independent-set extension in ascending element
@@ -200,7 +239,7 @@ class Matroid:
     past the cap new results are computed but not cached.
     """
 
-    __slots__ = ("n", "circuits", "_sizes", "_circuit_set", "_rank_cache", "_full_rank")
+    __slots__ = ("circuits", "_sizes", "_circuit_set")
 
     def __init__(
         self,
@@ -227,16 +266,6 @@ class Matroid:
         self._circuit_set = frozenset(fam)
         self._rank_cache: dict[Mask, int] = {0: 0}
         self._full_rank: Optional[int] = None
-
-    @property
-    def full_mask(self) -> Mask:
-        return (1 << self.n) - 1
-
-    @property
-    def full_rank(self) -> int:
-        if self._full_rank is None:
-            self._full_rank = self.rank(self.full_mask)
-        return self._full_rank
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matroid):
@@ -290,20 +319,6 @@ class Matroid:
         if len(self._rank_cache) < RANK_CACHE_LIMIT:
             self._rank_cache[mask] = isize
         return isize
-
-    def closure(self, mask: Mask) -> Mask:
-        r = self.rank(mask)
-        closed = mask
-        rest = self.full_mask & ~mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if self.rank(mask | low) == r:
-                closed |= low
-        return closed
-
-    def is_flat(self, mask: Mask) -> bool:
-        return self.closure(mask) == mask
 
     def loops(self) -> Mask:
         out = 0
@@ -419,42 +434,30 @@ def circuits_from_rank_oracle(
     rank_fn: Callable[[Mask], int],
     n: int,
     max_size: int,
-    *,
-    universe: Optional[Mask] = None,
 ) -> list[Mask]:
     """Materialize the minimal dependent sets of a matroid rank function.
 
-    Enumerates subsets in size order up to ``max_size``; a set is a circuit
-    iff it is dependent while all its one-element deletions are independent.
-    ``rank_fn`` must be a genuine matroid rank function for this to be the
-    circuit family.
+    Enumerates subsets in size order up to ``max_size``.  A k-set with a
+    dependent (k-1)-subset is dependent but not minimal, and is skipped
+    without a rank call; any other k-set is a circuit iff its rank is below
+    k.  Dependent sets are kept for one level only.  ``rank_fn`` must be a
+    genuine matroid rank function for this to be the circuit family.
     """
-    if universe is None:
-        universe = (1 << n) - 1
-    cache: dict[Mask, int] = {0: 0}
-
-    def rank(mask: Mask) -> int:
-        got = cache.get(mask)
-        if got is None:
-            got = rank_fn(mask)
-            cache[mask] = got
-        return got
-
+    full = (1 << n) - 1
     out: list[Mask] = []
+    dependent: set[Mask] = set()
     for k in range(1, max_size + 1):
-        for mask in subsets_of_size(universe, k):
-            if rank(mask) >= k:
-                continue
-            rest = mask
-            minimal = True
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if rank(mask ^ low) < k - 1:
-                    minimal = False
-                    break
-            if minimal:
+        keep = k < max_size
+        found: set[Mask] = set()
+        for mask in subsets_of_size(full, k):
+            below = dependent and any(mask ^ (1 << e) in dependent for e in elements_of(mask))
+            if not below:
+                if rank_fn(mask) >= k:
+                    continue
                 out.append(mask)
+            if keep:
+                found.add(mask)
+        dependent = found
     return out
 
 
@@ -678,18 +681,7 @@ def validate_hyperplanes(
             return ValidationReport(False, "out-of-range", (h,))
         if h == full:
             return ValidationReport(False, "improper-member", (h,))
-    m = len(fam)
-
-    total_pairs = m * (m - 1) // 2
-    sampled = max_pairs is not None and total_pairs > max_pairs
-    if sampled:
-        rng = random.Random(seed)
-        pair_iter: Iterable[tuple[int, int]] = (
-            tuple(sorted(rng.sample(range(m), 2))) for _ in range(max_pairs or 0)
-        )
-    else:
-        pair_iter = ((i, j) for i in range(m) for j in range(i + 1, m))
-
+    pair_iter, sampled = _index_pairs(len(fam), max_pairs, seed)
     for i, j in pair_iter:
         h1, h2 = fam[i], fam[j]
         if h1 & ~h2 == 0:

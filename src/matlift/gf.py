@@ -9,10 +9,16 @@ share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from matlift.core import Mask, Matroid, elements_of, mask_of, one_based
+from matlift.core import (
+    Mask,
+    Matroid,
+    RankMatroid,
+    circuits_from_rank_oracle,
+    elements_of,
+    one_based,
+)
 from matlift.lifts import LiftSpec, check_star_prime, lift_rank
 
 MAX_PRIME = 251
@@ -98,26 +104,9 @@ class GfMatrix:
 
     def rref(self) -> tuple["GfMatrix", tuple[int, ...]]:
         """Reduced row echelon form plus pivot column indices."""
-        p = self.p
         work = [list(row) for row in self.data]
-        pivots: list[int] = []
-        r = 0
-        for col in range(self.cols):
-            pivot_row = next((i for i in range(r, self.rows) if work[i][col]), None)
-            if pivot_row is None:
-                continue
-            work[r], work[pivot_row] = work[pivot_row], work[r]
-            inv = pow(work[r][col], p - 2, p)
-            work[r] = [(x * inv) % p for x in work[r]]
-            for i in range(self.rows):
-                if i != r and work[i][col]:
-                    factor = work[i][col]
-                    work[i] = [(a - factor * b) % p for a, b in zip(work[i], work[r])]
-            pivots.append(col)
-            r += 1
-            if r == self.rows:
-                break
-        return GfMatrix(p, work), tuple(pivots)
+        pivots = _eliminate(self.p, work, range(self.cols))
+        return GfMatrix(self.p, work), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -138,6 +127,34 @@ class GfMatrix:
         return basis
 
 
+def _eliminate(p: int, work: list[list[int]], cols: Iterable[int]) -> list[int]:
+    """Gauss-Jordan elimination of ``work`` in place over GF(p).
+
+    Pivots on ``cols`` in order, skipping a column with no pivot left, until
+    the rows run out.  Returns the columns that got a pivot; the i-th of
+    them is reduced to the i-th standard basis vector.
+    """
+    rows = len(work)
+    pivots: list[int] = []
+    r = 0
+    for col in cols:
+        if r == rows:
+            break
+        pivot_row = next((i for i in range(r, rows) if work[i][col]), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        inv = pow(work[r][col], p - 2, p)
+        work[r] = [(x * inv) % p for x in work[r]]
+        for i in range(rows):
+            if i != r and work[i][col]:
+                factor = work[i][col]
+                work[i] = [(a - factor * b) % p for a, b in zip(work[i], work[r])]
+        pivots.append(col)
+        r += 1
+    return pivots
+
+
 def columns_rank(a: GfMatrix, cols: Sequence[int]) -> int:
     if not cols:
         return 0
@@ -152,23 +169,13 @@ def column_matroid(a: GfMatrix) -> Matroid:
     """
     if a.cols > 64:
         raise ValueError("column matroid supports at most 64 columns")
-    rank = a.rank()
-    out: list[Mask] = []
-
-    def contains_found(mask: Mask) -> bool:
-        return any(c & ~mask == 0 for c in out)
-
-    for k in range(1, min(a.cols, rank + 1) + 1):
-        for combo in combinations(range(a.cols), k):
-            mask = mask_of(combo)
-            if contains_found(mask):
-                continue
-            if columns_rank(a, combo) < k:
-                out.append(mask)
-    return Matroid(a.cols, out, validate=False)
+    fam = circuits_from_rank_oracle(
+        lambda m: columns_rank(a, elements_of(m)), a.cols, min(a.cols, a.rank() + 1)
+    )
+    return Matroid(a.cols, fam, validate=False)
 
 
-class LinearMatroid:
+class LinearMatroid(RankMatroid):
     """Rank-oracle matroid of a matrix's columns, without materialized circuits.
 
     Used as the overlay N in witness constructions, where the ground set (the
@@ -176,7 +183,7 @@ class LinearMatroid:
     are ever needed.
     """
 
-    __slots__ = ("matrix", "n", "_rank_cache", "_full_rank")
+    __slots__ = ("matrix",)
 
     def __init__(self, matrix: GfMatrix) -> None:
         self.matrix = matrix
@@ -190,27 +197,6 @@ class LinearMatroid:
             got = columns_rank(self.matrix, elements_of(mask))
             self._rank_cache[mask] = got
         return got
-
-    @property
-    def full_rank(self) -> int:
-        if self._full_rank is None:
-            self._full_rank = self.rank((1 << self.n) - 1)
-        return self._full_rank
-
-    def closure(self, mask: Mask) -> Mask:
-        r = self.rank(mask)
-        closed = mask
-        rest = ((1 << self.n) - 1) & ~mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if self.rank(mask | low) == r:
-                closed |= low
-        return closed
-
-    def to_matroid(self) -> Matroid:
-        """Materialize the circuit family (desk scale only)."""
-        return column_matroid(self.matrix)
 
 
 def circuit_vector(a: GfMatrix, circuit: Mask) -> tuple[int, ...]:
@@ -255,7 +241,7 @@ class LiftWitness:
 
     m: Matroid
     l: Matroid
-    n: object
+    n: RankMatroid
     spec: LiftSpec
     b_matrix: Optional[GfMatrix]
     circuit_vectors: tuple[tuple[int, ...], ...]
@@ -274,31 +260,16 @@ def maximal_independent_columns(a: GfMatrix, cols: Sequence[int]) -> tuple[list[
     return indep, leftover
 
 
-def _pivot_x_to_standard_basis(a: GfMatrix, x_cols: Sequence[int]) -> tuple[GfMatrix, list[int]]:
-    """Row-reduce so each X column becomes a distinct standard basis vector.
+def _pivot_x_to_standard_basis(a: GfMatrix, x_cols: Sequence[int]) -> GfMatrix:
+    """Row-reduce so the i-th X column becomes the i-th standard basis vector.
 
-    Returns the transformed matrix and the pivot row of each X column.
     Row operations preserve column dependences, so the column matroid is
     unchanged.
     """
-    p = a.p
     work = [list(row) for row in a.data]
-    pivot_rows: list[int] = []
-    r = 0
-    for col in x_cols:
-        pivot_row = next((i for i in range(r, a.rows) if work[i][col]), None)
-        if pivot_row is None:
-            raise DependentColumnsError(x_cols, circuit_combination(a, x_cols))
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = pow(work[r][col], p - 2, p)
-        work[r] = [(x * inv) % p for x in work[r]]
-        for i in range(a.rows):
-            if i != r and work[i][col]:
-                factor = work[i][col]
-                work[i] = [(u - factor * v) % p for u, v in zip(work[i], work[r])]
-        pivot_rows.append(r)
-        r += 1
-    return GfMatrix(p, work), pivot_rows
+    if len(_eliminate(a.p, work, x_cols)) < len(x_cols):
+        raise DependentColumnsError(x_cols, circuit_combination(a, x_cols))
+    return GfMatrix(a.p, work)
 
 
 def circuit_combination(a: GfMatrix, cols: Sequence[int]) -> tuple[int, ...]:
@@ -323,16 +294,15 @@ def lift_witness(problem: WitnessProblem) -> LiftWitness:
         raise DependentColumnsError(x_cols, circuit_combination(a, x_cols))
     if len(x_cols) == a.cols:
         empty = Matroid(0, [])
-        overlay = _EmptyOverlay()
-        return LiftWitness(empty, empty, overlay, LiftSpec(empty, overlay), None, ())
+        return LiftWitness(empty, empty, empty, LiftSpec(empty, empty), None, ())
     if x_cols:
-        pivoted, pivot_rows = _pivot_x_to_standard_basis(a, x_cols)
+        pivoted = _pivot_x_to_standard_basis(a, x_cols)
         a_l = pivoted.drop_columns(x_cols)
-        if len(pivot_rows) == pivoted.rows:
+        if len(x_cols) == pivoted.rows:
             # X spans the row space; M is the rank-0 matroid on the rest.
             a_m = GfMatrix(a.p, [[0] * a_l.cols])
         else:
-            a_m = a_l.drop_rows(pivot_rows)
+            a_m = a_l.drop_rows(range(len(x_cols)))
     else:
         a_l = a
         a_m = a
@@ -342,28 +312,15 @@ def lift_witness(problem: WitnessProblem) -> LiftWitness:
     if vectors:
         columns = [a_l.matvec(v) for v in vectors]
         b: Optional[GfMatrix] = GfMatrix(a.p, [[col[i] for col in columns] for i in range(a_l.rows)])
-        n = LinearMatroid(b)
+        n: RankMatroid = LinearMatroid(b)
     else:
         b = None
-        n = _EmptyOverlay()
+        n = Matroid(0, [])
     spec = LiftSpec(m, n)
     ok, witness = check_star_prime(spec)
     if not ok:
         raise AssertionError(f"witness construction violated (*'): {witness}")
     return LiftWitness(m, l, n, spec, b, vectors)
-
-
-class _EmptyOverlay:
-    """Rank-0 matroid on an empty ground set (no circuits in the base)."""
-
-    n = 0
-    full_rank = 0
-
-    def rank(self, mask: Mask) -> int:
-        return 0
-
-    def closure(self, mask: Mask) -> Mask:
-        return 0
 
 
 def verify_witness(spec: LiftSpec, l: Matroid) -> bool:

@@ -9,28 +9,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Protocol
+from typing import Iterable, Iterator, Optional, Sequence
 
 from matlift.core import (
     Mask,
     Matroid,
+    RankMatroid,
     ValidationReport,
     circuits_from_rank_oracle,
+    elements_of,
+    mask_of,
     one_based,
 )
-
-
-class MatroidLike(Protocol):
-    """Rank-oracle view of a matroid on ground set {0, ..., n-1}."""
-
-    n: int
-
-    def rank(self, mask: Mask) -> int: ...
-
-    def closure(self, mask: Mask) -> Mask: ...
-
-    @property
-    def full_rank(self) -> int: ...
 
 
 class LiftConditionError(ValueError):
@@ -57,7 +47,7 @@ class LiftSpec:
     """A base matroid plus an overlay matroid on its circuit list."""
 
     base: Matroid
-    overlay: MatroidLike
+    overlay: RankMatroid
 
     def __post_init__(self) -> None:
         if self.overlay.n != len(self.base.circuits):
@@ -77,18 +67,20 @@ def is_modular_pair(m: Matroid, c1: Mask, c2: Mask) -> bool:
     return union.bit_count() - m.rank(union) == 2
 
 
-def is_perfect(m: Matroid, circuits: Iterable[Mask]) -> bool:
-    """Perfect collection test: nullity of the union equals the collection
-    size and no member lies inside the union of the others."""
-    col = list(circuits)
-    for c in col:
-        if not m.is_circuit(c):
-            raise ValueError(f"{one_based(c)} is not a circuit")
-    if len(set(col)) != len(col):
-        return False
-    union = 0
-    for c in col:
-        union |= c
+def _modular_pairs(m: Matroid, members: Iterable[int]) -> Iterator[tuple[int, int, Mask]]:
+    """For each modular pair i < j among the circuit indices ``members``
+    (|C_i | C_j| - r(C_i | C_j) = 2), yield i, j and the bit mask of the
+    indices of every circuit of M inside C_i | C_j."""
+    for i, j in combinations(members, 2):
+        union = m.circuits[i] | m.circuits[j]
+        if union.bit_count() - m.rank(union) == 2:
+            yield i, j, m.circuit_indices_within(union)
+
+
+def _perfect(m: Matroid, col: Sequence[Mask], union: Mask) -> bool:
+    """Perfect collection test for distinct circuits ``col`` with the given
+    union: nullity of the union equals the collection size and no member
+    lies inside the union of the others."""
     if union.bit_count() - m.rank(union) != len(col):
         return False
     for i, c in enumerate(col):
@@ -101,6 +93,21 @@ def is_perfect(m: Matroid, circuits: Iterable[Mask]) -> bool:
     return True
 
 
+def is_perfect(m: Matroid, circuits: Iterable[Mask]) -> bool:
+    """Perfect collection test: nullity of the union equals the collection
+    size and no member lies inside the union of the others."""
+    col = list(circuits)
+    for c in col:
+        if not m.is_circuit(c):
+            raise ValueError(f"{one_based(c)} is not a circuit")
+    if len(set(col)) != len(col):
+        return False
+    union = 0
+    for c in col:
+        union |= c
+    return _perfect(m, col, union)
+
+
 def is_linear_class(m: Matroid, members: Iterable[int]) -> bool:
     """True iff the circuit-index set is closed under modular pairs: for any
     modular pair inside it, every circuit of M within the union is inside."""
@@ -108,36 +115,21 @@ def is_linear_class(m: Matroid, members: Iterable[int]) -> bool:
     for i in s:
         if not 0 <= i < len(m.circuits):
             raise ValueError(f"circuit index {i} out of range")
-    idx = {c: k for k, c in enumerate(m.circuits)}
-    for i, j in combinations(sorted(s), 2):
-        c1, c2 = m.circuits[i], m.circuits[j]
-        union = c1 | c2
-        if union.bit_count() - m.rank(union) != 2:
-            continue
-        for c in m.circuits_within(union):
-            if idx[c] not in s:
-                return False
-    return True
+    smask = mask_of(s)
+    return all(inside & ~smask == 0 for _, _, inside in _modular_pairs(m, sorted(s)))
 
 
 def linear_class_closure(m: Matroid, seed: Iterable[int]) -> frozenset[int]:
     """Smallest linear class containing the given circuit indices."""
-    s = set(seed)
-    idx = {c: k for k, c in enumerate(m.circuits)}
+    smask = mask_of(seed)
     changed = True
     while changed:
         changed = False
-        for i, j in combinations(sorted(s), 2):
-            c1, c2 = m.circuits[i], m.circuits[j]
-            union = c1 | c2
-            if union.bit_count() - m.rank(union) != 2:
-                continue
-            for c in m.circuits_within(union):
-                k = idx[c]
-                if k not in s:
-                    s.add(k)
-                    changed = True
-    return frozenset(s)
+        for _, _, inside in _modular_pairs(m, elements_of(smask)):
+            if inside & ~smask:
+                smask |= inside
+                changed = True
+    return frozenset(elements_of(smask))
 
 
 def elementary_lift(m: Matroid, members: Iterable[int]) -> Matroid:
@@ -180,21 +172,13 @@ def check_star_prime(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:
     """
     m = spec.base
     n = spec.overlay
-    idx = {c: k for k, c in enumerate(m.circuits)}
-    for i, j in combinations(range(len(m.circuits)), 2):
-        c1, c2 = m.circuits[i], m.circuits[j]
-        union = c1 | c2
-        if union.bit_count() - m.rank(union) != 2:
-            continue
-        inside = m.circuits_within(union)
-        if len(inside) <= 2:
-            continue
+    for i, j, inside in _modular_pairs(m, range(len(m.circuits))):
         pair_mask = (1 << i) | (1 << j)
+        others = inside & ~pair_mask
+        if not others:
+            continue
         pair_rank = n.rank(pair_mask)
-        for c in inside:
-            k = idx[c]
-            if (pair_mask >> k) & 1:
-                continue
+        for k in elements_of(others):
             if n.rank(pair_mask | (1 << k)) != pair_rank:
                 return False, StarWitness((i, j), k)
     return True, None
@@ -211,7 +195,6 @@ def check_star(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:
     overlay = spec.overlay
     circuits = m.circuits
     count = len(circuits)
-    idx = {c: k for k, c in enumerate(circuits)}
     max_size = min(count, m.n - m.full_rank)
 
     def violates(chosen: list[int], union: Mask) -> Optional[StarWitness]:
@@ -219,25 +202,10 @@ def check_star(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:
         for i in chosen:
             members |= 1 << i
         members_rank = overlay.rank(members)
-        for c in m.circuits_within(union):
-            k = idx[c]
-            if (members >> k) & 1:
-                continue
+        for k in elements_of(m.circuit_indices_within(union) & ~members):
             if overlay.rank(members | (1 << k)) != members_rank:
                 return StarWitness(tuple(chosen), k)
         return None
-
-    def perfect(chosen: list[int], union: Mask) -> bool:
-        if union.bit_count() - m.rank(union) != len(chosen):
-            return False
-        for i in chosen:
-            rest = 0
-            for j in chosen:
-                if j != i:
-                    rest |= circuits[j]
-            if circuits[i] & ~rest == 0:
-                return False
-        return True
 
     def extend(chosen: list[int], union: Mask) -> Optional[StarWitness]:
         if len(chosen) >= 2:
@@ -250,7 +218,7 @@ def check_star(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:
         for nxt in range(start, count):
             nunion = union | circuits[nxt]
             chosen.append(nxt)
-            if perfect(chosen, nunion):
+            if _perfect(m, [circuits[i] for i in chosen], nunion):
                 bad = extend(chosen, nunion)
                 if bad is not None:
                     return bad
@@ -324,11 +292,10 @@ def evaluate_lift_formula(spec: LiftSpec) -> tuple[Optional[Matroid], Validation
     return Matroid(n, fam), ValidationReport(True)
 
 
-def rank_one_overlay(m: Matroid, loop_indices: Iterable[int]) -> Matroid:
-    """Rank-1 matroid on M's circuits: given indices are loops, the rest are
-    parallel non-loops (rank 0 when everything is a loop)."""
+def rank_one_overlay(count: int, loop_indices: Iterable[int]) -> Matroid:
+    """Rank-1 matroid on ``count`` circuit indices: given indices are loops,
+    the rest are parallel non-loops (rank 0 when everything is a loop)."""
     loops = set(loop_indices)
-    count = len(m.circuits)
     fam: list[Mask] = [1 << i for i in sorted(loops)]
     nonloops = [i for i in range(count) if i not in loops]
     fam.extend((1 << i) | (1 << j) for i, j in combinations(nonloops, 2))
@@ -342,7 +309,7 @@ def lift_agrees_with_elementary(m: Matroid, members: Iterable[int]) -> bool:
     s = frozenset(members)
     if not is_linear_class(m, s):
         raise ValueError("circuit set is not a linear class")
-    spec = LiftSpec(m, rank_one_overlay(m, s))
+    spec = LiftSpec(m, rank_one_overlay(len(m.circuits), s))
     via_general = build_lift(spec)
     via_elementary = elementary_lift(m, s)
     return via_general == via_elementary

@@ -61,6 +61,12 @@ class TestKrt:
         lines = [ln for ln in out.splitlines() if ln.strip()]
         assert lines == ["1 2 3 4", "3 4 5 6", "1 2 7 8", "3 4 7 8", "5 6 7 8"]
 
+    def test_build_json_reports_sparse_paving(self, capsys, tmp_path):
+        json_path = tmp_path / "build.json"
+        code, _ = run(["--json", str(json_path), "krt", "build", "4", "3"], capsys)
+        assert code == 0
+        assert load_report(json_path)["checks"] == [{"name": "sparse_paving", "pass": True}]
+
     def test_build_out_matches_v8_via_iso(self, capsys, tmp_path):
         out_path = tmp_path / "k43.ckt"
         code, _ = run(["krt", "build", "4", "3", "--out", str(out_path)], capsys)

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from matlift.core import (
     CircuitAxiomError,
     Matroid,
+    canonical_circuits,
+    circuits_from_rank_oracle,
     find_isomorphism,
     has_minor_isomorphic_to,
     is_quotient,
@@ -27,7 +29,13 @@ from matlift.core import (
 )
 from matlift.krt import KrtSpec, build_krt
 
-from zoo import closure_bruteforce, random_base_matroid, rank_bruteforce
+from zoo import (
+    circuits_bruteforce,
+    closure_bruteforce,
+    random_base_matroid,
+    rank_bruteforce,
+    zoo,
+)
 
 
 def k43() -> Matroid:
@@ -359,6 +367,16 @@ class TestMinorSearch:
 
     def test_no_bigger_minor(self):
         assert not has_minor_isomorphic_to(uniform_matroid(1, 3), uniform_matroid(2, 4))
+
+
+class TestCircuitEnumerator:
+    def test_matches_bruteforce_on_zoo(self):
+        small = [(name, m) for name, m in zoo() if m.n <= 12]
+        assert len(small) == 40
+        for name, m in small:
+            got = canonical_circuits(circuits_from_rank_oracle(m.rank, m.n, m.n))
+            want = canonical_circuits(circuits_bruteforce(m.rank, m.n))
+            assert got == want == m.circuits, name
 
 
 class TestDegenerateGrounds:

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matlift.core import mask_of, uniform_matroid
+from matlift.core import Matroid, canonical_circuits, mask_of, uniform_matroid
 from matlift.gf import (
     DependentColumnsError,
     GfMatrix,
     LinearMatroid,
     WitnessProblem,
+    _pivot_x_to_standard_basis,
     circuit_vector,
     column_matroid,
     columns_rank,
@@ -24,7 +25,7 @@ from matlift.gf import (
 )
 from matlift.lifts import build_lift, check_star_prime
 
-from zoo import random_gf_matrix
+from zoo import circuits_bruteforce, random_gf_matrix
 
 
 class TestField:
@@ -110,6 +111,13 @@ class TestColumnMatroid:
             assert witness.m == contracted
             done += 1
 
+    def test_matches_bruteforce(self):
+        rng = random.Random(29)
+        for _ in range(30):
+            a = random_gf_matrix(rng)
+            want = canonical_circuits(circuits_bruteforce(LinearMatroid(a).rank, a.cols))
+            assert column_matroid(a).circuits == want
+
 
 class TestCircuitVector:
     def test_gf2_pair(self):
@@ -158,6 +166,27 @@ class TestWitness:
         with pytest.raises(DependentColumnsError) as err:
             lift_witness(WitnessProblem(a, (0, 1)))
         assert err.value.columns == (0, 1)
+
+    def test_x_is_every_column(self):
+        a = GfMatrix(2, [[1, 0], [0, 1]])
+        w = lift_witness(WitnessProblem(a, (0, 1)))
+        assert w.m == w.l == Matroid(0, [])
+        assert w.spec.overlay == Matroid(0, [])
+        assert verify_witness(w.spec, w.l)
+
+    def test_quotient_without_circuits(self):
+        a = GfMatrix(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        w = lift_witness(WitnessProblem(a, (0,)))
+        assert w.m.circuits == () and w.b_matrix is None
+        assert w.spec.overlay == Matroid(0, [])
+        assert verify_witness(w.spec, w.l)
+
+    def test_pivot_reports_dependent_x(self):
+        a = GfMatrix(2, [[1, 1, 0], [0, 0, 1]])
+        with pytest.raises(DependentColumnsError) as err:
+            _pivot_x_to_standard_basis(a, [0, 1])
+        assert err.value.columns == (0, 1)
+        assert err.value.combination == (1, 1)
 
     def test_maximal_independent_reduction(self):
         a = GfMatrix(2, [[1, 1, 0], [0, 0, 1]])

@@ -261,7 +261,7 @@ class TestBuildLift:
 
     def test_u13_with_rank1_overlay(self):
         u13 = uniform_matroid(1, 3)
-        spec = LiftSpec(u13, rank_one_overlay(u13, []))
+        spec = LiftSpec(u13, rank_one_overlay(len(u13.circuits), []))
         assert build_lift(spec) == uniform_matroid(2, 3)
 
     def test_refuses_failing_spec(self):

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from typing import Callable
 
 from matlift.core import (
     Mask,
@@ -45,6 +46,19 @@ def closure_bruteforce(m: Matroid, mask: Mask) -> Mask:
             continue
         if rank_bruteforce(m, mask | bit) == r:
             out |= bit
+    return out
+
+
+def circuits_bruteforce(rank_fn: Callable[[Mask], int], n: int) -> list[Mask]:
+    """Every subset of {0..n-1} that is dependent while each one-element
+    deletion is independent, checked set by set."""
+    out = []
+    for mask in range(1, 1 << n):
+        k = mask.bit_count()
+        if rank_fn(mask) >= k:
+            continue
+        if all(rank_fn(mask & ~(1 << e)) == k - 1 for e in range(n) if mask >> e & 1):
+            out.append(mask)
     return out
 
 
@@ -104,22 +118,12 @@ def random_overlay(rng: random.Random, count: int):
         return uniform_matroid(2, count)
     if roll < 0.55:
         loops = [i for i in range(count) if rng.random() < 0.4]
-        return rank_one_overlay_standalone(count, loops)
+        return rank_one_overlay(count, loops)
     if roll < 0.8:
         rows = rng.randint(1, 3)
         data = [[rng.randrange(3) for _ in range(count)] for _ in range(rows)]
         return column_matroid(GfMatrix(3, data))
     return uniform_matroid(rng.randint(0, count), count)
-
-
-def rank_one_overlay_standalone(count: int, loops: list[int]) -> Matroid:
-    from itertools import combinations
-
-    loop_set = set(loops)
-    fam = [1 << i for i in sorted(loop_set)]
-    nonloops = [i for i in range(count) if i not in loop_set]
-    fam.extend((1 << i) | (1 << j) for i, j in combinations(nonloops, 2))
-    return Matroid(count, fam, validate=False)
 
 
 def random_linear_class(rng: random.Random, m: Matroid) -> frozenset[int]:
@@ -183,7 +187,7 @@ def zoo() -> tuple[tuple[str, Matroid], ...]:
 
     add("elift(U_{2,4},empty)", elementary_lift(u24, []))
     add("U_{1,3}^U_{2,3}", build_lift(LiftSpec(u13, uniform_matroid(2, 3))))
-    add("U_{1,3}^rank1", build_lift(LiftSpec(u13, rank_one_overlay(u13, []))))
+    add("U_{1,3}^rank1", build_lift(LiftSpec(u13, rank_one_overlay(len(u13.circuits), []))))
 
     a = GfMatrix(3, [[1, 0, 1, 1], [0, 1, 1, 2]])
     witness = lift_witness(WitnessProblem(a, (0,)))
