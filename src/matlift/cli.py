@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed (the report
 carries its witness), 2 usage or parse error, 3 inconclusive (a search ran
-out of its budget; the report says which).  Reports are deterministic;
+out of its budget, and the report says which) or an internal invariant
+failed (reported on stderr as ``internal error``).  Reports are deterministic;
 wall time lives in its own key so the rest of a report is byte-stable
 across runs.
 """
@@ -41,7 +42,6 @@ from matlift.io import (
     write_matroid,
 )
 from matlift.krt import (
-    MINOR_SCAN_LIMIT,
     KrtSpec,
     build_krt,
     ingleton_inequality,
@@ -308,8 +308,6 @@ def cmd_krt_certify(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int,
     scan: dict = {"scanned": False}
     if not args.deep and n > VAMOS_SCAN_CAP:
         scan["reason"] = f"ground size {n} above scan cap {VAMOS_SCAN_CAP}; run krt vamos-scan"
-    elif n > MINOR_SCAN_LIMIT:
-        scan["reason"] = f"ground size {n} above the minor scan limit {MINOR_SCAN_LIMIT}"
     else:
         scan = {"scanned": True, "witnesses": [w.as_dict() for w in scan_vamos_like_minors(m)]}
     body["vamos_like_minors"] = scan
@@ -491,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = krt_sub.add_parser("certify", help="the non-representability certificate")
     p.add_argument("r", type=int)
     p.add_argument("t", type=int)
-    p.add_argument("--deep", action="store_true", help="run the Vamos-like minor scan above the inline cap, up to the scan's 14-element limit")
+    p.add_argument("--deep", action="store_true", help="run the Vamos-like minor scan above the inline cap")
     p.set_defaults(handler=cmd_krt_certify)
     p = krt_sub.add_parser("ingleton", help="the sparse-paving Ingleton criterion")
     p.add_argument("r", type=int)
@@ -561,6 +559,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (AssertionError, RuntimeError) as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     report["wall_time_s"] = round(time.perf_counter() - t0, 6)
     _emit(report, args.json)
     return code

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from matlift.core import (
     Mask,
@@ -25,7 +25,7 @@ from matlift.core import (
     subsets_of_size,
 )
 
-MINOR_SCAN_LIMIT = 14  # largest ground set the brute-force minor scans accept
+MINOR_SCAN_LIMIT = 14  # largest ground set antichain_check's minor search accepts
 
 
 @dataclass(frozen=True)
@@ -270,9 +270,9 @@ def is_ingleton_sparse_paving(m: Matroid) -> tuple[bool, Optional[IngletonWitnes
     A rank-r sparse paving matroid is Ingleton iff there is no disjoint
     configuration (I, P1, P2, P3, P4) with |I| = r-4, |P_i| = 2, where
     I | P_i | P_j is a circuit for all {i,j} != {3,4} while I | P3 | P4 is a
-    basis.  Candidate cores I come from intersections of circuit-hyperplane
-    pairs (the fast path) plus all (r-4)-subsets when the ground set is
-    small.
+    basis.  Those five circuits are circuit-hyperplanes containing I, so the
+    search runs over the circuit-hyperplanes through each core I, and the
+    witness is read off the first support in combinations order.
     """
     if not is_sparse_paving(m):
         raise ValueError("criterion applies to sparse paving matroids only")
@@ -282,51 +282,64 @@ def is_ingleton_sparse_paving(m: Matroid) -> tuple[bool, Optional[IngletonWitnes
     chs = [c for c in m.circuits if c.bit_count() == r]
     ch_set = set(chs)
 
-    cores: set[Mask] = set()
-    for c1, c2 in combinations(chs, 2):
-        inter = c1 & c2
-        if inter.bit_count() == r - 4:
-            cores.add(inter)
-    if m.n <= 12:
-        cores.update(subsets_of_size(m.full_mask, r - 4))
-
-    for core in sorted(cores, key=lambda x: (x.bit_count(), x)):
-        containing = [ch for ch in chs if core & ~ch == 0]
-        if len(containing) < 5:
-            continue
-        rest = m.full_mask & ~core
-        for eight in subsets_of_size(rest, 8):
-            found = _pair_partition_witness(m, ch_set, core, eight)
-            if found is not None:
-                return False, found
+    # Every witness core is such an intersection: I | P1 | P3 and I | P2 | P4
+    # are circuit-hyperplanes that meet in exactly I.
+    cores = {c1 & c2 for c1, c2 in combinations(chs, 2) if (c1 & c2).bit_count() == r - 4}
+    for core in sorted(cores):
+        quads = {ch & ~core for ch in chs if core & ~ch == 0}
+        supports = _five_of_six_supports(quads, lambda s: m.is_basis(core | s))
+        if supports:
+            return False, _pair_partition_witness(m, ch_set, core, min(supports, key=elements_of))
     return True, None
+
+
+def _five_of_six_supports(quads: set[Mask], sixth_ok: Callable[[Mask], bool]) -> set[Mask]:
+    """Every 8-set P1 | P2 | P3 | P4 of four disjoint pairs whose unions
+    P1P2, P1P3, P1P4, P2P3, P2P4 are in ``quads`` while P3P4 is not and
+    passes ``sixth_ok``.
+
+    P1 and P2 are the pairs in three of the five unions, so a = P1P2 and
+    b = P1P3 meet in P1, and every third member through P1 gives a P4.
+    O(|quads|^3).
+    """
+    out = set()
+    for a in quads:
+        for b in quads:
+            p1 = a & b
+            if p1.bit_count() != 2:
+                continue
+            p2, p3 = a & ~b, b & ~a
+            if p2 | p3 not in quads:
+                continue
+            for c in quads:
+                p4 = c & ~p1
+                if c & p1 != p1 or p4 & (a | b):
+                    continue
+                if p2 | p4 in quads and p3 | p4 not in quads and sixth_ok(p3 | p4):
+                    out.add(a | b | p4)
+    return out
 
 
 def _pair_partition_witness(
     m: Matroid, ch_set: set[Mask], core: Mask, eight: Mask
 ) -> Optional[IngletonWitness]:
-    elems = elements_of(eight)
-    first = elems[0]
-    rest = [e for e in elems[1:]]
-    for mate in rest:
-        p1 = mask_of([first, mate])
-        remaining = [e for e in rest if e != mate]
-        for partition in _pairings(remaining):
-            pairs = [p1] + partition
-            unions = {}
-            for i, j in combinations(range(4), 2):
-                unions[(i, j)] = core | pairs[i] | pairs[j]
-            non_circuit = [key for key, u in unions.items() if u not in ch_set]
-            if len(non_circuit) != 1:
-                continue
-            (i, j) = non_circuit[0]
-            basis_candidate = unions[(i, j)]
-            if not m.is_basis(basis_candidate):
-                continue
+    for pairs, (i, j) in _five_of_six_pairings(elements_of(eight), lambda q: core | q in ch_set):
+        if m.is_basis(core | pairs[i] | pairs[j]):
             others = [k for k in range(4) if k not in (i, j)]
-            ordered = (pairs[others[0]], pairs[others[1]], pairs[i], pairs[j])
-            return IngletonWitness(core, ordered)
+            return IngletonWitness(core, (pairs[others[0]], pairs[others[1]], pairs[i], pairs[j]))
     return None
+
+
+def _five_of_six_pairings(
+    elems: list[int], in_family: Callable[[Mask], bool]
+) -> Iterator[tuple[list[Mask], tuple[int, int]]]:
+    """Pairings of eight elements, in ``_pairings`` order, where exactly five
+    of the six pair unions are in the family; each comes with the positions
+    (i, j) of the one union that is not."""
+    for pairs in _pairings(elems):
+        missing = [(i, j) for i, j in combinations(range(4), 2) if not in_family(pairs[i] | pairs[j])]
+        if len(missing) == 1:
+            yield pairs, missing[0]
 
 
 def _pairings(elems: list[int]) -> Iterator[list[Mask]]:
@@ -348,16 +361,8 @@ def is_vamos_like(m: Matroid) -> Optional[tuple[Mask, Mask, Mask, Mask]]:
     None.  Raises on inputs outside that shape."""
     if m.n != 8 or m.full_rank != 4:
         raise ValueError("Vamos-likeness applies to rank-4 matroids on 8 elements")
-    if not is_sparse_paving(m):
-        raise ValueError("Vamos-likeness applies to sparse paving matroids")
-    ch_set = {c for c in m.circuits if c.bit_count() == 4}
-    for partition in _pairings(list(range(8))):
-        circuit_count = sum(
-            1 for a, b in combinations(partition, 2) if (a | b) in ch_set
-        )
-        if circuit_count == 5:
-            return tuple(sorted(partition))  # type: ignore[return-value]
-    return None
+    minors = scan_vamos_like_minors(m)  # m is its only such minor
+    return minors[0].partition if minors else None
 
 
 @dataclass(frozen=True)
@@ -378,16 +383,32 @@ class VamosLikeMinor:
 
 
 def scan_vamos_like_minors(m: Matroid) -> list[VamosLikeMinor]:
-    """Enumerate rank-4, 8-element minors and test each for Vamos-likeness."""
-    if m.n > MINOR_SCAN_LIMIT:
-        raise ValueError(f"minor scan supports at most {MINOR_SCAN_LIMIT} elements")
+    """Every Vamos-like rank-4, 8-element minor M/C\\D of a sparse paving M,
+    ordered by C and then by D in combinations order.
+
+    Every (r-4)-set C is independent and every D of size n-r-4 outside C is
+    coindependent.  The minor on S = E - C - D is sparse paving, and its
+    circuit-hyperplanes are the sets H - C inside S for the
+    circuit-hyperplanes H of M that contain C.  So the Vamos-like minors
+    are the supports of five-of-six configurations among those sets, found
+    without materializing any minor.
+    """
+    if not is_sparse_paving(m):
+        raise ValueError("Vamos-like minors are searched in sparse paving matroids only")
+    r = m.full_rank
+    if r < 4:
+        return []
+    chs = [c for c in m.circuits if c.bit_count() == r]
     out = []
-    for cmask, dmask, minor in minors_with_shape(m, 4, 8):
-        if minor.full_rank != 4 or not is_sparse_paving(minor):
-            continue
-        partition = is_vamos_like(minor)
-        if partition is not None:
-            out.append(VamosLikeMinor(cmask, dmask, partition))
+    for cmask in subsets_of_size(m.full_mask, r - 4):
+        rest = m.full_mask & ~cmask
+        quads = {ch & ~cmask for ch in chs if cmask & ~ch == 0}
+        supports = _five_of_six_supports(quads, lambda s: True)
+        for s in sorted(supports, key=lambda s: elements_of(rest & ~s)):
+            elems = elements_of(s)
+            pairs, _ = next(_five_of_six_pairings(elems, quads.__contains__))
+            local = [mask_of(elems.index(e) for e in elements_of(p)) for p in pairs]
+            out.append(VamosLikeMinor(cmask, rest & ~s, tuple(sorted(local))))
     return out
 
 

@@ -11,6 +11,21 @@ TESTDATA = Path(__file__).parent / "testdata"
 GOLDEN = Path(__file__).parent / "golden"
 
 
+# The five Vamos-like minors of K(4,7): X = {15, 16} with three consecutive
+# blocks C_i, C_{i+1}, C_{i+2}, each a copy of K(4,3) (the brute-force
+# minor scan finds the same list).
+K47_VAMOS_WITNESSES = [
+    {"contracted": [], "deleted": deleted, "partition": [[1, 2], [3, 4], [5, 6], [7, 8]]}
+    for deleted in [
+        [1, 2, 3, 4, 5, 6, 7, 8],
+        [1, 2, 3, 4, 5, 6, 13, 14],
+        [1, 2, 3, 4, 11, 12, 13, 14],
+        [1, 2, 9, 10, 11, 12, 13, 14],
+        [7, 8, 9, 10, 11, 12, 13, 14],
+    ]
+]
+
+
 def run(argv: list[str], capsys) -> tuple[int, str]:
     code = main(argv)
     out = capsys.readouterr().out
@@ -131,16 +146,31 @@ class TestKrt:
         assert body["vamos_like_minors"]["scanned"] is True
         assert body["vamos_like_minors"]["witnesses"] == []
 
-    def test_certify_deep_above_scan_limit_records_skip(self, capsys, tmp_path):
+    def test_certify_deep_scans_k47(self, capsys, tmp_path):
+        # n = 16: the scan runs, finds the Vamos-like minors, and the exit
+        # code still follows facts a-d.
         json_path = tmp_path / "cert.json"
         code, _ = run(["--json", str(json_path), "krt", "certify", "4", "7", "--deep"], capsys)
         assert code == 0
         body = load_report(json_path)
         assert body["conclusion"] == "non-representable over every field"
-        assert body["vamos_like_minors"] == {
-            "scanned": False,
-            "reason": "ground size 16 above the minor scan limit 14",
-        }
+        assert body["vamos_like_minors"] == {"scanned": True, "witnesses": K47_VAMOS_WITNESSES}
+
+    def test_vamos_scan_k47_finds_witnesses(self, capsys, tmp_path):
+        json_path = tmp_path / "scan.json"
+        code, out = run(["--json", str(json_path), "krt", "vamos-scan", "4", "7"], capsys)
+        assert code == 1 and "5 Vamos-like minor(s) found" in out
+        assert load_report(json_path)["witnesses"] == K47_VAMOS_WITNESSES
+
+    def test_ingleton_k5_10(self, capsys):
+        # n = 22, inside the Ingleton guarantee regime.
+        code, out = run(["krt", "ingleton", "5", "10"], capsys)
+        assert code == 0 and "K(5,10) is Ingleton" in out
+
+    def test_vamos_scan_k5_10(self, capsys):
+        # n = 22, inside the antichain guarantee regime.
+        code, out = run(["krt", "vamos-scan", "5", "10"], capsys)
+        assert code == 0 and "no Vamos-like minor in K(5,10)" in out
 
     def test_krt_build_roundtrip_through_file(self, capsys, tmp_path):
         from matlift.io import parse_matroid
@@ -175,6 +205,15 @@ class TestGain:
         expected = json.loads((GOLDEN / "gain_lift3_s3.json").read_text())
         expected.pop("wall_time_s", None)
         assert load_report(json_path) == expected
+
+    def test_internal_error_is_inconclusive(self, capsys, monkeypatch):
+        def broken(group):
+            raise AssertionError("hyperplane family is not a matroid")
+
+        monkeypatch.setattr("matlift.cli.rank2_lift_k3", broken)
+        code = main(["gain", "lift3", "builtin:s3"])
+        assert code == 3
+        assert "internal error" in capsys.readouterr().err
 
     def test_lift3_z4_refused(self, capsys):
         code, out = run(["gain", "lift3", "builtin:z4"], capsys)

@@ -4,7 +4,7 @@ obstruction facts, Ingleton criteria, Vamos-likeness, and the antichain."""
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -30,6 +30,13 @@ from matlift.krt import (
     is_vamos_like,
     obstruction_report,
     scan_vamos_like_minors,
+)
+from zoo import (
+    ingleton_bruteforce,
+    pairings_bruteforce,
+    random_circuit_hyperplanes,
+    sparse_paving_from,
+    vamos_scan_bruteforce,
 )
 
 # every in-range (r, t) with ground set 2t+2 <= 14
@@ -283,25 +290,12 @@ class TestIngleton:
         for m in instances:
             criterion_ok, _ = is_ingleton_sparse_paving(m)
             violated = False
-            elems = list(range(8))
-            for part in _pair_partitions(elems):
+            for part in pairings_bruteforce(list(range(8))):
                 for order in permutations(part):
-                    sat, _, _ = ingleton_inequality(m, *[mask_of(p) for p in order])
+                    sat, _, _ = ingleton_inequality(m, *order)
                     if not sat:
                         violated = True
             assert criterion_ok == (not violated)
-
-
-def _pair_partitions(elems):
-    if not elems:
-        yield []
-        return
-    first, rest = elems[0], elems[1:]
-    for k in range(len(rest)):
-        mate = rest[k]
-        remaining = rest[:k] + rest[k + 1 :]
-        for sub in _pair_partitions(remaining):
-            yield [(first, mate)] + sub
 
 
 class TestVamosLike:
@@ -337,10 +331,68 @@ class TestVamosLike:
         assert len(witnesses) >= 1
         assert any(w.contracted == mask_of([4, 5]) for w in witnesses)
 
-    @pytest.mark.parametrize("r,t", [(5, 5), (6, 5), (7, 5)])
+    @pytest.mark.parametrize("r,t", [(5, 5), (6, 5), (7, 5), (5, 8)])
     def test_scan_empty_in_guarantee_regime(self, r, t):
         assert KrtSpec(r, t).in_antichain_regime and r >= 5
         assert scan_vamos_like_minors(build_krt(KrtSpec(r, t))) == []
+
+    def test_scan_rejects_non_sparse_paving(self):
+        m = Matroid(4, [mask_of([0, 1]), mask_of([0, 2]), mask_of([1, 2])])
+        with pytest.raises(ValueError):
+            scan_vamos_like_minors(m)
+
+
+def _assert_matches_bruteforce(m: Matroid) -> tuple[bool, bool]:
+    """The structural searches agree with the brute-force ones, witness
+    and order included; returns (is Ingleton, has a Vamos-like minor)."""
+    ok, witness = is_ingleton_sparse_paving(m)
+    ok_bf, witness_bf = ingleton_bruteforce(m)
+    assert ok == ok_bf
+    assert (witness and witness.as_dict()) == (witness_bf and witness_bf.as_dict())
+    minors = [w.as_dict() for w in scan_vamos_like_minors(m)]
+    assert minors == [w.as_dict() for w in vamos_scan_bruteforce(m)]
+    return ok, bool(minors)
+
+
+# every in-range (r, t) with ground set 2t+2 <= 12
+ORACLE_SPECS = [(r, t) for t in range(3, 6) for r in range(4, 2 * t - 1)]
+
+
+class TestStructuralScansAgainstBruteForce:
+    @pytest.mark.parametrize("r,t", ORACLE_SPECS)
+    def test_krt(self, r, t):
+        ok, vamos = _assert_matches_bruteforce(build_krt(KrtSpec(r, t)))
+        # K(4,t) and the r = 2t-2 edge lie outside both guarantee regimes.
+        assert ok == (not vamos) == KrtSpec(r, t).in_ingleton_regime
+
+    @pytest.mark.parametrize("r,t", [(r, t) for r, t in ORACLE_SPECS if t <= 4])
+    def test_relaxations(self, r, t):
+        # Relaxing a circuit-hyperplane of a sparse paving matroid leaves the
+        # sparse paving matroid of the other circuit-hyperplanes.
+        chs = KrtSpec(r, t).circuit_hyperplanes
+        outcomes = {
+            _assert_matches_bruteforce(sparse_paving_from(2 * t + 2, r, [c for c in chs if c != ch], validate=False))
+            for ch in chs
+        }
+        # Every relaxation of K(4,3) and K(5,4) is Ingleton; those of K(4,4)
+        # and K(6,4) take both outcomes.
+        assert len(outcomes) == (1 if (r, t) in [(4, 3), (5, 4)] else 2)
+
+    def test_random_sparse_paving(self):
+        # Half of the instances start from a planted Vamos configuration
+        # (core I, pairs P1..P4, the five unions I|Pi|Pj other than I|P3|P4),
+        # which the random circuit-hyperplanes added after it may break.
+        rng = random.Random(4)
+        outcomes = []
+        for _ in range(20):
+            n = rng.randint(8, 11)
+            r = rng.randint(4, n - 4)
+            elems = rng.sample(range(n), r + 4)
+            core, pairs = mask_of(elems[8:]), [mask_of(elems[k : k + 2]) for k in range(0, 8, 2)]
+            planted = [core | pairs[i] | pairs[j] for i, j in combinations(range(4), 2) if (i, j) != (2, 3)]
+            chs = random_circuit_hyperplanes(rng, n, r, (10, 60), planted if rng.random() < 0.5 else [])
+            outcomes.append(_assert_matches_bruteforce(sparse_paving_from(n, r, chs, validate=False)))
+        assert {(True, False), (False, True)} <= set(outcomes)
 
 
 class TestAntichain:

@@ -6,12 +6,16 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import Callable
+from itertools import combinations
+from typing import Callable, Iterable, Iterator, Optional
 
 from matlift.core import (
     Mask,
     Matroid,
+    elements_of,
+    is_sparse_paving,
     mask_of,
+    minors_with_shape,
     subsets_of_size,
     submasks,
     uniform_matroid,
@@ -19,7 +23,7 @@ from matlift.core import (
 from matlift.gain import full_gain_graph, graphic_matroid, rank2_lift_k3, zaslavsky_lift
 from matlift.gf import GfMatrix, WitnessProblem, column_matroid, lift_witness
 from matlift.groups import builtin_group
-from matlift.krt import KrtSpec, build_krt
+from matlift.krt import IngletonWitness, KrtSpec, VamosLikeMinor, build_krt
 from matlift.lifts import LiftSpec, build_lift, elementary_lift, rank_one_overlay
 
 # ---------------------------------------------------------------------------
@@ -62,6 +66,62 @@ def circuits_bruteforce(rank_fn: Callable[[Mask], int], n: int) -> list[Mask]:
     return out
 
 
+def pairings_bruteforce(elems: list[int]) -> Iterator[list[Mask]]:
+    """All perfect matchings of an even element list, as pair masks, the
+    partner of the first element varying slowest."""
+    if not elems:
+        yield []
+        return
+    first = elems[0]
+    for k in range(1, len(elems)):
+        rest = elems[1:k] + elems[k + 1 :]
+        for sub in pairings_bruteforce(rest):
+            yield [mask_of([first, elems[k]])] + sub
+
+
+def ingleton_bruteforce(m: Matroid) -> tuple[bool, Optional[IngletonWitness]]:
+    """The sparse-paving Ingleton criterion by exhaustion: every
+    (r-4)-subset in increasing mask order as a core (skipping those in fewer
+    than five circuit-hyperplanes), every 8-subset outside it, every pairing
+    of those 8 elements; the witness is the first hit, in the criterion's
+    role order."""
+    r = m.full_rank
+    if r < 4:
+        return True, None
+    ch_set = {c for c in m.circuits if c.bit_count() == r}
+    for core in sorted(subsets_of_size(m.full_mask, r - 4)):
+        if sum(core & ~ch == 0 for ch in ch_set) < 5:
+            continue
+        for eight in subsets_of_size(m.full_mask & ~core, 8):
+            for pairs in pairings_bruteforce(elements_of(eight)):
+                unions = {(i, j): core | pairs[i] | pairs[j] for i, j in combinations(range(4), 2)}
+                missing = [key for key, u in unions.items() if u not in ch_set]
+                if len(missing) != 1 or not m.is_basis(unions[missing[0]]):
+                    continue
+                i, j = missing[0]
+                others = [k for k in range(4) if k not in (i, j)]
+                return False, IngletonWitness(core, (pairs[others[0]], pairs[others[1]], pairs[i], pairs[j]))
+    return True, None
+
+
+def vamos_scan_bruteforce(m: Matroid) -> list[VamosLikeMinor]:
+    """Every rank-4, 8-element minor, materialized, whose sparse-paving
+    check passes and whose elements split into four pairs with exactly five
+    of the six pair unions circuits (the first such pairing, sorted)."""
+    pairings = list(pairings_bruteforce(list(range(8))))
+    unions = [frozenset(a | b for a, b in combinations(pairs, 2)) for pairs in pairings]
+    out = []
+    for cmask, dmask, minor in minors_with_shape(m, 4, 8):
+        if minor.full_rank != 4 or not is_sparse_paving(minor):
+            continue
+        quads = {c for c in minor.circuits if c.bit_count() == 4}
+        for pairs, six in zip(pairings, unions):
+            if len(quads & six) == 5:
+                out.append(VamosLikeMinor(cmask, dmask, tuple(sorted(pairs))))
+                break
+    return out
+
+
 # ---------------------------------------------------------------------------
 # seeded random generators
 
@@ -75,21 +135,36 @@ def random_gf_matrix(rng: random.Random, p: int | None = None, max_rows: int = 4
     return GfMatrix(p, data)
 
 
-def random_sparse_paving(rng: random.Random, max_elems: int = 8) -> Matroid:
-    n = rng.randint(4, max_elems)
-    r = rng.randint(2, n - 2)
+def sparse_paving_from(n: int, r: int, chs: list[Mask], *, validate: bool = True) -> Matroid:
+    """The sparse paving matroid with the given circuit-hyperplanes (pairwise
+    meeting in at most r-2 elements): they and every (r+1)-set containing
+    none of them are its circuits."""
     full = (1 << n) - 1
-    candidates = list(subsets_of_size(full, r))
-    rng.shuffle(candidates)
-    chs: list[Mask] = []
-    for cand in candidates[: rng.randint(0, 8)]:
-        if all((cand & d).bit_count() <= r - 2 for d in chs):
-            chs.append(cand)
-    fam = chs + [
+    fam = list(chs) + [
         mask for mask in subsets_of_size(full, r + 1)
         if not any(ch & ~mask == 0 for ch in chs)
     ]
-    return Matroid(n, fam)
+    return Matroid(n, fam, validate=validate)
+
+
+def random_circuit_hyperplanes(
+    rng: random.Random, n: int, r: int, tries: tuple[int, int], start: Iterable[Mask] = ()
+) -> list[Mask]:
+    """``start`` plus, in turn, each of a random number (in ``tries``) of
+    random r-sets that meets every set kept so far in at most r-2 elements."""
+    candidates = list(subsets_of_size((1 << n) - 1, r))
+    rng.shuffle(candidates)
+    chs = list(start)
+    for cand in candidates[: rng.randint(*tries)]:
+        if all((cand & d).bit_count() <= r - 2 for d in chs):
+            chs.append(cand)
+    return chs
+
+
+def random_sparse_paving(rng: random.Random, max_elems: int = 8) -> Matroid:
+    n = rng.randint(4, max_elems)
+    r = rng.randint(2, n - 2)
+    return sparse_paving_from(n, r, random_circuit_hyperplanes(rng, n, r, (0, 8)))
 
 
 def random_base_matroid(rng: random.Random, max_elems: int = 8, max_circuits: int = 12) -> Matroid:
