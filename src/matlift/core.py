@@ -14,8 +14,9 @@ shared freely across threads.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 Mask = int
@@ -97,7 +98,9 @@ def submasks(mask: Mask) -> Iterator[Mask]:
 
 def canonical_circuits(circuits: Iterable[Mask]) -> tuple[Mask, ...]:
     """Deduplicate and sort by (popcount, numeric value); ties impossible."""
-    return tuple(sorted(set(circuits), key=lambda c: (c.bit_count(), c)))
+    ordered = sorted(set(circuits))
+    ordered.sort(key=int.bit_count)  # stable: numeric order within a size
+    return tuple(ordered)
 
 
 @dataclass(frozen=True)
@@ -143,6 +146,81 @@ def _index_pairs(
     return ((i, j) for i in range(m) for j in range(i + 1, m)), False
 
 
+# _AVOID_CHARS[j] maps a byte to "1" when its bit j is clear, else to "0".
+_AVOID_CHARS = [bytes(49 - (v >> j & 1) for v in range(256)) for j in range(8)]
+
+
+def _avoid_rows(fam: Sequence[Mask], n: int) -> list[Mask]:
+    """Per element x of {0..n-1}, the bit mask of the indices k with x not
+    in ``fam[k]`` (members must lie inside the ground set).
+
+    Linear time: the members' bytes, last member first, are joined into one
+    buffer; element x's row is one strided slice of it, translated to a
+    binary numeral.
+    """
+    if not fam:
+        return [0] * n
+    width = (n + 7) // 8
+    data = b"".join(map(int.to_bytes, reversed(fam), repeat(width), repeat("little")))
+    return [int(data[x >> 3 :: width].translate(_AVOID_CHARS[x & 7]), 2) for x in range(n)]
+
+
+class _CircuitIndex:
+    """Bit-parallel circuit incidence over a canonical family.
+
+    ``avoid[x]`` has bit k set when circuit k misses element x, and
+    ``upto[s]`` has the bits of the circuits with at most s elements (a
+    prefix, since canonical order sorts by size).
+    """
+
+    __slots__ = ("avoid", "upto", "full")
+
+    def __init__(self, fam: Sequence[Mask], n: int) -> None:
+        self.avoid = _avoid_rows(fam, n)
+        sizes = [c.bit_count() for c in fam]
+        self.upto = [(1 << bisect_right(sizes, s)) - 1 for s in range(n + 1)]
+        self.full = (1 << n) - 1
+
+    def within(self, mask: Mask) -> Mask:
+        """Bit mask of the indices of the circuits inside ``mask``."""
+        bits = self.upto[mask.bit_count()]
+        rest = self.full & ~mask
+        avoid = self.avoid
+        while rest and bits:
+            low = rest & -rest
+            rest ^= low
+            bits &= avoid[low.bit_length() - 1]
+        return bits
+
+    def first_violation(
+        self, fam: Sequence[Mask], max_pairs: Optional[int], seed: int
+    ) -> ValidationReport:
+        """Antichain and pairwise elimination over the indexed family.
+
+        For distinct C1, C2 and e in C1 & C2 there must be a circuit inside
+        (C1 | C2) that misses e; the lowest e without one is reported.
+        """
+        avoid = self.avoid
+        pair_iter, sampled = _index_pairs(len(fam), max_pairs, seed)
+        for i, j in pair_iter:
+            ci, cj = fam[i], fam[j]
+            # Canonical order makes ci the smaller set, so one test covers
+            # both containment directions.
+            if ci & ~cj == 0:
+                return ValidationReport(False, "antichain", (ci, cj), sampled)
+            inter = ci & cj
+            if inter == 0:
+                continue
+            inside = self.within(ci | cj)
+            while inter:
+                low = inter & -inter
+                inter ^= low
+                e = low.bit_length() - 1
+                if not inside & avoid[e]:
+                    return ValidationReport(False, "elimination", (ci, cj, e), sampled)
+        return ValidationReport(True, "ok", (), sampled)
+
+
 def validate_circuits(
     circuits: Sequence[Mask],
     n: int,
@@ -154,9 +232,6 @@ def validate_circuits(
 
     Elimination is checked pairwise: for distinct circuits C1, C2 and
     e in C1 & C2 there must be a circuit inside (C1 | C2) with e removed.
-    Equivalently the intersection of all circuits inside C1 | C2 must miss
-    C1 & C2; that form lets each pair short-circuit as soon as the running
-    intersection empties.
 
     When ``max_pairs`` is given and the family has more pairs than that,
     a deterministic random sample of pairs is checked instead and the
@@ -166,31 +241,7 @@ def validate_circuits(
     if bad is not None:
         return bad
     fam = canonical_circuits(circuits)
-    sizes = [c.bit_count() for c in fam]
-    pair_iter, sampled = _index_pairs(len(fam), max_pairs, seed)
-    for i, j in pair_iter:
-        ci, cj = fam[i], fam[j]
-        # Canonical order makes ci the smaller set, so one test covers both
-        # containment directions (and duplicates).
-        if ci & ~cj == 0:
-            return ValidationReport(False, "antichain", (ci, cj), sampled)
-        inter = ci & cj
-        if inter == 0:
-            continue
-        union = ci | cj
-        usize = union.bit_count()
-        remaining = inter
-        for k, c in enumerate(fam):
-            if sizes[k] > usize:
-                break
-            if c & ~union == 0:
-                remaining &= c
-                if remaining == 0:
-                    break
-        if remaining:
-            e = (remaining & -remaining).bit_length() - 1
-            return ValidationReport(False, "elimination", (ci, cj, e), sampled)
-    return ValidationReport(True, "ok", (), sampled)
+    return _CircuitIndex(fam, n).first_violation(fam, max_pairs, seed)
 
 
 class RankMatroid:
@@ -234,12 +285,19 @@ class RankMatroid:
 class Matroid(RankMatroid):
     """A matroid given by its circuit family on ground set {0, ..., n-1}.
 
-    The rank oracle is greedy independent-set extension in ascending element
-    order (correct for matroids) with a memo table capped at 2**20 entries;
-    past the cap new results are computed but not cached.
+    Queries go through one bit-parallel circuit index built at
+    construction (``_CircuitIndex``): the circuits inside X are the size
+    prefix for |X| ANDed with ``avoid[x]`` for each x outside X.  The rank
+    oracle keeps one running mask of the circuits inside what is left of X
+    and, while it is nonzero, removes the largest element of the first of
+    them.  An element of a circuit lies in the closure of the rest, so each
+    removal keeps the rank, and what is left at the end is independent:
+    r(X) is |X| minus the removals.  Ranks are memoized up to
+    ``RANK_CACHE_LIMIT`` entries; past the cap new results are computed but
+    not cached.  Query masks must lie inside the ground set.
     """
 
-    __slots__ = ("circuits", "_sizes", "_circuit_set")
+    __slots__ = ("circuits", "_circuit_set", "_index")
 
     def __init__(
         self,
@@ -252,18 +310,18 @@ class Matroid(RankMatroid):
         if not 0 <= n <= MAX_GROUND:
             raise ValueError(f"ground set size {n} outside [0, {MAX_GROUND}]")
         fam = canonical_circuits(circuits)
+        bad = _check_members(fam, n)
+        if bad is not None:
+            raise CircuitAxiomError(bad)
+        index = _CircuitIndex(fam, n)
         if validate:
-            report = validate_circuits(fam, n, max_pairs=max_pairs)
+            report = index.first_violation(fam, max_pairs, 0)
             if not report.ok:
                 raise CircuitAxiomError(report)
-        else:
-            bad = _check_members(fam, n)
-            if bad is not None:
-                raise CircuitAxiomError(bad)
         self.n = n
         self.circuits = fam
-        self._sizes = tuple(c.bit_count() for c in fam)
         self._circuit_set = frozenset(fam)
+        self._index = index
         self._rank_cache: dict[Mask, int] = {0: 0}
         self._full_rank: Optional[int] = None
 
@@ -283,13 +341,7 @@ class Matroid(RankMatroid):
 
     def contains_circuit(self, mask: Mask) -> bool:
         """True iff some circuit is a subset of ``mask``."""
-        msize = mask.bit_count()
-        for size, c in zip(self._sizes, self.circuits):
-            if size > msize:
-                return False
-            if c & ~mask == 0:
-                return True
-        return False
+        return self._index.within(mask) != 0
 
     def is_independent(self, mask: Mask) -> bool:
         return not self.contains_circuit(mask)
@@ -298,57 +350,27 @@ class Matroid(RankMatroid):
         cached = self._rank_cache.get(mask)
         if cached is not None:
             return cached
-        indep = 0
-        isize = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            cand = indep | low
-            csize = isize + 1
-            hit = False
-            for size, c in zip(self._sizes, self.circuits):
-                if size > csize:
-                    break
-                if c & ~cand == 0:
-                    hit = True
-                    break
-            if not hit:
-                indep = cand
-                isize = csize
+        index = self._index
+        alive = index.within(mask)
+        r = mask.bit_count()
+        while alive:
+            first = self.circuits[(alive & -alive).bit_length() - 1]
+            alive &= index.avoid[first.bit_length() - 1]
+            r -= 1
         if len(self._rank_cache) < RANK_CACHE_LIMIT:
-            self._rank_cache[mask] = isize
-        return isize
+            self._rank_cache[mask] = r
+        return r
 
     def loops(self) -> Mask:
-        out = 0
-        for size, c in zip(self._sizes, self.circuits):
-            if size > 1:
-                break
-            out |= c
-        return out
+        return self.closure(0)
 
     def circuits_within(self, mask: Mask) -> list[Mask]:
         """Circuits of the restriction M|mask (exactly those inside mask)."""
-        msize = mask.bit_count()
-        out = []
-        for size, c in zip(self._sizes, self.circuits):
-            if size > msize:
-                break
-            if c & ~mask == 0:
-                out.append(c)
-        return out
+        return [self.circuits[k] for k in elements_of(self._index.within(mask))]
 
     def circuit_indices_within(self, mask: Mask) -> Mask:
         """Same as ``circuits_within`` but as a bit mask of circuit indices."""
-        msize = mask.bit_count()
-        out = 0
-        for idx, c in enumerate(self.circuits):
-            if self._sizes[idx] > msize:
-                break
-            if c & ~mask == 0:
-                out |= 1 << idx
-        return out
+        return self._index.within(mask)
 
     def delete(self, removed: Mask) -> "Matroid":
         """M \\ removed, with survivors relabeled to 0..n'-1 preserving order."""
@@ -481,16 +503,28 @@ def is_quotient(quotient: Matroid, lift: Matroid) -> bool:
 
 
 def is_sparse_paving(m: Matroid) -> bool:
-    """True iff every rank(M)-element subset is a basis or a circuit-hyperplane."""
+    """True iff every rank(M)-element subset is a basis or a circuit-hyperplane.
+
+    Tested as: no circuit has fewer than r = r(M) elements, and no two
+    r-element circuits share r-1 elements.  Such a pair spans r+1 elements
+    in rank r-1, so neither is a flat.  Conversely, if an r-circuit C is not
+    a flat, C+e has rank r-1 for some e outside it, and for f in C the r-set
+    C-f+e is dependent, hence (all circuits having r elements or more) a
+    second r-circuit meeting C in r-1 elements.  O(h*r) for h r-circuits,
+    read from the front of the canonical circuit order.
+    """
     r = m.full_rank
-    if r == 0:
-        return m.n == 0 or all(c.bit_count() == 1 for c in m.circuits)
-    for mask in subsets_of_size(m.full_mask, r):
-        if m.is_circuit(mask):
-            if m.closure(mask) != mask:
+    if m.circuits and m.circuits[0].bit_count() < r:
+        return False
+    faces: set[Mask] = set()
+    for c in m.circuits:
+        if c.bit_count() > r:
+            break
+        for e in elements_of(c):
+            face = c ^ (1 << e)
+            if face in faces:
                 return False
-        elif m.contains_circuit(mask):
-            return False
+            faces.add(face)
     return True
 
 
@@ -547,7 +581,8 @@ def find_isomorphism(
     """
     if m1.n != m2.n or len(m1.circuits) != len(m2.circuits):
         return None
-    if sorted(m1._sizes) != sorted(m2._sizes) or m1.full_rank != m2.full_rank:
+    # Equal size prefixes: the two circuit families have the same size profile.
+    if m1._index.upto != m2._index.upto or m1.full_rank != m2.full_rank:
         return None
     sig1 = _element_signatures(m1)
     sig2 = _element_signatures(m2)
@@ -681,6 +716,9 @@ def validate_hyperplanes(
             return ValidationReport(False, "out-of-range", (h,))
         if h == full:
             return ValidationReport(False, "improper-member", (h,))
+    # holds[x]: the members containing x, i.e. whose complements avoid x.
+    holds = _avoid_rows([full ^ h for h in fam], n)
+    everyone = (1 << len(fam)) - 1
     pair_iter, sampled = _index_pairs(len(fam), max_pairs, seed)
     for i, j in pair_iter:
         h1, h2 = fam[i], fam[j]
@@ -689,16 +727,12 @@ def validate_hyperplanes(
         outside = full & ~(h1 | h2)
         if outside == 0:
             continue
-        inter = h1 & h2
-        covered = 0
-        for h in fam:
-            if inter & ~h == 0:
-                covered |= h
-                if outside & ~covered == 0:
-                    break
-        if outside & ~covered:
-            e = ((outside & ~covered) & -(outside & ~covered)).bit_length() - 1
-            return ValidationReport(False, "exchange", (h1, h2, e), sampled)
+        over = everyone
+        for x in elements_of(h1 & h2):
+            over &= holds[x]
+        for e in elements_of(outside):
+            if not over & holds[e]:
+                return ValidationReport(False, "exchange", (h1, h2, e), sampled)
     return ValidationReport(True, "ok", (), sampled)
 
 
@@ -706,16 +740,17 @@ def matroid_from_hyperplanes(hyperplanes: Sequence[Mask], n: int, claimed_rank: 
     """Build the matroid whose hyperplane family is the given one.
 
     Route: complements of hyperplanes are the cocircuits, i.e. the circuits
-    of the dual; those are validated under the circuit axioms, the dual
-    matroid is built from them, and the primal is materialized through
+    of the dual.  Hyperplane exchange is circuit elimination on the
+    complements, so the one ``validate_hyperplanes`` pass (raising
+    ``HyperplaneAxiomError``) certifies them; the dual matroid is built
+    from them unchecked, and the primal is materialized through
     r(X) = r*(E-X) - |E-X| + r(E).
     """
     report = validate_hyperplanes(hyperplanes, n)
     if not report.ok:
         raise HyperplaneAxiomError(report)
     full = (1 << n) - 1
-    cocircuits = [full ^ h for h in hyperplanes]
-    dual = Matroid(n, cocircuits)  # raises CircuitAxiomError if complements are bad
+    dual = Matroid(n, [full ^ h for h in hyperplanes], validate=False)
     rank = n - dual.full_rank
     if rank != claimed_rank:
         raise ValueError(f"hyperplane family has rank {rank}, expected {claimed_rank}")

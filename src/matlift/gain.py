@@ -17,11 +17,10 @@ from matlift.core import (
     Mask,
     Matroid,
     elements_of,
+    is_quotient,
     mask_of,
     matroid_from_hyperplanes,
-    validate_hyperplanes,
 )
-from matlift.core import HyperplaneAxiomError, is_quotient
 from matlift.groups import FinGroup, GroupPartition, primitive_partition
 from matlift.lifts import elementary_lift, is_linear_class
 
@@ -299,9 +298,10 @@ def rank2_lift_k3(group: FinGroup) -> Rank2LiftResult:
 
     Hyperplanes are (a) the switching orbits of the label sets A | {identity}
     for parts A of the primitive partition and (b) the three per-pair edge
-    sets.  The family is validated, the matroid built through duality at
-    claimed rank 4, and the construction is certified by the balance audit
-    and the quotient test against the graphic matroid.
+    sets.  ``matroid_from_hyperplanes`` validates the family once and builds
+    the matroid through duality at claimed rank 4; the construction is
+    certified by the balance audit and the quotient test against the graphic
+    matroid.
     """
     if group.order > 8:
         raise ValueError("rank-2 lift construction is capped at group order 8")
@@ -320,10 +320,7 @@ def rank2_lift_k3(group: FinGroup) -> Rank2LiftResult:
         hyperplanes.add(gg.pair_mask(i, j))
     fam = tuple(sorted(hyperplanes))
 
-    report = validate_hyperplanes(fam, len(gg.edges))
-    if not report.ok:
-        raise HyperplaneAxiomError(report)
-    lift = matroid_from_hyperplanes(fam, len(gg.edges), 4)
+    lift = matroid_from_hyperplanes(fam, len(gg.edges), 4)  # raises HyperplaneAxiomError
     if lift.full_rank != 4:
         raise AssertionError("lift rank is not 4")
     audit = balanced_circuit_audit(lift, gg)

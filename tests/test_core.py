@@ -4,16 +4,19 @@ isomorphism, sparse paving, relaxation, hyperplane construction."""
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matlift.core as core
 from matlift.core import (
     CircuitAxiomError,
     Matroid,
     canonical_circuits,
     circuits_from_rank_oracle,
+    elements_of,
     find_isomorphism,
     has_minor_isomorphic_to,
     is_quotient,
@@ -32,8 +35,12 @@ from matlift.krt import KrtSpec, build_krt
 from zoo import (
     circuits_bruteforce,
     closure_bruteforce,
+    is_sparse_paving_bruteforce,
     random_base_matroid,
+    random_sparse_paving,
     rank_bruteforce,
+    validate_circuits_bruteforce,
+    validate_hyperplanes_bruteforce,
     zoo,
 )
 
@@ -377,6 +384,160 @@ class TestCircuitEnumerator:
             got = canonical_circuits(circuits_from_rank_oracle(m.rank, m.n, m.n))
             want = canonical_circuits(circuits_bruteforce(m.rank, m.n))
             assert got == want == m.circuits, name
+
+
+def _corruptions(rng: random.Random, m: Matroid) -> list[list[int]]:
+    """Seeded broken copies of a circuit family: 1-4 circuits dropped, a
+    random nonempty set added, a proper superset of a circuit added."""
+    fam = list(m.circuits)
+    out = []
+    if fam:
+        k = rng.randint(1, min(4, len(fam)))
+        out.append(rng.sample(fam, len(fam) - k))
+    if m.n:
+        out.append(fam + [rng.randrange(1, 1 << m.n)])
+    grow = [c for c in fam if c != m.full_mask]
+    if grow:
+        c = rng.choice(grow)
+        out.append(fam + [c | 1 << rng.choice([e for e in range(m.n) if not c >> e & 1])])
+    return out
+
+
+class TestCircuitIndexAgainstBruteForce:
+    """The bit-parallel circuit index against the scanning oracles of
+    ``tests/zoo.py``, report for report and query for query."""
+
+    def test_validate_circuits_on_zoo_and_corruptions(self):
+        rng = random.Random(59)
+        kinds = set()
+        for name, m in zoo():
+            families = [list(m.circuits)] + _corruptions(rng, m)
+            for fam in families:
+                if len(fam) <= 200:
+                    got = validate_circuits(fam, m.n)
+                    assert got == validate_circuits_bruteforce(fam, m.n), name
+                    kinds.add(got.kind)
+                got = validate_circuits(fam, m.n, max_pairs=400, seed=3)
+                assert got == validate_circuits_bruteforce(fam, m.n, max_pairs=400, seed=3), name
+        assert {"ok", "antichain", "elimination"} <= kinds
+
+    def test_constructor_raises_the_oracle_report(self):
+        rng = random.Random(61)
+        for name, m in zoo():
+            if len(m.circuits) > 200:
+                continue
+            for fam in _corruptions(rng, m):
+                want = validate_circuits_bruteforce(fam, m.n)
+                if want.ok:
+                    assert Matroid(m.n, fam).circuits == canonical_circuits(fam)
+                    continue
+                with pytest.raises(CircuitAxiomError) as exc:
+                    Matroid(m.n, fam)
+                assert exc.value.report == want, name
+
+    def test_validate_hyperplanes_on_zoo_and_corruptions(self):
+        rng = random.Random(67)
+        for name, m in zoo():
+            if m.full_rank == 0 or m.n > 12:
+                continue
+            hyps = m.hyperplanes()
+            families = [hyps, hyps[1:], hyps + [rng.randrange(1 << m.n)]]
+            for fam in families:
+                if len(fam) <= 250:
+                    assert validate_hyperplanes(fam, m.n) == validate_hyperplanes_bruteforce(fam, m.n), name
+                got = validate_hyperplanes(fam, m.n, max_pairs=30, seed=5)
+                assert got == validate_hyperplanes_bruteforce(fam, m.n, max_pairs=30, seed=5), name
+
+    def test_hyperplane_exchange_is_elimination_on_complements(self):
+        rng = random.Random(71)
+        oks = 0
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            full = (1 << n) - 1
+            if rng.random() < 0.4:
+                m = random_base_matroid(rng, max_elems=7)
+                n, full = m.n, m.full_mask
+                fam = m.hyperplanes() if m.full_rank else []
+                if fam and rng.random() < 0.5:
+                    fam.pop(rng.randrange(len(fam)))
+            else:
+                fam = [rng.randrange(full + 1) for _ in range(rng.randint(1, 6))]
+            got = validate_hyperplanes(fam, n)
+            assert got.ok == validate_circuits([full ^ h for h in fam], n).ok, (n, fam)
+            assert got == validate_hyperplanes_bruteforce(fam, n)
+            oks += got.ok
+        assert 20 <= oks <= 280
+
+    def test_queries_match_subset_scan_on_zoo(self):
+        rng = random.Random(73)
+        for name, m in zoo():
+            fresh = Matroid(m.n, m.circuits, validate=False)
+            masks = range(1 << m.n) if m.n <= 8 else [rng.getrandbits(m.n) for _ in range(40)]
+            for mask in masks:
+                inside = [c for c in m.circuits if c & ~mask == 0]
+                assert fresh.circuits_within(mask) == inside, name
+                assert fresh.circuit_indices_within(mask) == mask_of(m.circuits.index(c) for c in inside)
+                assert fresh.contains_circuit(mask) == bool(inside)
+                assert fresh.rank(mask) == rank_bruteforce(m, mask), (name, mask)
+
+    def test_queries_match_subset_scan_on_k88(self):
+        m = build_krt(KrtSpec(8, 8))
+        rng = random.Random(79)
+        for _ in range(30):
+            mask = mask_of(rng.sample(range(m.n), rng.randint(0, 10)))
+            inside = [c for c in m.circuits if c & ~mask == 0]
+            assert m.circuits_within(mask) == inside
+            assert m.circuit_indices_within(mask) == mask_of(k for k, c in enumerate(m.circuits) if c & ~mask == 0)
+            assert m.contains_circuit(mask) == bool(inside)
+            assert m.rank(mask) == rank_bruteforce(m, mask)
+
+    def test_sparse_paving_matches_rset_walk(self):
+        rng = random.Random(83)
+        matroids = [m for _, m in zoo()]
+        matroids += [uniform_matroid(r, n) for n in range(7) for r in range(n + 1)]
+        matroids += [random_sparse_paving(rng, max_elems=9) for _ in range(60)]
+        matroids += [random_base_matroid(rng, max_elems=8) for _ in range(120)]
+        verdicts = [is_sparse_paving(m) for m in matroids]
+        assert verdicts == [is_sparse_paving_bruteforce(m) for m in matroids]
+        assert any(verdicts) and not all(verdicts)
+
+
+class TestRankEdgeCases:
+    def test_empty_ground_set(self):
+        m = Matroid(0, [])
+        assert m.rank(0) == 0 and m.full_rank == 0
+        assert not m.contains_circuit(0)
+        assert m.circuits_within(0) == [] and m.circuit_indices_within(0) == 0
+
+    def test_all_loops(self):
+        for n in range(1, 6):
+            explicit = Matroid(n, [1 << e for e in range(n)])
+            assert explicit == uniform_matroid(0, n)
+            for mask in range(1 << n):
+                assert explicit.rank(mask) == 0
+                assert explicit.contains_circuit(mask) == (mask != 0)
+            assert explicit.loops() == explicit.full_mask
+
+    def test_parallel_classes(self):
+        # Classes {0,1,2}, {3,4}, {5} plus the loop 6: the rank of a set is
+        # the number of classes it meets.
+        classes = [mask_of([0, 1, 2]), mask_of([3, 4]), mask_of([5])]
+        fam = [mask_of(p) for cls in classes for p in combinations(elements_of(cls), 2)] + [1 << 6]
+        m = Matroid(7, fam)
+        for mask in range(1 << 7):
+            assert m.rank(mask) == sum(1 for cls in classes if mask & cls)
+            assert m.rank(mask) == rank_bruteforce(m, mask)
+
+    def test_past_the_memo_cap(self, monkeypatch):
+        monkeypatch.setattr(core, "RANK_CACHE_LIMIT", 5)
+        rng = random.Random(89)
+        for _ in range(4):
+            base = random_base_matroid(rng, max_elems=7)
+            m = Matroid(base.n, base.circuits)
+            for _ in range(2):
+                for mask in range(1 << m.n):
+                    assert m.rank(mask) == rank_bruteforce(m, mask)
+            assert len(m._rank_cache) == 5
 
 
 class TestDegenerateGrounds:

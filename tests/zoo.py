@@ -7,11 +7,15 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from matlift.core import (
     Mask,
     Matroid,
+    ValidationReport,
+    _check_members,
+    _index_pairs,
+    canonical_circuits,
     elements_of,
     is_sparse_paving,
     mask_of,
@@ -64,6 +68,100 @@ def circuits_bruteforce(rank_fn: Callable[[Mask], int], n: int) -> list[Mask]:
         if all(rank_fn(mask & ~(1 << e)) == k - 1 for e in range(n) if mask >> e & 1):
             out.append(mask)
     return out
+
+
+def validate_circuits_bruteforce(
+    circuits: Sequence[Mask],
+    n: int,
+    *,
+    max_pairs: Optional[int] = None,
+    seed: int = 0,
+) -> ValidationReport:
+    """The circuit axioms by scanning: for each pair (in ``_index_pairs``
+    order, so sampled runs draw the same pairs) the family is rescanned for
+    the circuits inside the union, and the lowest element of the
+    intersection that all of them contain is the elimination failure."""
+    bad = _check_members(circuits, n)
+    if bad is not None:
+        return bad
+    fam = canonical_circuits(circuits)
+    sizes = [c.bit_count() for c in fam]
+    pair_iter, sampled = _index_pairs(len(fam), max_pairs, seed)
+    for i, j in pair_iter:
+        ci, cj = fam[i], fam[j]
+        if ci & ~cj == 0:
+            return ValidationReport(False, "antichain", (ci, cj), sampled)
+        inter = ci & cj
+        if inter == 0:
+            continue
+        union = ci | cj
+        usize = union.bit_count()
+        remaining = inter
+        for k, c in enumerate(fam):
+            if sizes[k] > usize:
+                break
+            if c & ~union == 0:
+                remaining &= c
+                if remaining == 0:
+                    break
+        if remaining:
+            e = (remaining & -remaining).bit_length() - 1
+            return ValidationReport(False, "elimination", (ci, cj, e), sampled)
+    return ValidationReport(True, "ok", (), sampled)
+
+
+def validate_hyperplanes_bruteforce(
+    hyperplanes: Sequence[Mask],
+    n: int,
+    *,
+    max_pairs: Optional[int] = None,
+    seed: int = 0,
+) -> ValidationReport:
+    """The hyperplane axioms by scanning: for each pair the family is
+    rescanned for the members containing the intersection, and the lowest
+    element outside the union that none of them covers is the exchange
+    failure."""
+    full = (1 << n) - 1
+    fam = canonical_circuits(hyperplanes)
+    for h in fam:
+        if h & ~full:
+            return ValidationReport(False, "out-of-range", (h,))
+        if h == full:
+            return ValidationReport(False, "improper-member", (h,))
+    pair_iter, sampled = _index_pairs(len(fam), max_pairs, seed)
+    for i, j in pair_iter:
+        h1, h2 = fam[i], fam[j]
+        if h1 & ~h2 == 0:
+            return ValidationReport(False, "antichain", (h1, h2), sampled)
+        outside = full & ~(h1 | h2)
+        if outside == 0:
+            continue
+        inter = h1 & h2
+        covered = 0
+        for h in fam:
+            if inter & ~h == 0:
+                covered |= h
+                if outside & ~covered == 0:
+                    break
+        if outside & ~covered:
+            e = ((outside & ~covered) & -(outside & ~covered)).bit_length() - 1
+            return ValidationReport(False, "exchange", (h1, h2, e), sampled)
+    return ValidationReport(True, "ok", (), sampled)
+
+
+def is_sparse_paving_bruteforce(m: Matroid) -> bool:
+    """Every rank(M)-element subset, walked one by one, is a basis or a
+    circuit-hyperplane."""
+    r = m.full_rank
+    if r == 0:
+        return m.n == 0 or all(c.bit_count() == 1 for c in m.circuits)
+    for mask in subsets_of_size(m.full_mask, r):
+        if m.is_circuit(mask):
+            if m.closure(mask) != mask:
+                return False
+        elif m.contains_circuit(mask):
+            return False
+    return True
 
 
 def pairings_bruteforce(elems: list[int]) -> Iterator[list[Mask]]:
