@@ -6,11 +6,11 @@ from matlift.core import (
     Mask,
     Matroid,
     SearchBudgetExceeded,
+    SparsePaving,
     ValidationReport,
     canonical_circuits,
     elements_of,
     find_isomorphism,
-    has_minor_isomorphic_to,
     is_quotient,
     is_sparse_paving,
     mask_of,
@@ -30,11 +30,11 @@ __all__ = [
     "Mask",
     "Matroid",
     "SearchBudgetExceeded",
+    "SparsePaving",
     "ValidationReport",
     "canonical_circuits",
     "elements_of",
     "find_isomorphism",
-    "has_minor_isomorphic_to",
     "is_quotient",
     "is_sparse_paving",
     "mask_of",

@@ -65,6 +65,7 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
 VAMOS_SCAN_CAP = 10  # certify runs the minor scan only up to this ground size
+KRT_OUT_CAP = 20  # krt build --out materializes circuit families up to this ground size
 
 
 class Report:
@@ -267,15 +268,17 @@ def cmd_krt_build(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, d
     spec = KrtSpec(args.r, args.t)
     m = build_krt(spec)
     rep = Report(argv, {"r": args.r, "t": args.t})
+    if args.out and m.n > KRT_OUT_CAP:
+        raise ValueError(f"--out writes circuit families up to {KRT_OUT_CAP} elements; K({args.r},{args.t}) has {m.n}")
     rep.check("sparse_paving", True)  # build_krt raised otherwise
-    chs = [one_based(c) for c in m.circuits if c.bit_count() == spec.r]
+    chs = [one_based(c) for c in m.circuit_hyperplanes]
     rep.extra["circuit_hyperplanes"] = chs
     rep.extra["ground_size"] = m.n
     rep.conclusion = f"K({args.r},{args.t}): rank {m.full_rank} on {m.n} elements, {len(chs)} circuit-hyperplanes"
     for ch in chs:
         print(" ".join(str(e) for e in ch))
     if args.out:
-        write_matroid(m, args.out)
+        write_matroid(m.to_matroid(), args.out)
     return EXIT_OK if rep.all_pass else EXIT_CHECK_FAILED, rep.as_dict()
 
 
@@ -447,74 +450,77 @@ def build_parser() -> argparse.ArgumentParser:
         description="Matroid lift constructions, K(r,t) certificates, and gain-graph lifts.",
     )
     parser.add_argument("--json", metavar="PATH", help="write the JSON certificate here")
+    # Every subcommand takes --json too; SUPPRESS keeps an earlier value.
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", metavar="PATH", default=argparse.SUPPRESS, help="write the JSON certificate here")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="validate a .ckt circuit family")
+    p = sub.add_parser("check", parents=[json_flag], help="validate a .ckt circuit family")
     p.add_argument("matroid")
     p.set_defaults(handler=cmd_check)
 
-    p = sub.add_parser("rank", help="rank of a 1-based element set")
+    p = sub.add_parser("rank", parents=[json_flag], help="rank of a 1-based element set")
     p.add_argument("matroid")
     p.add_argument("set", help="elements, e.g. '1,2,7,8'")
     p.set_defaults(handler=cmd_rank)
 
-    p_lift = sub.add_parser("lift", help="lift constructions")
+    p_lift = sub.add_parser("lift", parents=[json_flag], help="lift constructions")
     lift_sub = p_lift.add_subparsers(dest="lift_command", required=True)
-    p = lift_sub.add_parser("elementary", help="elementary lift from a linear class")
+    p = lift_sub.add_parser("elementary", parents=[json_flag], help="elementary lift from a linear class")
     p.add_argument("matroid")
     p.add_argument("--class", dest="linear_class", required=True, help="1-based circuit ids or a file of ids")
     p.add_argument("--out", help="write the lifted matroid here")
     p.set_defaults(handler=cmd_lift_elementary)
-    p = lift_sub.add_parser("general", help="the M^N lift from a .lift spec")
+    p = lift_sub.add_parser("general", parents=[json_flag], help="the M^N lift from a .lift spec")
     p.add_argument("spec")
     p.add_argument("--check-star", action="store_true", help="also check the perfect-collection condition")
     p.add_argument("--force", action="store_true", help="evaluate the formula even when (*') fails and report the first axiom violation")
     p.add_argument("--out", help="write the lifted matroid here")
     p.set_defaults(handler=cmd_lift_general)
 
-    p_rep = sub.add_parser("rep", help="representable witness construction")
+    p_rep = sub.add_parser("rep", parents=[json_flag], help="representable witness construction")
     rep_sub = p_rep.add_subparsers(dest="rep_command", required=True)
-    p = rep_sub.add_parser("witness", help="build N on circuits of K/X with (K/X)^N = K\\X")
+    p = rep_sub.add_parser("witness", parents=[json_flag], help="build N on circuits of K/X with (K/X)^N = K\\X")
     p.add_argument("matrix")
     p.add_argument("--x", default="", help="1-based column indices of X, e.g. '1,2'")
     p.set_defaults(handler=cmd_rep_witness)
 
-    p_krt = sub.add_parser("krt", help="the K(r,t) family")
+    p_krt = sub.add_parser("krt", parents=[json_flag], help="the K(r,t) family")
     krt_sub = p_krt.add_subparsers(dest="krt_command", required=True)
-    p = krt_sub.add_parser("build", help="emit the circuit-hyperplanes of K(r,t)")
+    p = krt_sub.add_parser("build", parents=[json_flag], help="emit the circuit-hyperplanes of K(r,t)")
     p.add_argument("r", type=int)
     p.add_argument("t", type=int)
     p.add_argument("--out", help="write the full .ckt here")
     p.set_defaults(handler=cmd_krt_build)
-    p = krt_sub.add_parser("certify", help="the non-representability certificate")
+    p = krt_sub.add_parser("certify", parents=[json_flag], help="the non-representability certificate")
     p.add_argument("r", type=int)
     p.add_argument("t", type=int)
     p.add_argument("--deep", action="store_true", help="run the Vamos-like minor scan above the inline cap")
     p.set_defaults(handler=cmd_krt_certify)
-    p = krt_sub.add_parser("ingleton", help="the sparse-paving Ingleton criterion")
+    p = krt_sub.add_parser("ingleton", parents=[json_flag], help="the sparse-paving Ingleton criterion")
     p.add_argument("r", type=int)
     p.add_argument("t", type=int)
     p.set_defaults(handler=cmd_krt_ingleton)
-    p = krt_sub.add_parser("vamos-scan", help="scan rank-4 8-element minors for Vamos-likeness")
+    p = krt_sub.add_parser("vamos-scan", parents=[json_flag], help="scan rank-4 8-element minors for Vamos-likeness")
     p.add_argument("r", type=int)
     p.add_argument("t", type=int)
     p.set_defaults(handler=cmd_krt_vamos_scan)
 
-    p_gain = sub.add_parser("gain", help="gain graphs over finite groups")
+    p_gain = sub.add_parser("gain", parents=[json_flag], help="gain graphs over finite groups")
     gain_sub = p_gain.add_subparsers(dest="gain_command", required=True)
-    p = gain_sub.add_parser("build", help="enumerate the full gain graph")
+    p = gain_sub.add_parser("build", parents=[json_flag], help="enumerate the full gain graph")
     p.add_argument("group", help="a .grp file or builtin:<name>")
     p.add_argument("n", type=int)
     p.set_defaults(handler=cmd_gain_build)
-    p = gain_sub.add_parser("lift3", help="the rank-2 lift on 3 vertices")
+    p = gain_sub.add_parser("lift3", parents=[json_flag], help="the rank-2 lift on 3 vertices")
     p.add_argument("group", help="a .grp file or builtin:<name>")
     p.add_argument("--out", help="write the lift matroid here")
     p.set_defaults(handler=cmd_gain_lift3)
-    p = gain_sub.add_parser("partitions", help="enumerate nontrivial group partitions")
+    p = gain_sub.add_parser("partitions", parents=[json_flag], help="enumerate nontrivial group partitions")
     p.add_argument("group", help="a .grp file or builtin:<name>")
     p.set_defaults(handler=cmd_gain_partitions)
 
-    p = sub.add_parser("iso", help="search for a circuit-preserving bijection")
+    p = sub.add_parser("iso", parents=[json_flag], help="search for a circuit-preserving bijection")
     p.add_argument("m1")
     p.add_argument("m2")
     p.set_defaults(handler=cmd_iso)
@@ -526,17 +532,12 @@ def _strip_json_flag(argv: list[str]) -> list[str]:
     """Drop --json and its value from the command echo so reports do not
     depend on where they are written."""
     out = []
-    skip = False
-    for tok in argv:
-        if skip:
-            skip = False
-            continue
+    tokens = iter(argv)
+    for tok in tokens:
         if tok == "--json":
-            skip = True
-            continue
-        if tok.startswith("--json="):
-            continue
-        out.append(tok)
+            next(tokens, None)
+        elif not tok.startswith("--json="):
+            out.append(tok)
     return out
 
 

@@ -86,16 +86,6 @@ def subsets_of_size(universe: Mask, k: int) -> Iterator[Mask]:
         yield m
 
 
-def submasks(mask: Mask) -> Iterator[Mask]:
-    """All submasks of ``mask``, including 0 and ``mask`` itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 def canonical_circuits(circuits: Iterable[Mask]) -> tuple[Mask, ...]:
     """Deduplicate and sort by (popcount, numeric value); ties impossible."""
     ordered = sorted(set(circuits))
@@ -247,9 +237,9 @@ def validate_circuits(
 class RankMatroid:
     """A matroid on ground set {0, ..., n-1} known through its rank oracle.
 
-    Subclasses set ``n``, ``_rank_cache`` (a memo seeded with {0: 0}) and
-    ``_full_rank = None``, and implement a memoized ``rank``; everything
-    else here is derived from ``rank``.
+    Subclasses set ``n`` and ``_full_rank`` (None until first asked) and
+    implement ``rank``, memoized in ``_rank_cache`` (seeded with {0: 0}) when
+    it is costly; everything else here is derived from ``rank``.
     """
 
     __slots__ = ("n", "_rank_cache", "_full_rank")
@@ -280,6 +270,9 @@ class RankMatroid:
 
     def is_flat(self, mask: Mask) -> bool:
         return self.closure(mask) == mask
+
+    def is_basis(self, mask: Mask) -> bool:
+        return mask.bit_count() == self.full_rank == self.rank(mask)
 
 
 class Matroid(RankMatroid):
@@ -420,14 +413,72 @@ class Matroid(RankMatroid):
         r = self.full_rank
         return [f for f in self.flats() if self.rank(f) == r - 1]
 
-    def is_basis(self, mask: Mask) -> bool:
-        return mask.bit_count() == self.full_rank and self.is_independent(mask)
-
     def is_circuit_hyperplane(self, mask: Mask) -> bool:
         return self.is_circuit(mask) and self.rank(mask) == self.full_rank - 1 and self.is_flat(mask)
 
-    def circuit_hyperplanes(self) -> list[Mask]:
-        return [c for c in self.circuits if self.is_circuit_hyperplane(c)]
+
+class SparsePaving(RankMatroid):
+    """The sparse paving matroid of rank r on {0, ..., n-1} whose
+    circuit-hyperplanes are the given r-sets, no two of which may share r-1
+    elements (Oxley, *Matroid Theory*; Pendavingh and van der Pol 2015).
+
+    Its rank is |X| when |X| < r, r-1 when X is a circuit-hyperplane and r
+    otherwise: O(1), with no memo.  Construction raises ``ValueError`` on a
+    bad ground size, member or shared face.
+    """
+
+    __slots__ = ("r", "circuit_hyperplanes", "_ch_set")
+
+    def __init__(self, n: int, r: int, circuit_hyperplanes: Iterable[Mask]) -> None:
+        if not 0 <= n <= MAX_GROUND:
+            raise ValueError(f"ground set size {n} outside [0, {MAX_GROUND}]")
+        if not 0 <= r <= n:
+            raise ValueError(f"rank {r} outside [0, {n}]")
+        chs = canonical_circuits(circuit_hyperplanes)
+        for h in chs:
+            if h.bit_count() != r or h >> n or not 0 < r < n:
+                raise ValueError(f"{one_based(h)} is not a circuit-hyperplane of a rank-{r} matroid on {n} elements")
+        shared = _shared_face(chs)
+        if shared is not None:
+            a, b = shared
+            raise ValueError(f"circuit-hyperplanes {one_based(a)} and {one_based(b)} share {r - 1} elements")
+        self.n = n
+        self.r = r
+        self.circuit_hyperplanes = chs
+        self._ch_set = frozenset(chs)
+        self._full_rank = r
+
+    @classmethod
+    def of(cls, m: "Matroid | SparsePaving") -> "SparsePaving":
+        """``m`` as a SparsePaving; ``ValueError`` if it is not sparse paving."""
+        if isinstance(m, SparsePaving):
+            return m
+        if not is_sparse_paving(m):
+            raise ValueError("not a sparse paving matroid")
+        r = m.full_rank
+        return cls(m.n, r, (c for c in m.circuits if c.bit_count() == r))
+
+    def rank(self, mask: Mask) -> int:
+        k = mask.bit_count()
+        if k < self.r:
+            return k
+        return self.r - 1 if mask in self._ch_set else self.r
+
+    def to_matroid(self) -> Matroid:
+        """The circuit family: every subset of at most r+1 elements is visited."""
+        return Matroid(self.n, circuits_from_rank_oracle(self.rank, self.n, self.r + 1), validate=False)
+
+
+def _shared_face(members: Iterable[Mask]) -> Optional[tuple[Mask, Mask]]:
+    """Two members of one size sharing all but one element, or None; each
+    member files its faces, so O(h*r) for h members of r elements."""
+    faces: dict[Mask, Mask] = {}
+    for c in members:
+        for e in elements_of(c):
+            first = faces.setdefault(c ^ (1 << e), c)
+            if first != c:
+                return first, c
+    return None
 
 
 def _relabel_map(n: int, removed: Mask) -> tuple[list[int], dict[int, int]]:
@@ -516,16 +567,7 @@ def is_sparse_paving(m: Matroid) -> bool:
     r = m.full_rank
     if m.circuits and m.circuits[0].bit_count() < r:
         return False
-    faces: set[Mask] = set()
-    for c in m.circuits:
-        if c.bit_count() > r:
-            break
-        for e in elements_of(c):
-            face = c ^ (1 << e)
-            if face in faces:
-                return False
-            faces.add(face)
-    return True
+    return _shared_face(m.circuits[: m._index.upto[r].bit_length()]) is None
 
 
 def relax(m: Matroid, hyperplane: Mask) -> Matroid:
@@ -548,23 +590,23 @@ def relax(m: Matroid, hyperplane: Mask) -> Matroid:
 
 
 # ---------------------------------------------------------------------------
-# isomorphism and minors
+# isomorphism
 
 
-def _element_signatures(m: Matroid) -> list[tuple]:
-    by_size: list[dict[int, int]] = [dict() for _ in range(m.n)]
-    for c in m.circuits:
+def _element_signatures(fam: Sequence[Mask], n: int) -> list[tuple]:
+    by_size: list[dict[int, int]] = [dict() for _ in range(n)]
+    for c in fam:
         size = c.bit_count()
         for e in elements_of(c):
             by_size[e][size] = by_size[e].get(size, 0) + 1
     sig1 = [tuple(sorted(d.items())) for d in by_size]
     # One refinement round: multiset of co-circuit neighbours' base signatures.
-    neigh: list[list[tuple]] = [[] for _ in range(m.n)]
-    for c in m.circuits:
+    neigh: list[list[tuple]] = [[] for _ in range(n)]
+    for c in fam:
         elems = elements_of(c)
         for e in elems:
             neigh[e].extend(sig1[f] for f in elems if f != e)
-    return [(sig1[e], tuple(sorted(neigh[e]))) for e in range(m.n)]
+    return [(sig1[e], tuple(sorted(neigh[e]))) for e in range(n)]
 
 
 def find_isomorphism(
@@ -575,17 +617,28 @@ def find_isomorphism(
 ) -> Optional[list[int]]:
     """A ground-set bijection mapping circuits onto circuits, or None.
 
-    Backtracks on element images ordered by circuit-degree signatures.
     Raises SearchBudgetExceeded past ``node_budget`` search nodes, which is
     an explicitly different outcome from "not isomorphic".
     """
-    if m1.n != m2.n or len(m1.circuits) != len(m2.circuits):
+    if m1.n != m2.n or m1.full_rank != m2.full_rank:
         return None
-    # Equal size prefixes: the two circuit families have the same size profile.
-    if m1._index.upto != m2._index.upto or m1.full_rank != m2.full_rank:
+    return find_family_isomorphism(m1.n, m1.circuits, m2.circuits, node_budget=node_budget)
+
+
+def find_family_isomorphism(
+    n: int,
+    fam1: Sequence[Mask],
+    fam2: Sequence[Mask],
+    *,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> Optional[list[int]]:
+    """A bijection of {0..n-1} mapping the members of ``fam1`` onto those of
+    ``fam2`` (families without repeats), or None, by backtracking on element
+    images ordered by member-degree signatures."""
+    if len(fam1) != len(fam2):
         return None
-    sig1 = _element_signatures(m1)
-    sig2 = _element_signatures(m2)
+    sig1 = _element_signatures(fam1, n)
+    sig2 = _element_signatures(fam2, n)
     if sorted(sig1) != sorted(sig2):
         return None
 
@@ -593,21 +646,21 @@ def find_isomorphism(
     for f, s in enumerate(sig2):
         classes2.setdefault(s, []).append(f)
     # Most constrained first: small signature classes early.
-    order = sorted(range(m1.n), key=lambda e: (len(classes2.get(sig1[e], ())), sig1[e], e))
+    order = sorted(range(n), key=lambda e: (len(classes2.get(sig1[e], ())), sig1[e], e))
 
-    circ2_set = m2._circuit_set
-    circ1_set = m1._circuit_set
-    circs1_at: list[list[Mask]] = [[] for _ in range(m1.n)]
-    for c in m1.circuits:
+    circ1_set = frozenset(fam1)
+    circ2_set = frozenset(fam2)
+    circs1_at: list[list[Mask]] = [[] for _ in range(n)]
+    for c in fam1:
         for e in elements_of(c):
             circs1_at[e].append(c)
-    circs2_at: list[list[Mask]] = [[] for _ in range(m2.n)]
-    for c in m2.circuits:
+    circs2_at: list[list[Mask]] = [[] for _ in range(n)]
+    for c in fam2:
         for e in elements_of(c):
             circs2_at[e].append(c)
 
-    image = [-1] * m1.n
-    preimage = [-1] * m2.n
+    image = [-1] * n
+    preimage = [-1] * n
     nodes = 0
 
     def apply(mask: Mask, mapping: list[int]) -> Mask:
@@ -650,45 +703,6 @@ def find_isomorphism(
     if extend(0, 0, 0):
         return list(image)
     return None
-
-
-def minors_with_shape(
-    m: Matroid,
-    target_rank: int,
-    target_size: int,
-) -> Iterator[tuple[Mask, Mask, Matroid]]:
-    """All minors of given rank and size as (contracted, deleted, minor).
-
-    Enumerates independent contraction sets and coindependent deletion sets;
-    every minor of that shape arises this way.
-    """
-    c_size = m.full_rank - target_rank
-    d_size = (m.n - target_size) - c_size
-    if c_size < 0 or d_size < 0:
-        return
-    for cmask in subsets_of_size(m.full_mask, c_size):
-        if not m.is_independent(cmask):
-            continue
-        contracted = m.contract(cmask)
-        kept, _ = _relabel_map(m.n, cmask)
-        r = contracted.full_rank
-        for dmask_small in subsets_of_size(contracted.full_mask, d_size):
-            if contracted.rank(contracted.full_mask & ~dmask_small) != r:
-                continue
-            dmask = mask_of(kept[e] for e in elements_of(dmask_small))
-            yield cmask, dmask, contracted.delete(dmask_small)
-
-
-def has_minor_isomorphic_to(m: Matroid, target: Matroid, *, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    """True iff some contract-then-delete sequence yields a matroid isomorphic to target."""
-    if target.n > m.n or target.full_rank > m.full_rank:
-        return False
-    if (target.n - target.full_rank) > (m.n - m.full_rank):
-        return False
-    for _, _, minor in minors_with_shape(m, target.full_rank, target.n):
-        if find_isomorphism(minor, target, node_budget=node_budget) is not None:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from matlift import core
 from matlift.core import (
     Mask,
     Matroid,
@@ -180,7 +181,7 @@ class LinearMatroid(RankMatroid):
 
     Used as the overlay N in witness constructions, where the ground set (the
     circuit list of M) can be large but only ranks and closures of index sets
-    are ever needed.
+    are ever needed.  The rank memo is capped like ``Matroid``'s.
     """
 
     __slots__ = ("matrix",)
@@ -195,7 +196,8 @@ class LinearMatroid(RankMatroid):
         got = self._rank_cache.get(mask)
         if got is None:
             got = columns_rank(self.matrix, elements_of(mask))
-            self._rank_cache[mask] = got
+            if len(self._rank_cache) < core.RANK_CACHE_LIMIT:
+                self._rank_cache[mask] = got
         return got
 
 

@@ -1,6 +1,6 @@
-"""The K(r,t) family: construction, sparse-paving certificate, the
+"""The K(r,t) family: construction as a sparse paving rank oracle, the
 obstruction report behind the non-representability proof, Ingleton checks,
-and Vamos-like minor scans.
+Vamos-like minor scans and the minor antichain check.
 
 Ground set is [2t+2] (stored 0-based).  The blocks C_1, ..., C_t are cyclic
 intervals of length r-2 in [2t]; modulo arithmetic on 1-based labels maps
@@ -16,16 +16,14 @@ from typing import Callable, Iterator, Optional
 from matlift.core import (
     Mask,
     Matroid,
+    RankMatroid,
+    SparsePaving,
     elements_of,
-    find_isomorphism,
-    is_sparse_paving,
+    find_family_isomorphism,
     mask_of,
-    minors_with_shape,
     one_based,
     subsets_of_size,
 )
-
-MINOR_SCAN_LIMIT = 14  # largest ground set antichain_check's minor search accepts
 
 
 @dataclass(frozen=True)
@@ -90,40 +88,12 @@ class KrtSpec:
         return self.c_prime + self.c_double_prime
 
 
-def intersection_certificate(spec: KrtSpec) -> bool:
-    """The sparse-paving witness: no two declared circuit-hyperplanes meet in
-    r-1 elements (pairwise intersections all have size <= r-2)."""
-    chs = spec.circuit_hyperplanes
-    return all(
-        (a & b).bit_count() <= spec.r - 2 for a, b in combinations(chs, 2)
-    )
-
-
-def build_krt(spec: KrtSpec, *, validate: bool = True) -> Matroid:
-    """Build K(r,t): declared circuit-hyperplanes plus every (r+1)-subset
-    containing none of them.
-
-    Validation certifies a rank-r sparse paving matroid through the pairwise
-    intersection certificate and the sparse paving predicate; the antichain
-    property holds structurally (members have sizes r and r+1, and the
-    larger ones avoid every declared r-set).  Full pairwise circuit
-    elimination is equivalent for such families and is exercised separately
-    in the test suite.
-    """
-    if validate and not intersection_certificate(spec):
-        raise ValueError(f"intersection certificate fails for {spec}")
-    chs = set(spec.circuit_hyperplanes)
-    n = spec.ground_size
-    full = (1 << n) - 1
-    fam = list(chs)
-    for mask in subsets_of_size(full, spec.r + 1):
-        if not any(ch & ~mask == 0 for ch in chs):
-            fam.append(mask)
-    m = Matroid(n, fam, validate=False)
-    if validate:
-        if m.full_rank != spec.r or not is_sparse_paving(m):
-            raise ValueError(f"K({spec.r},{spec.t}) failed the sparse paving check")
-    return m
+def build_krt(spec: KrtSpec) -> SparsePaving:
+    """K(r,t): the rank-r sparse paving matroid on 2t+2 elements whose
+    circuit-hyperplanes are C'(r,t) and C''(r,t), built without enumerating
+    any subset.  ``SparsePaving`` raises ``ValueError`` above ``MAX_GROUND``
+    elements or when two of them share r-1 elements."""
+    return SparsePaving(spec.ground_size, spec.r, spec.circuit_hyperplanes)
 
 
 @dataclass(frozen=True)
@@ -191,7 +161,7 @@ class ObstructionReport:
         }
 
 
-def obstruction_report(spec: KrtSpec, k: Matroid) -> ObstructionReport:
+def obstruction_report(spec: KrtSpec, k: RankMatroid) -> ObstructionReport:
     """Evaluate facts (a)-(d) on M = K/X and L = K\\X, where K is normally
     build_krt(spec) (any matroid on the same ground set is accepted).
 
@@ -233,7 +203,7 @@ def obstruction_report(spec: KrtSpec, k: Matroid) -> ObstructionReport:
 
 
 def ingleton_inequality(
-    m: Matroid, a: Mask, b: Mask, c: Mask, d: Mask
+    m: RankMatroid, a: Mask, b: Mask, c: Mask, d: Mask
 ) -> tuple[bool, int, int]:
     """Evaluate Ingleton's inequality for four subsets.
 
@@ -264,39 +234,43 @@ class IngletonWitness:
         }
 
 
-def is_ingleton_sparse_paving(m: Matroid) -> tuple[bool, Optional[IngletonWitness]]:
+def is_ingleton_sparse_paving(m: Matroid | SparsePaving) -> tuple[bool, Optional[IngletonWitness]]:
     """The sparse-paving Ingleton criterion.
 
     A rank-r sparse paving matroid is Ingleton iff there is no disjoint
     configuration (I, P1, P2, P3, P4) with |I| = r-4, |P_i| = 2, where
     I | P_i | P_j is a circuit for all {i,j} != {3,4} while I | P3 | P4 is a
-    basis.  Those five circuits are circuit-hyperplanes containing I, so the
-    search runs over the circuit-hyperplanes through each core I, and the
-    witness is read off the first support in combinations order.
+    basis (any r-set that is not a circuit-hyperplane).  The witness is
+    read off the first core in increasing mask order and its first support
+    in combinations order.  Raises ``ValueError`` unless m is sparse paving.
     """
-    if not is_sparse_paving(m):
-        raise ValueError("criterion applies to sparse paving matroids only")
-    r = m.full_rank
-    if r < 4:
+    sp = SparsePaving.of(m)
+    if sp.r < 4:
         return True, None
-    chs = [c for c in m.circuits if c.bit_count() == r]
-    ch_set = set(chs)
-
-    # Every witness core is such an intersection: I | P1 | P3 and I | P2 | P4
-    # are circuit-hyperplanes that meet in exactly I.
-    cores = {c1 & c2 for c1, c2 in combinations(chs, 2) if (c1 & c2).bit_count() == r - 4}
-    for core in sorted(cores):
-        quads = {ch & ~core for ch in chs if core & ~ch == 0}
-        supports = _five_of_six_supports(quads, lambda s: m.is_basis(core | s))
+    for core, quads, supports in _configurations(sp, key=None):
         if supports:
-            return False, _pair_partition_witness(m, ch_set, core, min(supports, key=elements_of))
+            eight = min(supports, key=elements_of)
+            pairs, (i, j) = next(_five_of_six_pairings(elements_of(eight), quads.__contains__))
+            others = [k for k in range(4) if k not in (i, j)]
+            return False, IngletonWitness(core, (pairs[others[0]], pairs[others[1]], pairs[i], pairs[j]))
     return True, None
 
 
-def _five_of_six_supports(quads: set[Mask], sixth_ok: Callable[[Mask], bool]) -> set[Mask]:
+def _configurations(sp: SparsePaving, key: Optional[Callable]) -> Iterator[tuple[Mask, set[Mask], set[Mask]]]:
+    """(C, F_C, supports of F_C) for F_C = {H - C : C ⊆ H circuit-hyperplane}
+    at every core C of a five-of-six configuration, in ``key`` order: the
+    (r-4)-element intersections of two circuit-hyperplanes, such as
+    C | P1 | P3 and C | P2 | P4."""
+    chs = sp.circuit_hyperplanes
+    cores = {a & b for a, b in combinations(chs, 2) if (a & b).bit_count() == sp.r - 4}
+    for core in sorted(cores, key=key):
+        quads = {h & ~core for h in chs if core & ~h == 0}
+        yield core, quads, _five_of_six_supports(quads)
+
+
+def _five_of_six_supports(quads: set[Mask]) -> set[Mask]:
     """Every 8-set P1 | P2 | P3 | P4 of four disjoint pairs whose unions
-    P1P2, P1P3, P1P4, P2P3, P2P4 are in ``quads`` while P3P4 is not and
-    passes ``sixth_ok``.
+    P1P2, P1P3, P1P4, P2P3, P2P4 are in ``quads`` while P3P4 is not.
 
     P1 and P2 are the pairs in three of the five unions, so a = P1P2 and
     b = P1P3 meet in P1, and every third member through P1 gives a P4.
@@ -315,19 +289,9 @@ def _five_of_six_supports(quads: set[Mask], sixth_ok: Callable[[Mask], bool]) ->
                 p4 = c & ~p1
                 if c & p1 != p1 or p4 & (a | b):
                     continue
-                if p2 | p4 in quads and p3 | p4 not in quads and sixth_ok(p3 | p4):
+                if p2 | p4 in quads and p3 | p4 not in quads:
                     out.add(a | b | p4)
     return out
-
-
-def _pair_partition_witness(
-    m: Matroid, ch_set: set[Mask], core: Mask, eight: Mask
-) -> Optional[IngletonWitness]:
-    for pairs, (i, j) in _five_of_six_pairings(elements_of(eight), lambda q: core | q in ch_set):
-        if m.is_basis(core | pairs[i] | pairs[j]):
-            others = [k for k in range(4) if k not in (i, j)]
-            return IngletonWitness(core, (pairs[others[0]], pairs[others[1]], pairs[i], pairs[j]))
-    return None
 
 
 def _five_of_six_pairings(
@@ -355,7 +319,7 @@ def _pairings(elems: list[int]) -> Iterator[list[Mask]]:
             yield [mask_of([first, mate])] + sub
 
 
-def is_vamos_like(m: Matroid) -> Optional[tuple[Mask, Mask, Mask, Mask]]:
+def is_vamos_like(m: Matroid | SparsePaving) -> Optional[tuple[Mask, Mask, Mask, Mask]]:
     """A partition of an 8-element rank-4 sparse paving matroid into four
     pairs such that exactly five of the six pair unions are circuits, or
     None.  Raises on inputs outside that shape."""
@@ -382,7 +346,7 @@ class VamosLikeMinor:
         }
 
 
-def scan_vamos_like_minors(m: Matroid) -> list[VamosLikeMinor]:
+def scan_vamos_like_minors(m: Matroid | SparsePaving) -> list[VamosLikeMinor]:
     """Every Vamos-like rank-4, 8-element minor M/C\\D of a sparse paving M,
     ordered by C and then by D in combinations order.
 
@@ -391,42 +355,58 @@ def scan_vamos_like_minors(m: Matroid) -> list[VamosLikeMinor]:
     circuit-hyperplanes are the sets H - C inside S for the
     circuit-hyperplanes H of M that contain C.  So the Vamos-like minors
     are the supports of five-of-six configurations among those sets, found
-    without materializing any minor.
+    without materializing any minor, at the cores of ``_configurations``.
     """
-    if not is_sparse_paving(m):
-        raise ValueError("Vamos-like minors are searched in sparse paving matroids only")
-    r = m.full_rank
-    if r < 4:
+    sp = SparsePaving.of(m)
+    if sp.r < 4:
         return []
-    chs = [c for c in m.circuits if c.bit_count() == r]
     out = []
-    for cmask in subsets_of_size(m.full_mask, r - 4):
-        rest = m.full_mask & ~cmask
-        quads = {ch & ~cmask for ch in chs if cmask & ~ch == 0}
-        supports = _five_of_six_supports(quads, lambda s: True)
+    for core, quads, supports in _configurations(sp, key=elements_of):
+        rest = sp.full_mask & ~core
         for s in sorted(supports, key=lambda s: elements_of(rest & ~s)):
-            elems = elements_of(s)
-            pairs, _ = next(_five_of_six_pairings(elems, quads.__contains__))
-            local = [mask_of(elems.index(e) for e in elements_of(p)) for p in pairs]
-            out.append(VamosLikeMinor(cmask, rest & ~s, tuple(sorted(local))))
+            pairs, _ = next(_five_of_six_pairings(elements_of(s), quads.__contains__))
+            local = tuple(sorted(_in_labels_of(p, s) for p in pairs))
+            out.append(VamosLikeMinor(core, rest & ~s, local))
     return out
 
 
+def _in_labels_of(mask: Mask, ground: Mask) -> Mask:
+    """``mask`` inside ``ground``, relabeled as in a minor on ``ground``."""
+    elems = elements_of(ground)
+    return mask_of(elems.index(e) for e in elements_of(mask))
+
+
 def antichain_check(big: KrtSpec, small: KrtSpec, *, proper: bool = True) -> bool:
-    """True iff no (proper) minor of K(big) is isomorphic to K(small)."""
+    """True iff no (proper) minor of K(big) is isomorphic to K(small).
+
+    In the antichain regime n' - r' >= 5, so each (R - r')-set C and each
+    set D of the remaining size give a minor K/C\\D of that shape, sparse
+    paving with circuit-hyperplanes H - C for the H ⊇ C missing D (see
+    scan_vamos_like_minors).  Sparse paving matroids of equal size and rank
+    are isomorphic exactly when these families are, so only minors with
+    2t'-1 of them are compared.
+    """
     if not big.in_antichain_regime or not small.in_antichain_regime:
         raise ValueError("antichain check applies in the r <= 2t-3 regime")
-    if big.ground_size > MINOR_SCAN_LIMIT:
-        raise ValueError(f"antichain check supports at most {MINOR_SCAN_LIMIT} elements")
-    m_big = build_krt(big)
-    m_small = build_krt(small)
-    same_shape = big.ground_size == small.ground_size and m_big.full_rank == m_small.full_rank
-    if proper and same_shape:
+    k_big = build_krt(big)
+    want = build_krt(small).circuit_hyperplanes
+    if proper and big.ground_size == small.ground_size and big.r == small.r:
         # The only candidate would be the zero-operation minor.
         return True
-    if m_small.n > m_big.n or m_small.full_rank > m_big.full_rank:
+    c_size = big.r - small.r
+    d_size = big.ground_size - small.ground_size - c_size
+    if c_size < 0 or d_size < 0:
         return True
-    for _, _, minor in minors_with_shape(m_big, m_small.full_rank, m_small.n):
-        if find_isomorphism(minor, m_small) is not None:
-            return False
+    for cmask in subsets_of_size(k_big.full_mask, c_size):
+        through = [h & ~cmask for h in k_big.circuit_hyperplanes if cmask & ~h == 0]
+        if len(through) < len(want):
+            continue
+        rest = k_big.full_mask & ~cmask
+        for dmask in subsets_of_size(rest, d_size):
+            kept = [q for q in through if q & dmask == 0]
+            if len(kept) != len(want):
+                continue
+            minor = [_in_labels_of(q, rest & ~dmask) for q in kept]
+            if find_family_isomorphism(small.ground_size, minor, want) is not None:
+                return False
     return True

@@ -14,8 +14,6 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-import pytest
-
 from matlift.cli import main
 from matlift.core import mask_of, validate_circuits
 from matlift.gain import balanced_circuit_audit, full_gain_graph, zaslavsky_lift
@@ -206,7 +204,6 @@ def test_criterion_09_axiom_property_suite(announce):
                     )
 
 
-@pytest.mark.slow
 def test_criterion_10_antichain_desk_check(announce):
     with criterion(announce, 10, "K(7,5) has no proper K(5,4) minor", 600.0):
         assert antichain_check(KrtSpec(7, 5), KrtSpec(5, 4)) is True

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 from matlift.cli import main
@@ -180,7 +181,37 @@ class TestKrt:
             path = tmp_path / f"k{r}{t}.ckt"
             code, _ = run(["krt", "build", str(r), str(t), "--out", str(path)], capsys)
             assert code == 0
-            assert parse_matroid(path) == build_krt(KrtSpec(r, t))
+            assert parse_matroid(path) == build_krt(KrtSpec(r, t)).to_matroid()
+
+    def test_above_max_ground_exits_2_fast(self, capsys):
+        # K(40,40) has 82 elements; every krt command refuses it at once.
+        for command in ["build", "certify", "ingleton", "vamos-scan"]:
+            t0 = time.perf_counter()
+            code = main(["krt", command, "40", "40"])
+            elapsed = time.perf_counter() - t0
+            assert code == 2, command
+            assert "ground set size 82 outside [0, 64]" in capsys.readouterr().err
+            assert elapsed < 0.2, (command, elapsed)
+
+    def test_build_out_above_cap_exits_2(self, capsys, tmp_path):
+        out_path = tmp_path / "k10_10.ckt"
+        code = main(["krt", "build", "10", "10", "--out", str(out_path)])
+        assert code == 2
+        assert "--out writes circuit families up to 20 elements" in capsys.readouterr().err
+        assert not out_path.exists()
+
+
+class TestJsonFlag:
+    def test_every_position_writes_the_same_report(self, capsys, tmp_path):
+        for argv in [["krt", "certify", "4", "3"], ["check", str(TESTDATA / "v8.ckt")]]:
+            texts = []
+            for k, pos in enumerate([0, 1, len(argv)]):
+                json_path = tmp_path / f"{argv[0]}_{k}.json"
+                assert main(argv[:pos] + ["--json", str(json_path)] + argv[pos:]) == 0
+                capsys.readouterr()
+                lines = json_path.read_text().splitlines(keepends=True)
+                texts.append("".join(ln for ln in lines if '"wall_time_s"' not in ln))
+            assert texts[0] == texts[1] == texts[2]
 
 
 class TestGain:

@@ -14,11 +14,11 @@ import matlift.core as core
 from matlift.core import (
     CircuitAxiomError,
     Matroid,
+    SparsePaving,
     canonical_circuits,
     circuits_from_rank_oracle,
     elements_of,
     find_isomorphism,
-    has_minor_isomorphic_to,
     is_quotient,
     is_sparse_paving,
     mask_of,
@@ -35,10 +35,12 @@ from matlift.krt import KrtSpec, build_krt
 from zoo import (
     circuits_bruteforce,
     closure_bruteforce,
+    has_minor_isomorphic_to,
     is_sparse_paving_bruteforce,
     random_base_matroid,
     random_sparse_paving,
     rank_bruteforce,
+    sparse_paving_from,
     validate_circuits_bruteforce,
     validate_hyperplanes_bruteforce,
     zoo,
@@ -46,7 +48,7 @@ from zoo import (
 
 
 def k43() -> Matroid:
-    return build_krt(KrtSpec(4, 3))
+    return build_krt(KrtSpec(4, 3)).to_matroid()
 
 
 class TestValidateCircuits:
@@ -481,7 +483,7 @@ class TestCircuitIndexAgainstBruteForce:
                 assert fresh.rank(mask) == rank_bruteforce(m, mask), (name, mask)
 
     def test_queries_match_subset_scan_on_k88(self):
-        m = build_krt(KrtSpec(8, 8))
+        m = build_krt(KrtSpec(8, 8)).to_matroid()
         rng = random.Random(79)
         for _ in range(30):
             mask = mask_of(rng.sample(range(m.n), rng.randint(0, 10)))
@@ -500,6 +502,51 @@ class TestCircuitIndexAgainstBruteForce:
         verdicts = [is_sparse_paving(m) for m in matroids]
         assert verdicts == [is_sparse_paving_bruteforce(m) for m in matroids]
         assert any(verdicts) and not all(verdicts)
+
+
+class TestSparsePavingConstruction:
+    def test_rejects_what_the_rset_walk_rejects(self):
+        # Random families of r-sets, some with members sharing r-1
+        # elements: construction succeeds exactly when the family plus every
+        # (r+1)-set containing none of its members is a valid circuit family
+        # of rank r passing the r-set walk.
+        rng = random.Random(97)
+        verdicts = []
+        for _ in range(300):
+            n = rng.randint(3, 9)
+            r = rng.randint(1, n - 1)
+            r_sets = list(subsets_of_size((1 << n) - 1, r))
+            fam = rng.sample(r_sets, rng.randint(1, min(6, len(r_sets))))
+            m = sparse_paving_from(n, r, fam, validate=False)
+            ok = validate_circuits(m.circuits, n).ok and m.full_rank == r and is_sparse_paving_bruteforce(m)
+            try:
+                SparsePaving(n, r, fam)
+                built = True
+            except ValueError:
+                built = False
+            assert built == ok, (n, r, fam)
+            verdicts.append(ok)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_ground_size_limit(self):
+        assert SparsePaving(64, 2, [0b11]).full_rank == 2
+        with pytest.raises(ValueError, match="ground set size 65"):
+            SparsePaving(65, 2, [])
+
+    @pytest.mark.parametrize(
+        "n,r,fam",
+        [(4, 2, [0b111]), (4, 2, [0b110000]), (3, 0, [0]), (3, 3, [0b111]), (4, 5, [])],
+    )
+    def test_rejects_malformed_members(self, n, r, fam):
+        with pytest.raises(ValueError):
+            SparsePaving(n, r, fam)
+
+    def test_of(self):
+        sp = build_krt(KrtSpec(4, 3))
+        assert SparsePaving.of(sp) is sp
+        assert SparsePaving.of(k43()).circuit_hyperplanes == sp.circuit_hyperplanes
+        with pytest.raises(ValueError):
+            SparsePaving.of(Matroid(4, [mask_of([0, 1]), mask_of([0, 2]), mask_of([1, 2])]))
 
 
 class TestRankEdgeCases:
@@ -566,7 +613,7 @@ def test_rank_cache_safe_under_concurrent_use():
     # one matroid from several threads and check every answer.
     import threading
 
-    m = build_krt(KrtSpec(5, 4))
+    m = build_krt(KrtSpec(5, 4)).to_matroid()
     masks = [random.Random(s).getrandbits(m.n) for s in range(200)]
     expected = {x: rank_bruteforce(m, x) for x in masks[:40]}
     errors: list[str] = []

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matlift.core import Matroid, canonical_circuits, mask_of, uniform_matroid
+import matlift.core as core
+from matlift.core import Matroid, canonical_circuits, elements_of, mask_of, uniform_matroid
 from matlift.gf import (
     DependentColumnsError,
     GfMatrix,
@@ -253,6 +254,17 @@ class TestLinearMatroidOverlay:
             materialized = column_matroid(a)
             for mask in range(1 << a.cols):
                 assert oracle.closure(mask) == materialized.closure(mask)
+
+    def test_memo_respects_the_cap(self, monkeypatch):
+        monkeypatch.setattr(core, "RANK_CACHE_LIMIT", 5)
+        rng = random.Random(23)
+        for _ in range(4):
+            a = random_gf_matrix(rng, max_rows=3, max_cols=7)
+            oracle = LinearMatroid(a)
+            for _ in range(2):
+                for mask in range(1 << a.cols):
+                    assert oracle.rank(mask) == columns_rank(a, elements_of(mask))
+            assert len(oracle._rank_cache) <= 5
 
 
 def _random_witness_instance(rng: random.Random):

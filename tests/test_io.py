@@ -28,11 +28,11 @@ class TestMatroidFormat:
         assert parse_matroid_text(emit_matroid_text(m)) == m
 
     def test_roundtrip_k43(self):
-        m = build_krt(KrtSpec(4, 3))
+        m = build_krt(KrtSpec(4, 3)).to_matroid()
         assert parse_matroid_text(emit_matroid_text(m)) == m
 
     def test_emission_is_byte_stable(self):
-        m = build_krt(KrtSpec(4, 3))
+        m = build_krt(KrtSpec(4, 3)).to_matroid()
         assert emit_matroid_text(m) == emit_matroid_text(parse_matroid_text(emit_matroid_text(m)))
 
     def test_comments_and_blank_lines(self):

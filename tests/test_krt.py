@@ -10,6 +10,7 @@ import pytest
 
 from matlift.core import (
     Matroid,
+    SparsePaving,
     find_isomorphism,
     is_sparse_paving,
     mask_of,
@@ -25,16 +26,17 @@ from matlift.krt import (
     antichain_check,
     build_krt,
     ingleton_inequality,
-    intersection_certificate,
     is_ingleton_sparse_paving,
     is_vamos_like,
     obstruction_report,
     scan_vamos_like_minors,
 )
 from zoo import (
+    antichain_bruteforce,
     ingleton_bruteforce,
     pairings_bruteforce,
     random_circuit_hyperplanes,
+    random_sparse_paving,
     sparse_paving_from,
     vamos_scan_bruteforce,
 )
@@ -89,12 +91,12 @@ class TestBuild:
 
         fives = [m for m in subsets_of_size(full, 5) if not any(ch & ~m == 0 for ch in v8_chs)]
         v8 = Matroid(8, v8_chs + fives)
-        assert find_isomorphism(build_krt(KrtSpec(4, 3)), v8) is not None
+        assert find_isomorphism(build_krt(KrtSpec(4, 3)).to_matroid(), v8) is not None
 
     def test_k54_counts(self):
         s = KrtSpec(5, 4)
         assert len(s.c_prime) == 4 and len(s.c_double_prime) == 3
-        m = build_krt(s)
+        m = build_krt(s).to_matroid()
         assert m.n == 10 and m.full_rank == 5
         assert sum(1 for c in m.circuits if m.is_circuit_hyperplane(c)) == 7
 
@@ -104,17 +106,19 @@ class TestBuild:
         m = build_krt(spec)
         assert m.full_rank == r
         assert m.n == 2 * t + 2
-        assert is_sparse_paving(m)
-        assert intersection_certificate(spec)
+        assert is_sparse_paving(m.to_matroid())
+        # The sparse paving certificate: no two declared circuit-hyperplanes
+        # meet in r-1 elements.
+        assert all((a & b).bit_count() <= r - 2 for a, b in combinations(m.circuit_hyperplanes, 2))
 
     @pytest.mark.parametrize("r,t", [(4, 3), (5, 4), (6, 4), (5, 5), (6, 5), (7, 5)])
     def test_full_circuit_axioms(self, r, t):
-        m = build_krt(KrtSpec(r, t))
+        m = build_krt(KrtSpec(r, t)).to_matroid()
         assert validate_circuits(m.circuits, m.n).ok
 
     @pytest.mark.parametrize("r,t", ALL_DESK_SPECS)
     def test_every_ch_has_r_elements_and_rank_r_minus_1(self, r, t):
-        m = build_krt(KrtSpec(r, t))
+        m = build_krt(KrtSpec(r, t)).to_matroid()
         chs = [c for c in m.circuits if m.is_circuit_hyperplane(c)]
         assert len(chs) == 2 * t - 1
         for c in chs:
@@ -145,7 +149,7 @@ class TestObstruction:
         from matlift.lifts import LiftSpec, build_lift, check_star_prime
 
         spec = KrtSpec(4, 3)
-        k = build_krt(spec)
+        k = build_krt(spec).to_matroid()
         m = k.contract(spec.x_mask)
         l = k.delete(spec.x_mask)
         count = len(m.circuits)
@@ -184,14 +188,14 @@ class TestObstruction:
     def test_rank_oracle_matches_materialized_minors(self, r, t):
         spec = KrtSpec(r, t)
         k = build_krt(spec)
-        assert obstruction_report(spec, k) == _materialized_report(spec, k)
+        assert obstruction_report(spec, k) == _materialized_report(spec, k.to_matroid())
 
     def test_rank_oracle_matches_materialized_minors_relaxed(self):
         # Relaxing C_i | X makes C_i independent in K/X, so facts a and b
         # fail on the block-circuit test alone; relaxing C_i | C_{i+1}
         # breaks fact c.
         spec = KrtSpec(4, 3)
-        k = build_krt(spec)
+        k = build_krt(spec).to_matroid()
         reports = []
         for ch in spec.circuit_hyperplanes:
             relaxed = relax(k, ch)
@@ -284,7 +288,7 @@ class TestIngleton:
         # all role orders and compare with the criterion.
         instances = [
             build_krt(KrtSpec(4, 3)),
-            relax(build_krt(KrtSpec(4, 3)), mask_of([0, 1, 2, 3])),
+            relax(build_krt(KrtSpec(4, 3)).to_matroid(), mask_of([0, 1, 2, 3])),
             uniform_matroid(4, 8),
         ]
         for m in instances:
@@ -308,7 +312,7 @@ class TestVamosLike:
         assert is_vamos_like(uniform_matroid(4, 8)) is None
 
     def test_relaxation_absent(self):
-        m = relax(build_krt(KrtSpec(4, 3)), mask_of([2, 3, 4, 5]))
+        m = relax(build_krt(KrtSpec(4, 3)).to_matroid(), mask_of([2, 3, 4, 5]))
         assert is_vamos_like(m) is None
 
     def test_rejects_wrong_shape(self):
@@ -342,14 +346,18 @@ class TestVamosLike:
             scan_vamos_like_minors(m)
 
 
-def _assert_matches_bruteforce(m: Matroid) -> tuple[bool, bool]:
-    """The structural searches agree with the brute-force ones, witness
-    and order included; returns (is Ingleton, has a Vamos-like minor)."""
-    ok, witness = is_ingleton_sparse_paving(m)
+def _assert_matches_bruteforce(n: int, r: int, chs: list) -> tuple[bool, bool]:
+    """The structural searches on the ``SparsePaving`` with these
+    circuit-hyperplanes agree with the brute-force ones on the circuit
+    family built by ``sparse_paving_from``, witness and order included;
+    returns (is Ingleton, has a Vamos-like minor)."""
+    sp = SparsePaving(n, r, chs)
+    m = sparse_paving_from(n, r, chs, validate=False)
+    ok, witness = is_ingleton_sparse_paving(sp)
     ok_bf, witness_bf = ingleton_bruteforce(m)
     assert ok == ok_bf
     assert (witness and witness.as_dict()) == (witness_bf and witness_bf.as_dict())
-    minors = [w.as_dict() for w in scan_vamos_like_minors(m)]
+    minors = [w.as_dict() for w in scan_vamos_like_minors(sp)]
     assert minors == [w.as_dict() for w in vamos_scan_bruteforce(m)]
     return ok, bool(minors)
 
@@ -361,7 +369,7 @@ ORACLE_SPECS = [(r, t) for t in range(3, 6) for r in range(4, 2 * t - 1)]
 class TestStructuralScansAgainstBruteForce:
     @pytest.mark.parametrize("r,t", ORACLE_SPECS)
     def test_krt(self, r, t):
-        ok, vamos = _assert_matches_bruteforce(build_krt(KrtSpec(r, t)))
+        ok, vamos = _assert_matches_bruteforce(2 * t + 2, r, KrtSpec(r, t).circuit_hyperplanes)
         # K(4,t) and the r = 2t-2 edge lie outside both guarantee regimes.
         assert ok == (not vamos) == KrtSpec(r, t).in_ingleton_regime
 
@@ -371,7 +379,7 @@ class TestStructuralScansAgainstBruteForce:
         # sparse paving matroid of the other circuit-hyperplanes.
         chs = KrtSpec(r, t).circuit_hyperplanes
         outcomes = {
-            _assert_matches_bruteforce(sparse_paving_from(2 * t + 2, r, [c for c in chs if c != ch], validate=False))
+            _assert_matches_bruteforce(2 * t + 2, r, [c for c in chs if c != ch])
             for ch in chs
         }
         # Every relaxation of K(4,3) and K(5,4) is Ingleton; those of K(4,4)
@@ -391,8 +399,24 @@ class TestStructuralScansAgainstBruteForce:
             core, pairs = mask_of(elems[8:]), [mask_of(elems[k : k + 2]) for k in range(0, 8, 2)]
             planted = [core | pairs[i] | pairs[j] for i, j in combinations(range(4), 2) if (i, j) != (2, 3)]
             chs = random_circuit_hyperplanes(rng, n, r, (10, 60), planted if rng.random() < 0.5 else [])
-            outcomes.append(_assert_matches_bruteforce(sparse_paving_from(n, r, chs, validate=False)))
+            outcomes.append(_assert_matches_bruteforce(n, r, chs))
         assert {(True, False), (False, True)} <= set(outcomes)
+
+
+    def test_two_cores_in_both_orders(self):
+        # Vamos configurations at the cores {1,4} and {2,3} (1-based): the
+        # scan lists {1,4} first (combinations order), while the Ingleton
+        # witness sits at {2,3}, the smaller mask.
+        pairs = [mask_of([4 + 2 * k, 5 + 2 * k]) for k in range(4)]
+        chs = [
+            core | pairs[i] | pairs[j]
+            for core in (mask_of([0, 3]), mask_of([1, 2]))
+            for i, j in combinations(range(4), 2)
+            if (i, j) != (2, 3)
+        ]
+        assert _assert_matches_bruteforce(12, 6, chs) == (False, True)
+        assert [w.contracted for w in scan_vamos_like_minors(SparsePaving(12, 6, chs))] == [0b1001, 0b0110]
+        assert is_ingleton_sparse_paving(SparsePaving(12, 6, chs))[1].core == 0b0110
 
 
 class TestAntichain:
@@ -408,3 +432,82 @@ class TestAntichain:
     def test_regime_enforced(self):
         with pytest.raises(ValueError):
             antichain_check(KrtSpec(6, 4), KrtSpec(5, 4))
+
+    # in-regime pairs with n <= 12, as (big, small, proper)
+    @pytest.mark.parametrize(
+        "big,small,proper",
+        [
+            ((7, 5), (5, 4), True),
+            ((5, 4), (5, 4), True),
+            ((5, 4), (5, 4), False),
+            ((5, 5), (5, 5), False),
+            ((5, 5), (5, 4), True),
+            ((6, 5), (5, 4), True),
+            ((4, 5), (4, 4), True),
+            ((5, 5), (4, 4), True),
+            ((6, 5), (4, 4), True),
+            ((7, 5), (4, 4), True),
+        ],
+    )
+    def test_matches_minor_bruteforce(self, big, small, proper):
+        big, small = KrtSpec(*big), KrtSpec(*small)
+        assert antichain_check(big, small, proper=proper) == antichain_bruteforce(big, small, proper=proper)
+
+
+def _probe_masks(rng: random.Random, sp: SparsePaving) -> list:
+    """Every mask for n <= 10; above that the circuit-hyperplanes, their
+    one-element deletions and extensions, and random masks of r-1 to r+1
+    elements."""
+    if sp.n <= 10:
+        return list(range(1 << sp.n))
+    masks = [0, sp.full_mask]
+    for h in sp.circuit_hyperplanes:
+        masks.append(h)
+        masks += [h ^ (1 << e) for e in range(sp.n)]
+    masks += [mask_of(rng.sample(range(sp.n), rng.randint(sp.r - 1, sp.r + 1))) for _ in range(100)]
+    return masks
+
+
+def _assert_oracle_agrees(sp: SparsePaving, m: Matroid, rng: random.Random) -> None:
+    assert (sp.n, sp.full_rank) == (m.n, m.full_rank)
+    for mask in _probe_masks(rng, sp):
+        assert sp.rank(mask) == m.rank(mask), mask
+        assert sp.is_basis(mask) == m.is_basis(mask), mask
+
+
+# every in-range (r, t) with ground set 2t+2 <= 16
+ORACLE_DIFF_SPECS = [(r, t) for t in range(3, 8) for r in range(4, 2 * t - 1)]
+
+
+class TestSparsePavingAgainstCircuitFamily:
+    """``SparsePaving.rank`` and ``is_basis`` against ``Matroid.rank`` of the
+    circuit family that ``sparse_paving_from`` builds by its own subset loop."""
+
+    @pytest.mark.parametrize("r,t", ORACLE_DIFF_SPECS)
+    def test_krt(self, r, t):
+        sp = build_krt(KrtSpec(r, t))
+        m = sparse_paving_from(sp.n, r, list(sp.circuit_hyperplanes), validate=False)
+        assert sp.to_matroid() == m
+        _assert_oracle_agrees(sp, m, random.Random(r * 100 + t))
+
+    @pytest.mark.parametrize("r,t", ORACLE_DIFF_SPECS)
+    def test_relaxations(self, r, t):
+        chs = KrtSpec(r, t).circuit_hyperplanes
+        rng = random.Random(r * 100 + t)
+        for ch in chs:
+            rest = [c for c in chs if c != ch]
+            _assert_oracle_agrees(
+                SparsePaving(2 * t + 2, r, rest), sparse_paving_from(2 * t + 2, r, rest, validate=False), rng
+            )
+
+    def test_random_sparse_paving(self):
+        from zoo import zoo
+
+        rng = random.Random(29)
+        matroids = [m for name, m in zoo() if name.startswith("random sparse paving")]
+        matroids += [random_sparse_paving(rng, max_elems=10) for _ in range(40)]
+        for m in matroids:
+            chs = [c for c in m.circuits if m.is_circuit_hyperplane(c)]
+            sp = SparsePaving(m.n, m.full_rank, chs)
+            assert SparsePaving.of(m).circuit_hyperplanes == sp.circuit_hyperplanes
+            _assert_oracle_agrees(sp, m, rng)

@@ -32,7 +32,7 @@ from zoo import random_base_matroid, random_linear_class, random_overlay
 
 class TestModularPair:
     def test_k43_contraction_blocks(self):
-        m = build_krt(KrtSpec(4, 3)).contract(mask_of([6, 7]))
+        m = build_krt(KrtSpec(4, 3)).to_matroid().contract(mask_of([6, 7]))
         assert is_modular_pair(m, mask_of([0, 1]), mask_of([2, 3]))
 
     def test_u14_disjoint_pair_not_modular(self):
@@ -121,7 +121,7 @@ class TestPerfect:
 
 class TestLinearClass:
     def test_all_circuits(self):
-        m = build_krt(KrtSpec(4, 3))
+        m = build_krt(KrtSpec(4, 3)).to_matroid()
         assert is_linear_class(m, range(len(m.circuits)))
 
     def test_empty(self):
@@ -149,7 +149,7 @@ class TestElementaryLift:
         assert elementary_lift(uniform_matroid(2, 4), []) == uniform_matroid(3, 4)
 
     def test_full_class_returns_same(self):
-        m = build_krt(KrtSpec(4, 3))
+        m = build_krt(KrtSpec(4, 3)).to_matroid()
         assert elementary_lift(m, range(len(m.circuits))) == m
 
     def test_rejects_non_linear_class(self):
@@ -204,7 +204,7 @@ class TestStarConditions:
 
     def test_parallel_chain_witness(self):
         # Force two blocks independent in N while (*') demands otherwise.
-        m = build_krt(KrtSpec(4, 3)).contract(mask_of([6, 7]))
+        m = build_krt(KrtSpec(4, 3)).to_matroid().contract(mask_of([6, 7]))
         count = len(m.circuits)
         idx_12 = m.circuits.index(mask_of([0, 1]))
         idx_56 = m.circuits.index(mask_of([4, 5]))
@@ -251,7 +251,7 @@ class TestStarConditions:
 
 class TestBuildLift:
     def test_loops_overlay_returns_base(self):
-        m = build_krt(KrtSpec(4, 3))
+        m = build_krt(KrtSpec(4, 3)).to_matroid()
         spec = LiftSpec(m, uniform_matroid(0, len(m.circuits)))
         assert build_lift(spec) == m
 
@@ -265,7 +265,7 @@ class TestBuildLift:
         assert build_lift(spec) == uniform_matroid(2, 3)
 
     def test_refuses_failing_spec(self):
-        m = build_krt(KrtSpec(4, 3)).contract(mask_of([6, 7]))
+        m = build_krt(KrtSpec(4, 3)).to_matroid().contract(mask_of([6, 7]))
         count = len(m.circuits)
         overlay = uniform_matroid(count, count)  # free overlay: closures are trivial
         spec = LiftSpec(m, overlay)
@@ -301,7 +301,7 @@ class TestDiagnostics:
     def test_formula_reports_violation(self):
         # The parallel-chain obstruction: the formula cannot be a matroid
         # rank function for any overlay placing the blocks independently.
-        m = build_krt(KrtSpec(4, 3)).contract(mask_of([6, 7]))
+        m = build_krt(KrtSpec(4, 3)).to_matroid().contract(mask_of([6, 7]))
         count = len(m.circuits)
         overlay = uniform_matroid(count, count)
         built, report = evaluate_lift_formula(LiftSpec(m, overlay))
@@ -315,7 +315,7 @@ class TestAgreesWithElementary:
         assert lift_agrees_with_elementary(uniform_matroid(2, 4), [])
 
     def test_full_class_degenerate(self):
-        m = build_krt(KrtSpec(4, 3))
+        m = build_krt(KrtSpec(4, 3)).to_matroid()
         assert lift_agrees_with_elementary(m, range(len(m.circuits)))
 
     def test_random_instances(self):

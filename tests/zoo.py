@@ -10,18 +10,19 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from matlift.core import (
+    DEFAULT_NODE_BUDGET,
     Mask,
     Matroid,
     ValidationReport,
     _check_members,
     _index_pairs,
+    _relabel_map,
     canonical_circuits,
     elements_of,
+    find_isomorphism,
     is_sparse_paving,
     mask_of,
-    minors_with_shape,
     subsets_of_size,
-    submasks,
     uniform_matroid,
 )
 from matlift.gain import full_gain_graph, graphic_matroid, rank2_lift_k3, zaslavsky_lift
@@ -32,6 +33,16 @@ from matlift.lifts import LiftSpec, build_lift, elementary_lift, rank_one_overla
 
 # ---------------------------------------------------------------------------
 # independent oracles (deliberately dumb)
+
+
+def submasks(mask: Mask) -> Iterator[Mask]:
+    """All submasks of ``mask``, including 0 and ``mask`` itself."""
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
 
 
 def rank_bruteforce(m: Matroid, mask: Mask) -> int:
@@ -162,6 +173,57 @@ def is_sparse_paving_bruteforce(m: Matroid) -> bool:
         elif m.contains_circuit(mask):
             return False
     return True
+
+
+def minors_with_shape(
+    m: Matroid,
+    target_rank: int,
+    target_size: int,
+) -> Iterator[tuple[Mask, Mask, Matroid]]:
+    """All minors of given rank and size as (contracted, deleted, minor),
+    each materialized.
+
+    Enumerates independent contraction sets and coindependent deletion sets;
+    every minor of that shape arises this way.
+    """
+    c_size = m.full_rank - target_rank
+    d_size = (m.n - target_size) - c_size
+    if c_size < 0 or d_size < 0:
+        return
+    for cmask in subsets_of_size(m.full_mask, c_size):
+        if not m.is_independent(cmask):
+            continue
+        contracted = m.contract(cmask)
+        kept, _ = _relabel_map(m.n, cmask)
+        r = contracted.full_rank
+        for dmask_small in subsets_of_size(contracted.full_mask, d_size):
+            if contracted.rank(contracted.full_mask & ~dmask_small) != r:
+                continue
+            dmask = mask_of(kept[e] for e in elements_of(dmask_small))
+            yield cmask, dmask, contracted.delete(dmask_small)
+
+
+def has_minor_isomorphic_to(m: Matroid, target: Matroid, *, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
+    """True iff some contract-then-delete sequence yields a matroid isomorphic to target."""
+    if target.n > m.n or target.full_rank > m.full_rank:
+        return False
+    if (target.n - target.full_rank) > (m.n - m.full_rank):
+        return False
+    for _, _, minor in minors_with_shape(m, target.full_rank, target.n):
+        if find_isomorphism(minor, target, node_budget=node_budget) is not None:
+            return True
+    return False
+
+
+def antichain_bruteforce(big: KrtSpec, small: KrtSpec, *, proper: bool = True) -> bool:
+    """True iff no (proper) minor of K(big) is isomorphic to K(small), by
+    materializing every minor of the right shape and comparing circuit
+    families."""
+    m_big = build_krt(big).to_matroid()
+    m_small = build_krt(small).to_matroid()
+    if proper and m_big.n == m_small.n and m_big.full_rank == m_small.full_rank:
+        return True
+    return not has_minor_isomorphic_to(m_big, m_small)
 
 
 def pairings_bruteforce(elems: list[int]) -> Iterator[list[Mask]]:
@@ -344,7 +406,7 @@ def zoo() -> tuple[tuple[str, Matroid], ...]:
     krt_specs = [(4, 3), (5, 4), (6, 4), (5, 5), (6, 5), (7, 5)]
     krt = {}
     for r, t in krt_specs:
-        krt[(r, t)] = add(f"K({r},{t})", build_krt(KrtSpec(r, t)))
+        krt[(r, t)] = add(f"K({r},{t})", build_krt(KrtSpec(r, t)).to_matroid())
 
     k43 = krt[(4, 3)]
     x = KrtSpec(4, 3).x_mask
