@@ -4,6 +4,10 @@ Given a matrix A over GF(p) whose column matroid is K and an independent
 column set X, builds the overlay matroid N on the circuits of M = K/X so
 that M^N equals L = K\\X.  Matrices are immutable tuples of tuples, safe to
 share across threads.
+
+Every rank comes from one echelon kernel, ``_reduce_into``: the size of
+the basis the columns build, with no matrix copied or re-eliminated.
+``column_matroid`` runs it along a fundamental-circuit search.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from matlift.core import (
     Mask,
     Matroid,
     RankMatroid,
-    circuits_from_rank_oracle,
     elements_of,
     one_based,
 )
@@ -156,24 +159,82 @@ def _eliminate(p: int, work: list[list[int]], cols: Iterable[int]) -> list[int]:
     return pivots
 
 
+Row = tuple[int, list[int]]
+
+
+def _reduce_into(p: int, basis: list[Row], v: Sequence[int], width: int) -> Sequence[int]:
+    """Reduce ``v`` over GF(p) against an echelon ``basis`` of (pivot, row)
+    pairs and return the residue, appended to ``basis`` when ``v`` is
+    independent of the rows.
+
+    Each row is 1 at its pivot and 0 at the pivots of the rows before it,
+    so one pass in order clears every pivot of ``v``.  Pivots lie in the
+    first ``width`` entries; later entries (a combination of columns, say)
+    ride along.  An appended residue is scaled to 1 at its pivot.
+    """
+    for pivot, row in basis:
+        c = v[pivot]
+        if c:
+            v = [(x - c * y) % p for x, y in zip(v, row)]
+    for pivot in range(width):
+        if v[pivot]:
+            inv = pow(v[pivot], p - 2, p)
+            v = [(x * inv) % p for x in v]
+            basis.append((pivot, v))
+            break
+    return v
+
+
+def _rank_of(p: int, vectors: Iterable[Sequence[int]], width: int) -> int:
+    """Rank of vectors of length ``width``: inserted into a fresh echelon
+    basis until it is full."""
+    basis: list[Row] = []
+    for v in vectors:
+        if len(basis) == width:
+            break
+        _reduce_into(p, basis, v, width)
+    return len(basis)
+
+
 def columns_rank(a: GfMatrix, cols: Sequence[int]) -> int:
-    if not cols:
-        return 0
-    return a.take_columns(list(cols)).rank()
+    return _rank_of(a.p, (a.column(c) for c in cols), a.rows)
 
 
 def column_matroid(a: GfMatrix) -> Matroid:
     """The matroid of linear dependence on the columns of ``a``.
 
-    Circuits are the supports of support-minimal nonzero kernel vectors,
-    found as the minimal dependent column sets.
+    A fundamental-circuit search over the independent sets I, depth-first
+    in lexicographic order.  Each later column outside the span of I is
+    carried as its residue against an echelon basis of I, so the step to
+    I + e reduces each later residue by e's row alone.  A residue carries
+    its combination of columns: when f's residue vanishes, that is the
+    unique dependence on I + f, and I + f is a circuit iff every
+    coefficient on I is nonzero.  A circuit C is found once, at
+    I = C - max(C).  A column in the span of I leaves I's subtree, as it
+    makes no circuit with an independent proper superset of I.
     """
     if a.cols > 64:
         raise ValueError("column matroid supports at most 64 columns")
-    fam = circuits_from_rank_oracle(
-        lambda m: columns_rank(a, elements_of(m)), a.cols, min(a.cols, a.rank() + 1)
-    )
-    return Matroid(a.cols, fam, validate=False)
+    p, rows, n = a.p, a.rows, a.cols
+    fam: list[Mask] = []
+
+    def extend(indep: Mask, members: list[int], step: list[Row], later: list[tuple[int, Sequence[int]]]) -> None:
+        # later: the columns past max(I), each with its residue against
+        # I - max(I); step: the echelon row of max(I) (none at the root)
+        depth = len(step)
+        grown: list[tuple[int, Row]] = []
+        for f, v in later:
+            residue = _reduce_into(p, step, v, rows)
+            if len(step) > depth:
+                grown.append((f, step.pop()))
+            elif all(residue[rows + i] for i in members):
+                fam.append(indep | 1 << f)
+        for k, (e, row) in enumerate(grown):
+            extend(indep | 1 << e, members + [e], [row], [(f, v) for f, (_, v) in grown[k + 1:]])
+
+    # column e followed by the unit vector e, its combination of columns
+    extend(0, [], [], [(e, a.column(e) + tuple(int(i == e) for i in range(n))) for e in range(n)])
+    return Matroid(n, fam, validate=False)
 
 
 class LinearMatroid(RankMatroid):
@@ -181,21 +242,29 @@ class LinearMatroid(RankMatroid):
 
     Used as the overlay N in witness constructions, where the ground set (the
     circuit list of M) can be large but only ranks and closures of index sets
-    are ever needed.  The rank memo is capped like ``Matroid``'s.
+    are ever needed.  The matrix is row-reduced once to r(N) rows, which
+    keeps every column dependence; a rank query inserts the mask's columns
+    into a fresh echelon basis and stops when it holds r(N) of them.  The
+    rank memo is capped like ``Matroid``'s.
     """
 
-    __slots__ = ("matrix",)
+    __slots__ = ("matrix", "_columns")
 
     def __init__(self, matrix: GfMatrix) -> None:
         self.matrix = matrix
         self.n = matrix.cols
+        row_basis: list[Row] = []
+        for row in matrix.data:
+            _reduce_into(matrix.p, row_basis, row, matrix.cols)
+        self._columns = [tuple(row[j] for _, row in row_basis) for j in range(matrix.cols)]
         self._rank_cache: dict[Mask, int] = {0: 0}
-        self._full_rank: Optional[int] = None
+        self._full_rank: Optional[int] = len(row_basis)
 
     def rank(self, mask: Mask) -> int:
         got = self._rank_cache.get(mask)
         if got is None:
-            got = columns_rank(self.matrix, elements_of(mask))
+            columns = self._columns
+            got = _rank_of(self.matrix.p, (columns[e] for e in elements_of(mask)), self._full_rank)
             if len(self._rank_cache) < core.RANK_CACHE_LIMIT:
                 self._rank_cache[mask] = got
         return got
@@ -252,10 +321,12 @@ class LiftWitness:
 def maximal_independent_columns(a: GfMatrix, cols: Sequence[int]) -> tuple[list[int], list[int]]:
     """Split ``cols`` into a maximal independent prefix-greedy subset and the
     leftover dependent columns.  The explicit reduction for dependent X."""
+    basis: list[Row] = []
     indep: list[int] = []
     leftover: list[int] = []
     for c in cols:
-        if columns_rank(a, indep + [c]) == len(indep) + 1:
+        _reduce_into(a.p, basis, a.column(c), a.rows)
+        if len(basis) > len(indep):
             indep.append(c)
         else:
             leftover.append(c)

@@ -26,7 +26,7 @@ from matlift.gf import (
 )
 from matlift.lifts import build_lift, check_star_prime
 
-from zoo import circuits_bruteforce, random_gf_matrix
+from zoo import circuits_bruteforce, gf_circuits_from_kernel, gf_rank_bruteforce, random_gf_matrix
 
 
 class TestField:
@@ -116,7 +116,7 @@ class TestColumnMatroid:
         rng = random.Random(29)
         for _ in range(30):
             a = random_gf_matrix(rng)
-            want = canonical_circuits(circuits_bruteforce(LinearMatroid(a).rank, a.cols))
+            want = canonical_circuits(circuits_bruteforce(lambda m: gf_rank_bruteforce(a, elements_of(m)), a.cols))
             assert column_matroid(a).circuits == want
 
 
@@ -263,8 +263,116 @@ class TestLinearMatroidOverlay:
             oracle = LinearMatroid(a)
             for _ in range(2):
                 for mask in range(1 << a.cols):
-                    assert oracle.rank(mask) == columns_rank(a, elements_of(mask))
+                    assert oracle.rank(mask) == gf_rank_bruteforce(a, elements_of(mask))
             assert len(oracle._rank_cache) <= 5
+
+
+def _bruteforce_circuits(a: GfMatrix) -> tuple[int, ...]:
+    return canonical_circuits(circuits_bruteforce(lambda m: gf_rank_bruteforce(a, elements_of(m)), a.cols))
+
+
+def _assert_rank_paths_match(a: GfMatrix, masks) -> None:
+    """``LinearMatroid.rank``, ``columns_rank`` and the materialized column
+    matroid against a full re-elimination on each mask."""
+    oracle = LinearMatroid(a)
+    materialized = column_matroid(a)
+    assert oracle.full_rank == gf_rank_bruteforce(a, range(a.cols))
+    for mask in masks:
+        cols = elements_of(mask)
+        want = gf_rank_bruteforce(a, cols)
+        assert oracle.rank(mask) == want
+        assert columns_rank(a, cols) == want
+        assert materialized.rank(mask) == want
+
+
+def _greedy_bruteforce(a: GfMatrix, cols) -> tuple[list[int], list[int]]:
+    indep: list[int] = []
+    leftover: list[int] = []
+    for c in cols:
+        if gf_rank_bruteforce(a, indep + [c]) > len(indep):
+            indep.append(c)
+        else:
+            leftover.append(c)
+    return indep, leftover
+
+
+EDGE_MATRICES = {
+    "zero columns": GfMatrix(3, [[0, 1, 0, 2, 0, 1], [0, 2, 0, 1, 0, 1]]),
+    "all zero": GfMatrix(2, [[0, 0, 0], [0, 0, 0]]),
+    "parallel columns": GfMatrix(5, [[1, 2, 0, 3, 1, 4], [2, 4, 1, 1, 2, 3], [0, 0, 3, 2, 0, 0]]),
+    "rank deficient": GfMatrix(
+        7, [[1, 2, 0, 3, 5, 1, 0], [0, 1, 4, 6, 2, 2, 3], [1, 3, 4, 2, 0, 3, 3], [2, 4, 0, 6, 3, 2, 0]]
+    ),
+    "one row": GfMatrix(3, [[1, 2, 0, 1, 1, 2, 0]]),
+    "more rows than columns": GfMatrix(2, [[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 0], [1, 1, 0, 0]]),
+    "gf251 dependences": GfMatrix(
+        251, [[1, 250, 3, 4, 0, 5, 1], [2, 249, 7, 9, 0, 10, 0], [0, 0, 1, 1, 0, 0, 2]]
+    ),
+}
+
+
+class TestEchelonAgainstReElimination:
+    """The echelon rank paths and the circuit search against full
+    re-elimination (``zoo.gf_rank_bruteforce``) and kernel supports."""
+
+    @pytest.mark.parametrize("name", sorted(EDGE_MATRICES))
+    def test_edge_cases(self, name):
+        a = EDGE_MATRICES[name]
+        assert column_matroid(a).circuits == _bruteforce_circuits(a)
+        _assert_rank_paths_match(a, range(1 << a.cols))
+        cols = list(range(a.cols))
+        assert maximal_independent_columns(a, cols) == _greedy_bruteforce(a, cols)
+        assert maximal_independent_columns(a, cols[::-1]) == _greedy_bruteforce(a, cols[::-1])
+
+    def test_edge_case_shapes(self):
+        zero = EDGE_MATRICES["zero columns"]
+        assert column_matroid(zero).loops() == 0b10101
+        parallel = column_matroid(EDGE_MATRICES["parallel columns"])
+        assert parallel.is_circuit(0b1 | 0b10) and parallel.is_circuit(0b1 | 1 << 4)
+        assert LinearMatroid(EDGE_MATRICES["rank deficient"]).full_rank == 2
+        assert column_matroid(EDGE_MATRICES["all zero"]).circuits == (0b1, 0b10, 0b100)
+        assert LinearMatroid(EDGE_MATRICES["more rows than columns"]).full_rank == 2
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 251])
+    def test_primes(self, p):
+        rng = random.Random(p)
+        for _ in range(8):
+            a = random_gf_matrix(rng, p=p, max_rows=4, max_cols=8)
+            # a repeated and a summed column give dependences at every p
+            rows = [list(row) + [row[0], (row[0] + row[1]) % p] for row in a.data]
+            a = GfMatrix(p, rows)
+            assert column_matroid(a).circuits == _bruteforce_circuits(a)
+            _assert_rank_paths_match(a, range(1 << a.cols))
+
+    @pytest.mark.parametrize("p, rows, cols", [(3, 7, 15), (2, 7, 16)])
+    def test_bench_shapes(self, p, rows, cols):
+        rng = random.Random(rows * cols + p)
+        for _ in range(2):
+            a = GfMatrix(p, [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)])
+            m = column_matroid(a)
+            assert m.circuits == canonical_circuits(gf_circuits_from_kernel(a))
+            for c in m.circuits:
+                assert gf_rank_bruteforce(a, elements_of(c)) == c.bit_count() - 1
+                assert gf_rank_bruteforce(a, elements_of(c)[:-1]) == c.bit_count() - 1
+            _assert_rank_paths_match(a, [rng.getrandbits(cols) for _ in range(150)])
+
+    def test_wide_low_rank(self):
+        rng = random.Random(40)
+        p = 5
+        gens = [[rng.randrange(p) for _ in range(40)] for _ in range(2)]
+        rows = []
+        for _ in range(7):
+            x, y = rng.randrange(p), rng.randrange(p)
+            rows.append([(x * u + y * v) % p for u, v in zip(gens[0], gens[1])])
+        a = GfMatrix(p, rows)
+        oracle = LinearMatroid(a)
+        assert oracle.full_rank == 2 == gf_rank_bruteforce(a, range(40))
+        for _ in range(300):
+            mask = rng.getrandbits(40) & rng.getrandbits(40) & rng.getrandbits(40)
+            cols = elements_of(mask)
+            want = gf_rank_bruteforce(a, cols)
+            assert oracle.rank(mask) == want
+            assert columns_rank(a, cols) == want
 
 
 def _random_witness_instance(rng: random.Random):

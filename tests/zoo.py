@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from matlift.core import (
@@ -79,6 +79,30 @@ def circuits_bruteforce(rank_fn: Callable[[Mask], int], n: int) -> list[Mask]:
         if all(rank_fn(mask & ~(1 << e)) == k - 1 for e in range(n) if mask >> e & 1):
             out.append(mask)
     return out
+
+
+def gf_rank_bruteforce(a: GfMatrix, cols: Sequence[int]) -> int:
+    """Rank of the chosen columns of ``a`` by a full Gauss-Jordan pass over
+    a fresh copy of them, sharing no echelon state with the library's rank
+    paths."""
+    return a.take_columns(list(cols)).rank() if cols else 0
+
+
+def gf_circuits_from_kernel(a: GfMatrix) -> list[Mask]:
+    """The circuits of the column matroid of ``a`` as the minimal nonempty
+    supports of its kernel vectors, every vector of the kernel listed from
+    a basis (p ** nullity of them)."""
+    basis = a.kernel_basis()
+    supports = set()
+    for coeffs in product(range(a.p), repeat=len(basis)):
+        v = [sum(c * b[j] for c, b in zip(coeffs, basis)) % a.p for j in range(a.cols)]
+        supports.add(mask_of(j for j, x in enumerate(v) if x))
+    supports.discard(0)
+    minimal: list[Mask] = []
+    for s in sorted(supports, key=lambda m: (m.bit_count(), m)):
+        if not any(c & ~s == 0 for c in minimal):
+            minimal.append(s)
+    return minimal
 
 
 def validate_circuits_bruteforce(
