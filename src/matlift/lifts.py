@@ -142,16 +142,11 @@ def elementary_lift(m: Matroid, members: Iterable[int]) -> Matroid:
     s = frozenset(members)
     if not is_linear_class(m, s):
         raise ValueError("circuit set is not a linear class")
-    in_class = [i in s for i in range(len(m.circuits))]
+    class_mask = mask_of(s)
 
     def lifted_rank(mask: Mask) -> int:
-        idxs = m.circuit_indices_within(mask)
-        while idxs:
-            low = idxs & -idxs
-            idxs ^= low
-            if not in_class[low.bit_length() - 1]:
-                return m.rank(mask) + 1
-        return m.rank(mask)
+        inside = m.circuit_indices_within(mask)
+        return m._rank_inside(mask, inside) + (1 if inside & ~class_mask else 0)
 
     top = m.full_rank + (0 if len(s) == len(m.circuits) else 1)
     fam = circuits_from_rank_oracle(lifted_rank, m.n, min(m.n, top + 1))
@@ -159,8 +154,10 @@ def elementary_lift(m: Matroid, members: Iterable[int]) -> Matroid:
 
 
 def lift_rank(spec: LiftSpec, mask: Mask) -> int:
-    """The lift rank formula r(X) = r_M(X) + r_N({circuits of M|X})."""
-    return spec.base.rank(mask) + spec.overlay.rank(spec.base.circuit_indices_within(mask))
+    """The lift rank formula r(X) = r_M(X) + r_N({circuits of M|X}), with
+    both terms read from one query of M's circuit index."""
+    inside = spec.base.circuit_indices_within(mask)
+    return spec.base._rank_inside(mask, inside) + spec.overlay.rank(inside)
 
 
 def check_star_prime(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:

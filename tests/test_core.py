@@ -4,6 +4,7 @@ isomorphism, sparse paving, relaxation, hyperplane construction."""
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -15,6 +16,8 @@ from matlift.core import (
     CircuitAxiomError,
     Matroid,
     SparsePaving,
+    ValidationReport,
+    _index_pairs,
     canonical_circuits,
     circuits_from_rank_oracle,
     elements_of,
@@ -30,7 +33,10 @@ from matlift.core import (
     validate_circuits,
     validate_hyperplanes,
 )
+from matlift.gain import full_gain_graph, graphic_matroid
+from matlift.groups import builtin_group
 from matlift.krt import KrtSpec, build_krt
+from matlift.lifts import rank_one_overlay
 
 from zoo import (
     circuits_bruteforce,
@@ -42,6 +48,7 @@ from zoo import (
     rank_bruteforce,
     sparse_paving_from,
     validate_circuits_bruteforce,
+    validate_circuits_pairwise,
     validate_hyperplanes_bruteforce,
     zoo,
 )
@@ -502,6 +509,104 @@ class TestCircuitIndexAgainstBruteForce:
         verdicts = [is_sparse_paving(m) for m in matroids]
         assert verdicts == [is_sparse_paving_bruteforce(m) for m in matroids]
         assert any(verdicts) and not all(verdicts)
+
+
+@lru_cache(maxsize=1)
+def _bench_families() -> tuple[tuple[str, Matroid], ...]:
+    """The families the benchmark's ``construct`` jobs validate, at their
+    sizes: 870, 459, 596 and 438 circuits."""
+    kept = dict(zoo())
+    return (
+        ("K(5,5)", kept["K(5,5)"]),
+        ("K(7,5)", kept["K(7,5)"]),
+        ("M(K_3^{Z2^3})", graphic_matroid(full_gain_graph(builtin_group("z2^3"), 3))),
+        ("rank-1 overlay", rank_one_overlay(33, (4, 17, 29))),
+    )
+
+
+class TestUnionPassAtBenchSizes:
+    """``validate_circuits`` (one ``within`` query per distinct union of a
+    row) against the pair-by-pair pass of ``tests/zoo.py``, whole report
+    for whole report, full and sampled."""
+
+    def test_reports_match_pairwise_on_families_and_corruptions(self):
+        rng = random.Random(89)
+        kinds = set()
+        for name, m in _bench_families():
+            for fam in [list(m.circuits)] + _corruptions(rng, m):
+                got = validate_circuits(fam, m.n)
+                assert got == validate_circuits_pairwise(fam, m.n), name
+                kinds.add(got.kind)
+                for seed in (3, 4):
+                    got = validate_circuits(fam, m.n, max_pairs=2000, seed=seed)
+                    assert got == validate_circuits_pairwise(fam, m.n, max_pairs=2000, seed=seed), name
+                    assert got.sampled
+        assert {"ok", "antichain", "elimination"} <= kinds
+
+    def test_union_equal_to_a_third_member(self):
+        for name, m in _bench_families():
+            c1, c2 = next((a, b) for a, b in combinations(m.circuits, 2) if a & b)
+            fam = list(m.circuits) + [c1 | c2]
+            got = validate_circuits(fam, m.n)
+            assert got == validate_circuits_pairwise(fam, m.n), name
+            assert got.kind == "antichain" and got.witness[1] == c1 | c2, name
+            got = validate_circuits(fam, m.n, max_pairs=2000, seed=7)
+            assert got == validate_circuits_pairwise(fam, m.n, max_pairs=2000, seed=7), name
+
+    @pytest.mark.parametrize("name, drop", [("K(5,5)", 1), ("K(7,5)", 1), ("M(K_3^{Z2^3})", 84)])
+    def test_row_with_antichain_pair_before_elimination_pair(self, name, drop):
+        m = dict(_bench_families())[name]
+        fam = list(m.circuits)
+        del fam[drop]
+        elim = validate_circuits(fam, m.n)
+        assert elim == validate_circuits_pairwise(fam, m.n) and elim.kind == "elimination"
+        ck, cj = elim.witness[:2]
+        # A superset of C_k sorting before C_j puts an antichain pair
+        # earlier in the same row.
+        s = next(
+            ck | 1 << x
+            for x in range(m.n)
+            if not ck >> x & 1 and (ck.bit_count() + 1, ck | 1 << x) < (cj.bit_count(), cj)
+        )
+        got = validate_circuits(fam + [s], m.n)
+        assert got == validate_circuits_pairwise(fam + [s], m.n)
+        assert got == ValidationReport(False, "antichain", (ck, s))
+
+    def test_sampled_run_reports_first_violation_in_sample_order(self):
+        m = dict(zoo())["K(7,5)"]
+        fam = list(m.circuits)
+        del fam[5]
+        first = validate_circuits(fam, m.n)
+        got = validate_circuits(fam, m.n, max_pairs=2000, seed=8)
+        assert got == validate_circuits_pairwise(fam, m.n, max_pairs=2000, seed=8)
+        # The sample holds the first failing pair in index order, but a pair
+        # drawn before it fails too.
+        order = canonical_circuits(fam)
+        pairs = list(_index_pairs(len(order), 2000, 8)[0])
+        assert (order.index(first.witness[0]), order.index(first.witness[1])) in pairs
+        assert not got.ok and got.witness[:2] != first.witness[:2]
+
+    def test_within_queries_once_per_distinct_union(self, monkeypatch):
+        calls = 0
+        within = core._CircuitIndex.within
+
+        def counted(self, mask):
+            nonlocal calls
+            calls += 1
+            return within(self, mask)
+
+        monkeypatch.setattr(core._CircuitIndex, "within", counted)
+        m = dict(zoo())["K(5,5)"]
+        assert validate_circuits(m.circuits, m.n).ok
+        assert 0 < calls <= 46_000  # 377,557 pairs of meeting circuits
+        # The first violation lies in row 370 of 869; only that row is
+        # walked pair by pair.
+        fam = list(m.circuits)
+        del fam[842]
+        calls = 0
+        report = validate_circuits(fam, m.n)
+        assert report.kind == "elimination" and canonical_circuits(fam).index(report.witness[0]) == 370
+        assert calls <= 46_000
 
 
 class TestSparsePavingConstruction:

@@ -15,6 +15,7 @@ from matlift.core import (
     Matroid,
     ValidationReport,
     _check_members,
+    _CircuitIndex,
     _index_pairs,
     _relabel_map,
     canonical_circuits,
@@ -142,6 +143,42 @@ def validate_circuits_bruteforce(
         if remaining:
             e = (remaining & -remaining).bit_length() - 1
             return ValidationReport(False, "elimination", (ci, cj, e), sampled)
+    return ValidationReport(True, "ok", (), sampled)
+
+
+def validate_circuits_pairwise(
+    circuits: Sequence[Mask],
+    n: int,
+    *,
+    max_pairs: Optional[int] = None,
+    seed: int = 0,
+) -> ValidationReport:
+    """The circuit axioms pair by pair over the bit-parallel circuit index:
+    one ``within`` query for the union of each pair of meeting circuits, in
+    ``_index_pairs`` order."""
+    bad = _check_members(circuits, n)
+    if bad is not None:
+        return bad
+    fam = canonical_circuits(circuits)
+    index = _CircuitIndex(fam, n)
+    avoid = index.avoid
+    pair_iter, sampled = _index_pairs(len(fam), max_pairs, seed)
+    for i, j in pair_iter:
+        ci, cj = fam[i], fam[j]
+        # Canonical order makes ci the smaller set, so one test covers
+        # both containment directions.
+        if ci & ~cj == 0:
+            return ValidationReport(False, "antichain", (ci, cj), sampled)
+        inter = ci & cj
+        if inter == 0:
+            continue
+        inside = index.within(ci | cj)
+        while inter:
+            low = inter & -inter
+            inter ^= low
+            e = low.bit_length() - 1
+            if not inside & avoid[e]:
+                return ValidationReport(False, "elimination", (ci, cj, e), sampled)
     return ValidationReport(True, "ok", (), sampled)
 
 
