@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations, islice, repeat
+from itertools import combinations, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 Mask = int
@@ -160,13 +160,15 @@ class _CircuitIndex:
 
     ``avoid[x]`` has bit k set when circuit k misses element x, and
     ``upto[s]`` has the bits of the circuits with at most s elements (a
-    prefix, since canonical order sorts by size).
+    prefix, since canonical order sorts by size); ``members`` is the family
+    as a set.
     """
 
-    __slots__ = ("avoid", "upto", "full")
+    __slots__ = ("avoid", "upto", "full", "members")
 
     def __init__(self, fam: Sequence[Mask], n: int) -> None:
         self.avoid = _avoid_rows(fam, n)
+        self.members = frozenset(fam)
         sizes = [c.bit_count() for c in fam]
         self.upto = [(1 << bisect_right(sizes, s)) - 1 for s in range(n + 1)]
         self.full = (1 << n) - 1
@@ -182,10 +184,11 @@ class _CircuitIndex:
             bits &= avoid[low.bit_length() - 1]
         return bits
 
-    def _flags(self, pivot: Mask, unions: Iterable[Mask], members: frozenset) -> bool:
+    def _flags(self, pivot: Mask, unions: Iterable[Mask]) -> bool:
         """True when some union U (each containing ``pivot``) is a member,
         or some element of ``pivot`` lies in every member inside U."""
         within = self.within
+        members = self.members
         rows = [self.avoid[e] for e in elements_of(pivot)]
         for u in unions:
             if u in members:
@@ -225,33 +228,21 @@ class _CircuitIndex:
         elements, and flags the row when some U fails or is itself a member
         (one member inside another).  A row with a failing pair is always
         flagged, and the first flagged row always holds one, so only that
-        row is walked pair by pair.  A sample is cut, in sample order, into
-        blocks of ``len(order)`` pairs, each flagged as one group and walked
-        in sample order.  The cost is one cheap set operation per pair plus
-        one ``within`` query per distinct union of a row or block, with
-        memory linear in the family.
+        row is walked pair by pair.  The cost is one set operation per pair
+        plus one ``within`` query per distinct union of a row, with memory
+        linear in the family.  A sample is walked pair by pair in sample
+        order, one ``within`` query per meeting pair.
         """
-        members = frozenset(order)
         pairs, sampled = _index_pairs(len(order), max_pairs, seed)
-        groups: Iterable[Iterable[tuple[int, int]]]
-        if sampled:
-
-            def flagged(block: list[tuple[int, int]]) -> bool:
-                unions: dict[int, set[Mask]] = {}
-                for i, j in block:
-                    if order[i] & order[j]:
-                        unions.setdefault(i, set()).add(order[i] | order[j])
-                return any(self._flags(order[i], us, members) for i, us in unions.items())
-
-            pairs = iter(pairs)
-            blocks = iter(lambda: list(islice(pairs, len(order))), [])
-            groups = filter(flagged, blocks)
-        else:
-            groups = (
+        groups: Iterable[Iterable[tuple[int, int]]] = (
+            (pairs,)
+            if sampled
+            else (
                 ((i, j) for j in range(i + 1, len(order)))
                 for i, c in enumerate(order)
-                if self._flags(c, {c | d for d in order[i + 1 :] if c & d}, members)
+                if self._flags(c, {c | d for d in order[i + 1 :] if c & d})
             )
+        )
         for group in groups:
             for i, j in group:
                 found = self._pair_violation(order[i], order[j])
@@ -277,8 +268,9 @@ def validate_circuits(
     names the first failing pair in canonical pair order.
 
     When ``max_pairs`` is given and the family has more pairs than that,
-    a deterministic random sample of pairs is checked instead, the report
-    names the first failing pair in sample order and is flagged ``sampled``.
+    a deterministic random sample of pairs is checked instead, pair by pair
+    with one index query per meeting pair; the report names the first
+    failing pair in sample order and is flagged ``sampled``.
     """
     bad = _check_members(circuits, n)
     if bad is not None:
@@ -343,7 +335,7 @@ class Matroid(RankMatroid):
     not cached.  Query masks must lie inside the ground set.
     """
 
-    __slots__ = ("circuits", "_circuit_set", "_index")
+    __slots__ = ("circuits", "_index")
 
     def __init__(
         self,
@@ -366,7 +358,6 @@ class Matroid(RankMatroid):
                 raise CircuitAxiomError(report)
         self.n = n
         self.circuits = fam
-        self._circuit_set = frozenset(fam)
         self._index = index
         self._rank_cache: dict[Mask, int] = {0: 0}
         self._full_rank: Optional[int] = None
@@ -383,7 +374,7 @@ class Matroid(RankMatroid):
         return f"Matroid(n={self.n}, circuits={len(self.circuits)}, rank={self.full_rank})"
 
     def is_circuit(self, mask: Mask) -> bool:
-        return mask in self._circuit_set
+        return mask in self._index.members
 
     def contains_circuit(self, mask: Mask) -> bool:
         """True iff some circuit is a subset of ``mask``."""
@@ -401,9 +392,14 @@ class Matroid(RankMatroid):
             self._rank_cache[mask] = r
         return r
 
+    def rank_and_circuits(self, mask: Mask) -> tuple[int, Mask]:
+        """r(mask) and ``circuit_indices_within(mask)`` from one index query,
+        for callers that need both; the rank memo is neither read nor filled."""
+        inside = self._index.within(mask)
+        return self._rank_inside(mask, inside), inside
+
     def _rank_inside(self, mask: Mask, alive: Mask) -> int:
-        """r(mask) from ``alive = circuit_indices_within(mask)``, without the
-        memo, for callers that need both."""
+        """r(mask) from ``alive = circuit_indices_within(mask)``."""
         avoid = self._index.avoid
         r = mask.bit_count()
         while alive:

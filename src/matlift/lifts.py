@@ -145,8 +145,8 @@ def elementary_lift(m: Matroid, members: Iterable[int]) -> Matroid:
     class_mask = mask_of(s)
 
     def lifted_rank(mask: Mask) -> int:
-        inside = m.circuit_indices_within(mask)
-        return m._rank_inside(mask, inside) + (1 if inside & ~class_mask else 0)
+        r, inside = m.rank_and_circuits(mask)
+        return r + (1 if inside & ~class_mask else 0)
 
     top = m.full_rank + (0 if len(s) == len(m.circuits) else 1)
     fam = circuits_from_rank_oracle(lifted_rank, m.n, min(m.n, top + 1))
@@ -156,8 +156,8 @@ def elementary_lift(m: Matroid, members: Iterable[int]) -> Matroid:
 def lift_rank(spec: LiftSpec, mask: Mask) -> int:
     """The lift rank formula r(X) = r_M(X) + r_N({circuits of M|X}), with
     both terms read from one query of M's circuit index."""
-    inside = spec.base.circuit_indices_within(mask)
-    return spec.base._rank_inside(mask, inside) + spec.overlay.rank(inside)
+    r, inside = spec.base.rank_and_circuits(mask)
+    return r + spec.overlay.rank(inside)
 
 
 def check_star_prime(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:

@@ -121,6 +121,15 @@ class TestRank:
         mask = mask_of([0, 1, 6, 7])
         assert m.rank(mask) == m.rank(mask)
 
+    def test_rank_and_circuits_from_one_query(self):
+        m = k43()
+        for mask in range(1 << m.n):
+            assert m.rank_and_circuits(mask) == (m.rank(mask), m.circuit_indices_within(mask))
+        # it leaves the memo alone, so a cold matroid stays cold
+        cold = k43()
+        cold.rank_and_circuits(cold.full_mask)
+        assert cold._rank_cache == {0: 0}
+
 
 class TestClosure:
     def test_rank1_closure(self):
