@@ -1,11 +1,17 @@
 """Command-line surface with JSON certificate emission.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed (the report
-carries its witness), 2 usage or parse error, 3 inconclusive (a search ran
-out of its budget, and the report says which) or an internal invariant
-failed (reported on stderr as ``internal error``).  Reports are deterministic;
+carries its witness, or a ``core.CheckFailedError`` subclass is reported on
+stderr as ``check failed``), 2 usage or parse error (any other
+``ValueError`` or an ``OSError``), 3 inconclusive (a search ran out of its
+budget, and the report says which) or an internal invariant failed
+(reported on stderr as ``internal error``).  Reports are deterministic;
 wall time lives in its own key so the rest of a report is byte-stable
 across runs.
+
+This module imports only the standard library and ``matlift.core``; each
+command handler imports the layers it runs, so a job loads no module it
+never calls.
 """
 
 from __future__ import annotations
@@ -15,49 +21,21 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from matlift.core import (
-    CircuitAxiomError,
     DEFAULT_NODE_BUDGET,
-    HyperplaneAxiomError,
+    CheckFailedError,
     Matroid,
     SearchBudgetExceeded,
     find_isomorphism,
-    is_quotient,
     mask_of,
     one_based,
     validate_circuits,
 )
-from matlift.gain import NoPartitionError, full_gain_graph, rank2_lift_k3
-from matlift.gf import DependentColumnsError, WitnessProblem, lift_witness, verify_witness
-from matlift.groups import FinGroup, GroupAxiomError, builtin_group, group_partitions
-from matlift.io import (
-    ParseError,
-    emit_matroid_text,
-    parse_group,
-    parse_lift,
-    parse_matrix,
-    parse_matroid,
-    write_matroid,
-)
-from matlift.krt import (
-    KrtSpec,
-    build_krt,
-    ingleton_inequality,
-    is_ingleton_sparse_paving,
-    obstruction_report,
-    scan_vamos_like_minors,
-)
-from matlift.lifts import (
-    LiftConditionError,
-    build_lift,
-    check_star,
-    check_star_prime,
-    elementary_lift,
-    evaluate_lift_formula,
-    is_linear_class,
-)
+
+if TYPE_CHECKING:
+    from matlift.groups import FinGroup
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -119,7 +97,9 @@ def _parse_element_set(text: str, n: int) -> int:
 
 def _load_group(spec: str) -> FinGroup:
     if spec.startswith("builtin:"):
+        from matlift.groups import builtin_group
         return builtin_group(spec.split(":", 1)[1])
+    from matlift.io import parse_group
     return parse_group(spec)
 
 
@@ -143,6 +123,7 @@ def _class_indices(value: str, m: Matroid) -> frozenset[int]:
 
 
 def cmd_check(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
+    from matlift.io import parse_matroid
     rep = Report(argv, {"matroid": args.matroid})
     m = parse_matroid(args.matroid, validate=False)
     result = validate_circuits(m.circuits, m.n)
@@ -159,6 +140,7 @@ def cmd_check(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]
 
 
 def cmd_rank(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
+    from matlift.io import parse_matroid
     m = parse_matroid(args.matroid)
     mask = _parse_element_set(args.set, m.n)
     rep = Report(argv, {"matroid": args.matroid, "set": one_based(mask)})
@@ -171,6 +153,8 @@ def cmd_rank(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
 
 
 def cmd_lift_elementary(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
+    from matlift.io import emit_matroid_text, parse_matroid
+    from matlift.lifts import elementary_lift, is_linear_class
     m = parse_matroid(args.matroid)
     members = _class_indices(args.linear_class, m)
     rep = Report(
@@ -197,6 +181,8 @@ def cmd_lift_elementary(args: argparse.Namespace, argv: Sequence[str]) -> tuple[
 
 
 def cmd_lift_general(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
+    from matlift.io import emit_matroid_text, parse_lift, write_matroid
+    from matlift.lifts import build_lift, check_star, check_star_prime, evaluate_lift_formula
     spec = parse_lift(args.spec)
     rep = Report(argv, {"spec": args.spec})
     ok_prime, witness_prime = check_star_prime(spec)
@@ -240,6 +226,8 @@ def cmd_lift_general(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int
 
 
 def cmd_rep_witness(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
+    from matlift.gf import WitnessProblem, lift_witness, verify_witness
+    from matlift.io import parse_matrix
     a = parse_matrix(args.matrix)
     cols = []
     if args.x:
@@ -264,6 +252,7 @@ def cmd_rep_witness(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int,
 
 
 def cmd_krt_build(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
+    from matlift.krt import KrtSpec, build_krt
     spec = KrtSpec(args.r, args.t)
     m = build_krt(spec)
     rep = Report(argv, {"r": args.r, "t": args.t})
@@ -277,11 +266,13 @@ def cmd_krt_build(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, d
     for ch in chs:
         print(" ".join(str(e) for e in ch))
     if args.out:
+        from matlift.io import write_matroid
         write_matroid(m.to_matroid(), args.out)
     return EXIT_OK if rep.all_pass else EXIT_CHECK_FAILED, rep.as_dict()
 
 
 def cmd_krt_certify(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
+    from matlift.krt import KrtSpec, build_krt, is_ingleton_sparse_paving, obstruction_report, scan_vamos_like_minors
     spec = KrtSpec(args.r, args.t)
     m = build_krt(spec)
     facts = obstruction_report(spec, m)
@@ -325,6 +316,7 @@ def cmd_krt_certify(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int,
 
 
 def cmd_krt_ingleton(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
+    from matlift.krt import KrtSpec, build_krt, ingleton_inequality, is_ingleton_sparse_paving
     spec = KrtSpec(args.r, args.t)
     m = build_krt(spec)
     rep = Report(argv, {"r": args.r, "t": args.t})
@@ -345,6 +337,7 @@ def cmd_krt_ingleton(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int
 
 
 def cmd_krt_vamos_scan(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
+    from matlift.krt import KrtSpec, build_krt, scan_vamos_like_minors
     spec = KrtSpec(args.r, args.t)
     m = build_krt(spec)
     rep = Report(argv, {"r": args.r, "t": args.t})
@@ -361,6 +354,7 @@ def cmd_krt_vamos_scan(args: argparse.Namespace, argv: Sequence[str]) -> tuple[i
 
 
 def cmd_gain_build(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
+    from matlift.gain import full_gain_graph
     group = _load_group(args.group)
     gg = full_gain_graph(group, args.n)
     rep = Report(argv, {"group": args.group, "n": args.n})
@@ -376,6 +370,7 @@ def cmd_gain_build(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, 
 
 
 def cmd_gain_partitions(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
+    from matlift.groups import group_partitions
     group = _load_group(args.group)
     rep = Report(argv, {"group": args.group})
     partitions = group_partitions(group)
@@ -391,6 +386,7 @@ def cmd_gain_partitions(args: argparse.Namespace, argv: Sequence[str]) -> tuple[
 
 
 def cmd_gain_lift3(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
+    from matlift.gain import NoPartitionError, rank2_lift_k3
     group = _load_group(args.group)
     rep = Report(argv, {"group": args.group})
     try:
@@ -417,11 +413,13 @@ def cmd_gain_lift3(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, 
     )
     print(rep.conclusion)
     if args.out:
+        from matlift.io import write_matroid
         write_matroid(result.matroid, args.out)
     return (EXIT_OK if rep.all_pass else EXIT_CHECK_FAILED), rep.as_dict()
 
 
 def cmd_iso(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
+    from matlift.io import parse_matroid
     m1 = parse_matroid(args.m1)
     m2 = parse_matroid(args.m2)
     rep = Report(argv, {"m1": args.m1, "m2": args.m2})
@@ -550,10 +548,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     t0 = time.perf_counter()
     try:
         code, report = args.handler(args, _strip_json_flag(argv))
-    except (ParseError, GroupAxiomError, CircuitAxiomError, HyperplaneAxiomError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DependentColumnsError, LiftConditionError) as exc:
+    except CheckFailedError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except (ValueError, OSError) as exc:

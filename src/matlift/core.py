@@ -44,6 +44,10 @@ class HyperplaneAxiomError(ValueError):
         self.report = report
 
 
+class CheckFailedError(ValueError):
+    """A mathematical check on valid input failed; the CLI exits 1 on it."""
+
+
 class SearchBudgetExceeded(RuntimeError):
     """An exhaustive search ran out of its node budget.
 

@@ -17,6 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from matlift import core
 from matlift.core import (
+    CheckFailedError,
     Mask,
     Matroid,
     RankMatroid,
@@ -28,7 +29,7 @@ from matlift.lifts import LiftSpec, check_star_prime, lift_rank
 MAX_PRIME = 251
 
 
-class DependentColumnsError(ValueError):
+class DependentColumnsError(CheckFailedError):
     """The designated column set X is dependent; carries the offending
     kernel combination instead of silently shrinking X."""
 

@@ -3,18 +3,22 @@
 All formats are line-oriented, 1-based, and emitted canonically (sorted
 families, LF endings) so files round-trip byte-stably.  ``#`` starts a
 comment anywhere; blank lines are ignored.  Parse errors carry the
-offending line number.
+offending line number.  Only ``core`` is imported at load time; each
+parser imports the layer whose type it builds, so parsing a .ckt loads no
+other layer.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from matlift.core import Matroid, mask_of, one_based
-from matlift.gf import GfMatrix
-from matlift.groups import FinGroup
-from matlift.lifts import LiftSpec
+
+if TYPE_CHECKING:
+    from matlift.gf import GfMatrix
+    from matlift.groups import FinGroup
+    from matlift.lifts import LiftSpec
 
 
 class ParseError(ValueError):
@@ -123,7 +127,7 @@ def parse_group_text(text: str, *, path: str = "<string>") -> FinGroup:
                 raise ParseError(path, lineno, f"unknown element name {tok!r}")
             row.append(index[tok])
         table.append(row)
-    from matlift.groups import GroupAxiomError
+    from matlift.groups import FinGroup, GroupAxiomError
 
     try:
         return FinGroup(table, names, name=Path(path).stem if path != "<string>" else "group")
@@ -173,6 +177,8 @@ def parse_matrix_text(text: str, *, path: str = "<string>") -> GfMatrix:
         if len(row) != cols:
             raise ParseError(path, lineno, f"row has {len(row)} entries, expected {cols}")
         data.append(row)
+    from matlift.gf import GfMatrix
+
     try:
         return GfMatrix(p_val, data)
     except ValueError as exc:
@@ -225,6 +231,8 @@ def parse_lift_text(text: str, *, path: str = "<string>") -> LiftSpec:
             section_line["overlay"],
             f"overlay ground set {overlay.n} != number of base circuits {len(base.circuits)}",
         )
+    from matlift.lifts import LiftSpec
+
     return LiftSpec(base, overlay)
 
 

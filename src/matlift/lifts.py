@@ -12,6 +12,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from matlift.core import (
+    CheckFailedError,
     Mask,
     Matroid,
     RankMatroid,
@@ -23,7 +24,7 @@ from matlift.core import (
 )
 
 
-class LiftConditionError(ValueError):
+class LiftConditionError(CheckFailedError):
     """The overlay fails the modular-pair closure condition (*')."""
 
     def __init__(self, witness: "StarWitness") -> None:

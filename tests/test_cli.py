@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
+import pytest
+
+import matlift
 from matlift.cli import main
 
 TESTDATA = Path(__file__).parent / "testdata"
@@ -241,7 +247,7 @@ class TestGain:
         def broken(group):
             raise AssertionError("hyperplane family is not a matroid")
 
-        monkeypatch.setattr("matlift.cli.rank2_lift_k3", broken)
+        monkeypatch.setattr("matlift.gain.rank2_lift_k3", broken)
         code = main(["gain", "lift3", "builtin:s3"])
         assert code == 3
         assert "internal error" in capsys.readouterr().err
@@ -327,6 +333,7 @@ class TestRepWitness:
         gfm.write_text("gf 2 2 3\n1 1 0\n0 0 1\n")
         code = main(["rep", "witness", str(gfm), "--x", "1,2"])
         assert code == 1
+        assert capsys.readouterr().err.startswith("check failed: columns [1, 2] are dependent")
 
 
 class TestIso:
@@ -354,3 +361,83 @@ class TestIso:
         (check,) = load_report(json_path)["checks"]
         assert check["name"] == "isomorphic" and check["pass"] is False
         assert check["witness"]["node_budget"] == 10**7
+
+
+class TestExitMap:
+    """Exit code and stderr prefix for each class of failure."""
+
+    def expect(self, argv, code, prefix, capsys):
+        assert main(argv) == code
+        assert capsys.readouterr().err.startswith(prefix)
+
+    def test_malformed_ckt(self, capsys, tmp_path):
+        bad = tmp_path / "bad.ckt"
+        bad.write_text("matroid 3 circuits\n1 x\n")
+        self.expect(["rank", str(bad), "1"], 2, "error:", capsys)
+
+    def test_bad_grp(self, capsys, tmp_path):
+        bad = tmp_path / "bad.grp"
+        bad.write_text("group 2\na b\na b\na b\n")  # not a Latin square
+        self.expect(["gain", "partitions", str(bad)], 2, "error:", capsys)
+
+    def test_ckt_axiom_violation(self, capsys, tmp_path):
+        bad = tmp_path / "bad.ckt"
+        bad.write_text("matroid 4 circuits\n1 2\n1 2 3\n")
+        for argv in (["rank", str(bad), "1"], ["iso", str(bad), str(bad)]):
+            self.expect(argv, 2, "error: invalid circuit family", capsys)
+
+    def test_assertion_is_internal_error(self, capsys, monkeypatch):
+        def broken(spec):
+            raise AssertionError("K(r,t) is not sparse paving")
+
+        monkeypatch.setattr("matlift.krt.build_krt", broken)
+        self.expect(["krt", "certify", "4", "3"], 3, "internal error", capsys)
+
+
+# Each command family and the exact set of matlift modules a job of it loads.
+LAYER_CASES = [
+    (["--help"], set()),
+    (["krt", "certify", "4", "3"], {"krt"}),
+    (["krt", "ingleton", "5", "4"], {"krt"}),
+    (["krt", "vamos-scan", "4", "3"], {"krt"}),
+    (["krt", "build", "4", "3"], {"krt"}),
+    (["krt", "build", "4", "3", "--out", "{tmp}/k43.ckt"], {"krt", "io"}),
+    (["check", "{v8}"], {"io"}),
+    (["rank", "{v8}", "1,2"], {"io"}),
+    (["iso", "{v8}", "{v8}"], {"io"}),
+    (["lift", "general", "{tmp}/s.lift"], {"io", "lifts"}),
+    (["lift", "elementary", "{v8}", "--class", "1"], {"io", "lifts"}),
+    (["rep", "witness", "{tmp}/u24.gfm", "--x", "1"], {"gf", "io", "lifts"}),
+    (["gain", "lift3", "builtin:s3"], {"gain", "groups", "lifts"}),
+    (["gain", "lift3", "builtin:s3", "--out", "{tmp}/s3.ckt"], {"gain", "groups", "io", "lifts"}),
+    (["gain", "build", "builtin:z2", "3"], {"gain", "groups", "lifts"}),
+    (["gain", "partitions", "builtin:s3"], {"groups"}),
+    (["gain", "partitions", "{tmp}/s3.grp"], {"groups", "io"}),
+]
+
+LOADED_MODULES = """
+import contextlib, io, json, sys
+from matlift import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("matlift"))]))
+"""
+
+
+@pytest.mark.parametrize("argv,layers", LAYER_CASES, ids=[" ".join(a) for a, _ in LAYER_CASES])
+def test_command_loads_only_its_layers(argv, layers, tmp_path):
+    from matlift.groups import builtin_group
+    from matlift.io import write_group
+
+    (tmp_path / "s.lift").write_text("base\nmatroid 3 circuits\n1 2\n1 3\n2 3\noverlay\nmatroid 3 circuits\n1 2 3\n")
+    (tmp_path / "u24.gfm").write_text("gf 3 2 4\n1 0 1 1\n0 1 1 2\n")
+    write_group(builtin_group("s3"), tmp_path / "s3.grp")
+    argv = [a.format(tmp=tmp_path, v8=TESTDATA / "v8.ckt") for a in argv]
+    src = str(Path(matlift.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    assert code in (0, 1)
+    assert set(loaded) == {"matlift", "matlift.cli", "matlift.core"} | {f"matlift.{m}" for m in layers}

@@ -1,0 +1,117 @@
+"""Fuzzing of the text parsers and of ``cli.main`` on fuzzed input files.
+
+Every parser either returns or raises a ``ValueError`` subclass, and the CLI
+ends every fuzzed job in a documented exit code (0-3) without a traceback.
+Inputs mix free token soup with near-valid files, so the fuzzing reaches past
+the headers into the axiom checks and the lift conditions.  Examples are
+derandomized and bounded to keep the suite fast.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from matlift.cli import main
+from matlift.io import parse_group_text, parse_lift_text, parse_matrix_text, parse_matroid_text
+
+FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None,
+                suppress_health_check=[HealthCheck.too_slow])
+CLI_FUZZ = settings(FUZZ, max_examples=40)
+
+_words = st.sampled_from(["matroid", "circuits", "group", "gf", "base", "overlay", "#", "a", "b", "e"])
+_token = st.one_of(_words, st.integers(-3, 70).map(str), st.text("0123456789 -#abx\t", max_size=5))
+_line = st.lists(_token, max_size=6).map(" ".join)
+soup = st.lists(_line, max_size=10).map("\n".join)
+
+
+@st.composite
+def ckt_text(draw, max_n: int = 7) -> str:
+    n = draw(st.integers(0, max_n))
+    rows = draw(st.lists(st.lists(st.integers(0, n + 1), max_size=n + 1), max_size=8))
+    return "\n".join([f"matroid {n} circuits"] + [" ".join(map(str, r)) for r in rows]) + "\n"
+
+
+@st.composite
+def grp_text(draw) -> str:
+    k = draw(st.integers(0, 4))
+    names = [f"g{i}" for i in range(k)]
+    pick = st.sampled_from(names + ["z"]) if k else st.just("z")
+    rows = draw(st.lists(st.lists(pick, min_size=k, max_size=k + 1), min_size=k, max_size=k + 1))
+    return "\n".join([f"group {k}", " ".join(names)] + [" ".join(r) for r in rows]) + "\n"
+
+
+@st.composite
+def gfm_text(draw) -> str:
+    p = draw(st.sampled_from([0, 1, 2, 3, 4, 5, 7, 257]))
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    entries = st.lists(st.integers(-2, 9), min_size=cols, max_size=cols + 1)
+    data = draw(st.lists(entries, min_size=rows, max_size=rows + 1))
+    return "\n".join([f"gf {p} {rows} {cols}"] + [" ".join(map(str, r)) for r in data]) + "\n"
+
+
+@st.composite
+def lift_text(draw) -> str:
+    base = draw(ckt_text(max_n=5))
+    overlay = draw(ckt_text(max_n=6))
+    return f"base\n{base}overlay\n{overlay}"
+
+
+def returns_or_value_error(parse, text: str) -> None:
+    try:
+        parse(text)
+    except ValueError:
+        pass
+
+
+@FUZZ
+@given(st.one_of(soup, ckt_text()))
+def test_parse_matroid_text(text):
+    returns_or_value_error(parse_matroid_text, text)
+
+
+@FUZZ
+@given(st.one_of(soup, grp_text()))
+def test_parse_group_text(text):
+    returns_or_value_error(parse_group_text, text)
+
+
+@FUZZ
+@given(st.one_of(soup, gfm_text()))
+def test_parse_matrix_text(text):
+    returns_or_value_error(parse_matrix_text, text)
+
+
+@FUZZ
+@given(st.one_of(soup, lift_text()))
+def test_parse_lift_text(text):
+    returns_or_value_error(parse_lift_text, text)
+
+
+def run_cli(argv_of, text: str) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        for argv in argv_of(str(path)):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err.getvalue()
+
+
+@CLI_FUZZ
+@given(st.one_of(soup, ckt_text()))
+def test_cli_on_fuzzed_ckt(text):
+    run_cli(lambda f: [["check", f], ["rank", f, "1"], ["iso", f, f]], text)
+
+
+@CLI_FUZZ
+@given(st.one_of(soup, lift_text()))
+def test_cli_on_fuzzed_lift(text):
+    run_cli(lambda f: [["lift", "general", f, "--check-star"], ["lift", "general", f, "--force"]], text)

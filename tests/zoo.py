@@ -356,6 +356,13 @@ def random_gf_matrix(rng: random.Random, p: int | None = None, max_rows: int = 4
     return GfMatrix(p, data)
 
 
+def relabel(m: Matroid, rng: random.Random) -> Matroid:
+    """``m`` with its elements permuted by ``rng``."""
+    perm = list(range(m.n))
+    rng.shuffle(perm)
+    return Matroid(m.n, [mask_of(perm[e] for e in elements_of(c)) for c in m.circuits])
+
+
 def sparse_paving_from(n: int, r: int, chs: list[Mask], *, validate: bool = True) -> Matroid:
     """The sparse paving matroid with the given circuit-hyperplanes (pairwise
     meeting in at most r-2 elements): they and every (r+1)-set containing
