@@ -1,13 +1,21 @@
 """Command-line surface with JSON certificate emission.
 
-Exit codes: 0 all checks pass, 1 a mathematical check failed (the report
-carries its witness, or a ``core.CheckFailedError`` subclass is reported on
-stderr as ``check failed``), 2 usage or parse error (any other
-``ValueError`` or an ``OSError``), 3 inconclusive (a search ran out of its
-budget, and the report says which) or an internal invariant failed
-(reported on stderr as ``internal error``).  Reports are deterministic;
-wall time lives in its own key so the rest of a report is byte-stable
-across runs.
+``main`` is the one command runner.  It hands each handler a fresh report
+(a dict that starts with ``command``, the argv without ``--json``), times
+the call, maps an exception to its exit code and writes the report once.
+
+Exit codes: 0 every check in the report passes, 1 a check failed (the
+report carries its witness), 2 usage or parse error, 3 inconclusive (a
+search ran out of its budget, and the report says which).  A handler
+returns its own code only where the checks cannot express it: ``iso`` out
+of budget exits 3, and ``krt certify`` follows facts a-d.  An exception
+ends the run with exit 1 for a ``core.CheckFailedError`` (stderr ``check
+failed``), 2 for any other ``ValueError`` or an ``OSError`` (``error``)
+and 3 for a broken internal invariant (``internal error``); with
+``--json`` the report as filled so far is still written, with that stderr
+line under ``error``.  Argparse usage errors and ``--help`` write no
+report.  Reports are deterministic; wall time lives in its own key so the
+rest of a report is byte-stable across runs.
 
 This module imports only the standard library and ``matlift.core``; each
 command handler imports the layers it runs, so a job loads no module it
@@ -46,53 +54,36 @@ VAMOS_SCAN_CAP = 10  # certify runs the minor scan only up to this ground size
 KRT_OUT_CAP = 20  # krt build --out materializes circuit families up to this ground size
 
 
-class Report:
-    """Accumulates named checks and renders the JSON certificate."""
-
-    def __init__(self, command: Sequence[str], inputs: dict) -> None:
-        self.command = list(command)
-        self.inputs = inputs
-        self.checks: list[dict] = []
-        self.conclusion = ""
-        self.extra: dict = {}
+class Report(dict):
+    """The JSON certificate of one command run: ``command`` first, then
+    whatever the handler fills in.  ``check`` appends a named result to
+    ``checks``; the exit code follows from them unless the handler returns
+    its own."""
 
     def check(self, name: str, ok: bool, witness: object = None) -> bool:
         entry: dict = {"name": name, "pass": bool(ok)}
         if witness is not None:
             entry["witness"] = witness
-        self.checks.append(entry)
+        self.setdefault("checks", []).append(entry)
         return ok
 
-    @property
-    def all_pass(self) -> bool:
-        return all(c["pass"] for c in self.checks)
-
-    def as_dict(self) -> dict:
-        body = {
-            "command": self.command,
-            "inputs": self.inputs,
-            "checks": self.checks,
-            "conclusion": self.conclusion,
-        }
-        body.update(self.extra)
-        return body
+    def conclude(self, text: str) -> None:
+        """Set the conclusion and print it."""
+        self["conclusion"] = text
+        print(text)
 
 
-def _emit(report_dict: dict, json_path: Optional[str]) -> None:
-    if json_path:
-        Path(json_path).write_text(json.dumps(report_dict, indent=2, sort_keys=True) + "\n")
-
-
-def _parse_element_set(text: str, n: int) -> int:
+def _parse_indices(text: str, n: int, noun: str) -> list[int]:
+    """The 1-based indices listed in ``text``, in order, each in [1, n]."""
     toks = text.replace(",", " ").split()
     try:
-        elems = [int(t) for t in toks]
+        idxs = [int(t) for t in toks]
     except ValueError:
-        raise ValueError(f"bad element list {text!r}") from None
-    for e in elems:
-        if not 1 <= e <= n:
-            raise ValueError(f"element {e} outside [1, {n}]")
-    return mask_of(e - 1 for e in elems)
+        raise ValueError(f"bad {noun} list {text!r}") from None
+    for k in idxs:
+        if not 1 <= k <= n:
+            raise ValueError(f"{noun} {k} outside [1, {n}]")
+    return idxs
 
 
 def _load_group(spec: str) -> FinGroup:
@@ -117,328 +108,276 @@ def _class_indices(value: str, m: Matroid) -> frozenset[int]:
     return frozenset(idxs)
 
 
+def _lift_dict(m: Matroid) -> dict:
+    return {"rank": m.full_rank, "circuits": [one_based(c) for c in m.circuits]}
+
+
+def _write_matroid(m: Matroid, out: Optional[str]) -> None:
+    """Write ``m`` as .ckt text to the file ``out``, or to stdout."""
+    from matlift.io import emit_matroid_text
+    text = emit_matroid_text(m)
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _krt(args: argparse.Namespace):
+    """The spec and the sparse paving matroid of K(args.r, args.t)."""
+    from matlift.krt import KrtSpec, build_krt
+    spec = KrtSpec(args.r, args.t)
+    return spec, build_krt(spec)
+
+
 # ---------------------------------------------------------------------------
-# command handlers; each returns (exit_code, report_dict), and main adds the
-# report's wall_time_s
+# command handlers; each fills in the report main passes it and returns
+# None, or an exit code the checks cannot express
 
 
-def cmd_check(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
+def cmd_check(args: argparse.Namespace, rep: Report) -> None:
     from matlift.io import parse_matroid
-    rep = Report(argv, {"matroid": args.matroid})
+    rep["inputs"] = {"matroid": args.matroid}
     m = parse_matroid(args.matroid, validate=False)
     result = validate_circuits(m.circuits, m.n)
     witness = None if result.ok else {"kind": result.kind, "detail": result.describe()}
     rep.check("circuit_axioms", result.ok, witness)
-    rep.conclusion = (
+    rep.conclude(
         f"valid matroid: n={m.n}, {len(m.circuits)} circuits, rank {m.full_rank}"
         if result.ok
         else f"invalid circuit family: {result.describe()}"
     )
-    print(rep.conclusion)
-    code = EXIT_OK if result.ok else EXIT_CHECK_FAILED
-    return code, rep.as_dict()
 
 
-def cmd_rank(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
+def cmd_rank(args: argparse.Namespace, rep: Report) -> None:
     from matlift.io import parse_matroid
     m = parse_matroid(args.matroid)
-    mask = _parse_element_set(args.set, m.n)
-    rep = Report(argv, {"matroid": args.matroid, "set": one_based(mask)})
-    value = m.rank(mask)
-    rep.extra["rank"] = value
+    mask = mask_of(e - 1 for e in _parse_indices(args.set, m.n, "element"))
+    rep["inputs"] = {"matroid": args.matroid, "set": one_based(mask)}
+    rep["rank"] = m.rank(mask)
     rep.check("rank_computed", True)
-    rep.conclusion = f"rank {one_based(mask)} = {value}"
-    print(rep.conclusion)
-    return EXIT_OK, rep.as_dict()
+    rep.conclude(f"rank {one_based(mask)} = {rep['rank']}")
 
 
-def cmd_lift_elementary(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
-    from matlift.io import emit_matroid_text, parse_matroid
+def cmd_lift_elementary(args: argparse.Namespace, rep: Report) -> None:
+    from matlift.io import parse_matroid
     from matlift.lifts import elementary_lift, is_linear_class
     m = parse_matroid(args.matroid)
     members = _class_indices(args.linear_class, m)
-    rep = Report(
-        argv,
-        {"matroid": args.matroid, "class": sorted(k + 1 for k in members)},
-    )
+    rep["inputs"] = {"matroid": args.matroid, "class": sorted(k + 1 for k in members)}
     if not rep.check("linear_class", is_linear_class(m, members)):
-        rep.conclusion = "the given circuits are not a linear class"
-        print(rep.conclusion)
-        return EXIT_CHECK_FAILED, rep.as_dict()
+        rep.conclude("the given circuits are not a linear class")
+        return
     lifted = elementary_lift(m, members)
     rep.check("rank_increase", lifted.full_rank in (m.full_rank, m.full_rank + 1))
-    rep.extra["lift"] = {
-        "rank": lifted.full_rank,
-        "circuits": [one_based(c) for c in lifted.circuits],
-    }
-    rep.conclusion = f"elementary lift has rank {lifted.full_rank}"
-    out = emit_matroid_text(lifted)
-    if args.out:
-        Path(args.out).write_text(out)
-    else:
-        sys.stdout.write(out)
-    return EXIT_OK, rep.as_dict()
+    rep["lift"] = _lift_dict(lifted)
+    rep["conclusion"] = f"elementary lift has rank {lifted.full_rank}"
+    _write_matroid(lifted, args.out)
 
 
-def cmd_lift_general(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
-    from matlift.io import emit_matroid_text, parse_lift, write_matroid
+def cmd_lift_general(args: argparse.Namespace, rep: Report) -> None:
+    from matlift.io import parse_lift
     from matlift.lifts import build_lift, check_star, check_star_prime, evaluate_lift_formula
+    rep["inputs"] = {"spec": args.spec}
     spec = parse_lift(args.spec)
-    rep = Report(argv, {"spec": args.spec})
     ok_prime, witness_prime = check_star_prime(spec)
-    rep.check(
-        "star_prime",
-        ok_prime,
-        None if ok_prime else str(witness_prime),
-    )
+    rep.check("star_prime", ok_prime, None if ok_prime else str(witness_prime))
     if args.check_star:
         ok_star, witness_star = check_star(spec)
         rep.check("star", ok_star, None if ok_star else str(witness_star))
     if ok_prime:
         lifted = build_lift(spec)
         rep.check("lift_rank", lifted.full_rank == spec.base.full_rank + spec.overlay.full_rank)
-        rep.extra["lift"] = {
-            "rank": lifted.full_rank,
-            "circuits": [one_based(c) for c in lifted.circuits],
-        }
-        rep.conclusion = f"lift built, rank {lifted.full_rank}"
-        if args.out:
-            write_matroid(lifted, args.out)
-        else:
-            sys.stdout.write(emit_matroid_text(lifted))
+        rep["lift"] = _lift_dict(lifted)
+        rep["conclusion"] = f"lift built, rank {lifted.full_rank}"
+        _write_matroid(lifted, args.out)
     elif args.force:
         built, diag = evaluate_lift_formula(spec)
         rep.check("formula_rank_axioms", diag.ok, None if diag.ok else diag.describe())
         if built is not None:
-            rep.extra["lift"] = {
-                "rank": built.full_rank,
-                "circuits": [one_based(c) for c in built.circuits],
-            }
-            rep.conclusion = "condition (*') fails, yet the formula still gives a matroid"
+            rep["lift"] = _lift_dict(built)
+            rep.conclude("condition (*') fails, yet the formula still gives a matroid")
         else:
-            rep.conclusion = f"condition (*') fails and the formula breaks: {diag.describe()}"
-        print(rep.conclusion)
+            rep.conclude(f"condition (*') fails and the formula breaks: {diag.describe()}")
     else:
-        rep.conclusion = f"lift refused: {witness_prime}"
-        print(rep.conclusion)
-    code = EXIT_OK if rep.all_pass else EXIT_CHECK_FAILED
-    return code, rep.as_dict()
+        rep.conclude(f"lift refused: {witness_prime}")
 
 
-def cmd_rep_witness(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
+def cmd_rep_witness(args: argparse.Namespace, rep: Report) -> None:
     from matlift.gf import WitnessProblem, lift_witness, verify_witness
     from matlift.io import parse_matrix
     a = parse_matrix(args.matrix)
-    cols = []
-    if args.x:
-        cols = [int(t) - 1 for t in args.x.replace(",", " ").split()]
-    rep = Report(argv, {"matrix": args.matrix, "x_columns": [c + 1 for c in cols]})
-    witness = lift_witness(WitnessProblem(a, tuple(cols)))
+    x_columns = _parse_indices(args.x, a.cols, "column")
+    rep["inputs"] = {"matrix": args.matrix, "x_columns": x_columns}
+    witness = lift_witness(WitnessProblem(a, tuple(c - 1 for c in x_columns)))
     rep.check("star_prime", True)  # lift_witness raised otherwise
     rep.check("witness_verifies", verify_witness(witness.spec, witness.l))
-    rep.extra["witness"] = {
+    rep["witness"] = {
         "quotient_rank": witness.m.full_rank,
         "deletion_rank": witness.l.full_rank,
         "overlay_rank": witness.spec.overlay.full_rank,
         "circuits_of_quotient": [one_based(c) for c in witness.m.circuits],
     }
-    rep.conclusion = (
+    rep.conclude(
         f"(K/X)^N = K\\X verified: r(M)={witness.m.full_rank}, "
         f"r(N)={witness.spec.overlay.full_rank}, r(L)={witness.l.full_rank}"
     )
-    print(rep.conclusion)
-    code = EXIT_OK if rep.all_pass else EXIT_CHECK_FAILED
-    return code, rep.as_dict()
 
 
-def cmd_krt_build(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
-    from matlift.krt import KrtSpec, build_krt
-    spec = KrtSpec(args.r, args.t)
-    m = build_krt(spec)
-    rep = Report(argv, {"r": args.r, "t": args.t})
+def cmd_krt_build(args: argparse.Namespace, rep: Report) -> None:
+    rep["inputs"] = {"r": args.r, "t": args.t}
+    _, m = _krt(args)
     if args.out and m.n > KRT_OUT_CAP:
         raise ValueError(f"--out writes circuit families up to {KRT_OUT_CAP} elements; K({args.r},{args.t}) has {m.n}")
     rep.check("sparse_paving", True)  # build_krt raised otherwise
-    chs = [one_based(c) for c in m.circuit_hyperplanes]
-    rep.extra["circuit_hyperplanes"] = chs
-    rep.extra["ground_size"] = m.n
-    rep.conclusion = f"K({args.r},{args.t}): rank {m.full_rank} on {m.n} elements, {len(chs)} circuit-hyperplanes"
+    chs = rep["circuit_hyperplanes"] = [one_based(c) for c in m.circuit_hyperplanes]
+    rep["ground_size"] = m.n
+    rep["conclusion"] = f"K({args.r},{args.t}): rank {m.full_rank} on {m.n} elements, {len(chs)} circuit-hyperplanes"
     for ch in chs:
         print(" ".join(str(e) for e in ch))
     if args.out:
-        from matlift.io import write_matroid
-        write_matroid(m.to_matroid(), args.out)
-    return EXIT_OK if rep.all_pass else EXIT_CHECK_FAILED, rep.as_dict()
+        _write_matroid(m.to_matroid(), args.out)
 
 
-def cmd_krt_certify(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
-    from matlift.krt import KrtSpec, build_krt, is_ingleton_sparse_paving, obstruction_report, scan_vamos_like_minors
-    spec = KrtSpec(args.r, args.t)
-    m = build_krt(spec)
+def cmd_krt_certify(args: argparse.Namespace, rep: Report) -> int:
+    """The exit code follows facts a-d alone; the report holds no checks."""
+    from matlift.krt import is_ingleton_sparse_paving, obstruction_report, scan_vamos_like_minors
+    spec, m = _krt(args)
     facts = obstruction_report(spec, m)
     ingleton_ok, ingleton_witness = is_ingleton_sparse_paving(m)
-
-    body: dict = {
-        "command": list(argv),
-        "params": {
-            "r": spec.r,
-            "t": spec.t,
-            "ground_size": spec.ground_size,
-            "regime": {
-                "construction": True,
-                "ingleton_guarantee": spec.in_ingleton_regime,
-                "antichain_guarantee": spec.in_antichain_regime,
-            },
-        },
-        "sparse_paving": True,  # build_krt raised otherwise
-        "facts": facts.as_dict(),
-        "ingleton": {
-            "is_ingleton": ingleton_ok,
-            "witness": ingleton_witness.as_dict() if ingleton_witness else None,
+    rep["params"] = {
+        "r": spec.r,
+        "t": spec.t,
+        "ground_size": spec.ground_size,
+        "regime": {
+            "construction": True,
+            "ingleton_guarantee": spec.in_ingleton_regime,
+            "antichain_guarantee": spec.in_antichain_regime,
         },
     }
+    rep["sparse_paving"] = True  # build_krt raised otherwise
+    rep["facts"] = facts.as_dict()
+    rep["ingleton"] = {
+        "is_ingleton": ingleton_ok,
+        "witness": ingleton_witness.as_dict() if ingleton_witness else None,
+    }
     n = spec.ground_size
-    scan: dict = {"scanned": False}
     if not args.deep and n > VAMOS_SCAN_CAP:
-        scan["reason"] = f"ground size {n} above scan cap {VAMOS_SCAN_CAP}; run krt vamos-scan"
+        reason = f"ground size {n} above scan cap {VAMOS_SCAN_CAP}; run krt vamos-scan"
+        rep["vamos_like_minors"] = {"scanned": False, "reason": reason}
     else:
-        scan = {"scanned": True, "witnesses": [w.as_dict() for w in scan_vamos_like_minors(m)]}
-    body["vamos_like_minors"] = scan
-    body["conclusion"] = (
-        "non-representable over every field" if facts.all_true else "certificate incomplete"
-    )
+        rep["vamos_like_minors"] = {"scanned": True, "witnesses": [w.as_dict() for w in scan_vamos_like_minors(m)]}
+    rep["conclusion"] = "non-representable over every field" if facts.all_true else "certificate incomplete"
     print(
-        f"K({spec.r},{spec.t}): sparse_paving={body['sparse_paving']} "
+        f"K({spec.r},{spec.t}): sparse_paving=True "
         f"facts a={facts.fact_a} b={facts.fact_b} c={facts.fact_c} d={facts.fact_d} "
-        f"ingleton={ingleton_ok} -> {body['conclusion']}"
+        f"ingleton={ingleton_ok} -> {rep['conclusion']}"
     )
-    return (EXIT_OK if facts.all_true else EXIT_CHECK_FAILED), body
+    return EXIT_OK if facts.all_true else EXIT_CHECK_FAILED
 
 
-def cmd_krt_ingleton(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
-    from matlift.krt import KrtSpec, build_krt, ingleton_inequality, is_ingleton_sparse_paving
-    spec = KrtSpec(args.r, args.t)
-    m = build_krt(spec)
-    rep = Report(argv, {"r": args.r, "t": args.t})
+def cmd_krt_ingleton(args: argparse.Namespace, rep: Report) -> None:
+    from matlift.krt import ingleton_inequality, is_ingleton_sparse_paving
+    rep["inputs"] = {"r": args.r, "t": args.t}
+    _, m = _krt(args)
     ok, witness = is_ingleton_sparse_paving(m)
     rep.check("is_ingleton", ok, witness.as_dict() if witness else None)
     if witness is not None:
         a, b, c, d = witness.pairs
         core = witness.core
         sat, lhs, rhs = ingleton_inequality(m, core | a, core | b, core | c, core | d)
-        rep.extra["violation"] = {"lhs": lhs, "rhs": rhs, "satisfied": sat}
-    rep.conclusion = (
+        rep["violation"] = {"lhs": lhs, "rhs": rhs, "satisfied": sat}
+    rep.conclude(
         f"K({args.r},{args.t}) is Ingleton"
         if ok
         else f"K({args.r},{args.t}) violates Ingleton at {witness.as_dict()}"
     )
-    print(rep.conclusion)
-    return (EXIT_OK if ok else EXIT_CHECK_FAILED), rep.as_dict()
 
 
-def cmd_krt_vamos_scan(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
-    from matlift.krt import KrtSpec, build_krt, scan_vamos_like_minors
-    spec = KrtSpec(args.r, args.t)
-    m = build_krt(spec)
-    rep = Report(argv, {"r": args.r, "t": args.t})
-    minors = scan_vamos_like_minors(m)
-    rep.check("no_vamos_like_minor", not minors, [w.as_dict() for w in minors] or None)
-    rep.extra["witnesses"] = [w.as_dict() for w in minors]
-    rep.conclusion = (
+def cmd_krt_vamos_scan(args: argparse.Namespace, rep: Report) -> None:
+    from matlift.krt import scan_vamos_like_minors
+    rep["inputs"] = {"r": args.r, "t": args.t}
+    _, m = _krt(args)
+    minors = rep["witnesses"] = [w.as_dict() for w in scan_vamos_like_minors(m)]
+    rep.check("no_vamos_like_minor", not minors, minors or None)
+    rep.conclude(
         f"no Vamos-like minor in K({args.r},{args.t})"
         if not minors
         else f"{len(minors)} Vamos-like minor(s) found"
     )
-    print(rep.conclusion)
-    return (EXIT_OK if not minors else EXIT_CHECK_FAILED), rep.as_dict()
 
 
-def cmd_gain_build(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
+def cmd_gain_build(args: argparse.Namespace, rep: Report) -> None:
     from matlift.gain import full_gain_graph
+    rep["inputs"] = {"group": args.group, "n": args.n}
     group = _load_group(args.group)
     gg = full_gain_graph(group, args.n)
-    rep = Report(argv, {"group": args.group, "n": args.n})
-    expected = args.n * (args.n - 1) // 2 * group.order
-    rep.check("edge_count", gg.edge_count == expected)
-    rep.extra["edges"] = [
+    rep.check("edge_count", gg.edge_count == args.n * (args.n - 1) // 2 * group.order)
+    rep["edges"] = [
         {"i": e.i + 1, "j": e.j + 1, "label": group.names[e.label]} for e in gg.edges
     ]
-    rep.conclusion = f"full gain graph over {group.name} on {args.n} vertices: {gg.edge_count} edges"
+    rep["conclusion"] = f"full gain graph over {group.name} on {args.n} vertices: {gg.edge_count} edges"
     for e in gg.edges:
         print(e.i + 1, e.j + 1, group.names[e.label])
-    return EXIT_OK, rep.as_dict()
 
 
-def cmd_gain_partitions(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
+def cmd_gain_partitions(args: argparse.Namespace, rep: Report) -> None:
     from matlift.groups import group_partitions
+    rep["inputs"] = {"group": args.group}
     group = _load_group(args.group)
-    rep = Report(argv, {"group": args.group})
-    partitions = group_partitions(group)
-    rep.extra["partitions"] = [
-        [sorted(group.names[x] for x in part) for part in p.parts] for p in partitions
+    partitions = rep["partitions"] = [
+        [sorted(group.names[x] for x in part) for part in p.parts] for p in group_partitions(group)
     ]
     rep.check("has_nontrivial_partition", bool(partitions))
-    rep.conclusion = f"{group.name} has {len(partitions)} nontrivial partition(s)"
-    print(rep.conclusion)
-    for p in rep.extra["partitions"]:
+    rep.conclude(f"{group.name} has {len(partitions)} nontrivial partition(s)")
+    for p in partitions:
         print("  " + " | ".join(",".join(part) for part in p))
-    return (EXIT_OK if partitions else EXIT_CHECK_FAILED), rep.as_dict()
 
 
-def cmd_gain_lift3(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
+def cmd_gain_lift3(args: argparse.Namespace, rep: Report) -> None:
     from matlift.gain import NoPartitionError, rank2_lift_k3
+    rep["inputs"] = {"group": args.group}
     group = _load_group(args.group)
-    rep = Report(argv, {"group": args.group})
     try:
         result = rank2_lift_k3(group)
     except NoPartitionError as exc:
         rep.check("nontrivial_partition", False, str(exc))
-        rep.conclusion = "no nontrivial partition"
-        print(rep.conclusion)
-        return EXIT_CHECK_FAILED, rep.as_dict()
+        rep.conclude("no nontrivial partition")
+        return
     rep.check("nontrivial_partition", True)
     rep.check("hyperplane_axioms", True)
     rep.check("rank_is_4", result.matroid.full_rank == 4)
     rep.check("balanced_circuit_audit", result.audit.ok)
     rep.check("graphic_is_quotient", result.quotient_ok)
-    rep.extra["lift"] = {
+    rep["lift"] = {
         "ground_size": result.matroid.n,
         "rank": result.matroid.full_rank,
         "hyperplane_count": len(result.hyperplanes),
         "circuit_count": len(result.matroid.circuits),
         "partition": [sorted(group.names[x] for x in part) for part in result.partition.parts],
     }
-    rep.conclusion = (
-        f"rank-2 lift over {group.name}: rank 4 on {result.matroid.n} edges, all checks pass"
-    )
-    print(rep.conclusion)
+    rep.conclude(f"rank-2 lift over {group.name}: rank 4 on {result.matroid.n} edges, all checks pass")
     if args.out:
-        from matlift.io import write_matroid
-        write_matroid(result.matroid, args.out)
-    return (EXIT_OK if rep.all_pass else EXIT_CHECK_FAILED), rep.as_dict()
+        _write_matroid(result.matroid, args.out)
 
 
-def cmd_iso(args: argparse.Namespace, argv: Sequence[str]) -> tuple[int, dict]:
+def cmd_iso(args: argparse.Namespace, rep: Report) -> Optional[int]:
+    """Exit 3 when the search runs out of its node budget."""
     from matlift.io import parse_matroid
-    m1 = parse_matroid(args.m1)
-    m2 = parse_matroid(args.m2)
-    rep = Report(argv, {"m1": args.m1, "m2": args.m2})
+    rep["inputs"] = {"m1": args.m1, "m2": args.m2}
+    m1, m2 = parse_matroid(args.m1), parse_matroid(args.m2)
     try:
         perm = find_isomorphism(m1, m2, node_budget=DEFAULT_NODE_BUDGET)
     except SearchBudgetExceeded as exc:
         rep.check("isomorphic", False, {"node_budget": DEFAULT_NODE_BUDGET, "detail": str(exc)})
-        rep.conclusion = "inconclusive: the isomorphism search ran out of its node budget"
-        print(rep.conclusion)
-        return EXIT_INCONCLUSIVE, rep.as_dict()
+        rep.conclude("inconclusive: the isomorphism search ran out of its node budget")
+        return EXIT_INCONCLUSIVE
     rep.check("isomorphic", perm is not None, None if perm else "no ground-set bijection maps circuits onto circuits")
     if perm is not None:
-        rep.extra["permutation"] = [p + 1 for p in perm]
-        rep.conclusion = "isomorphic"
+        rep["permutation"] = [p + 1 for p in perm]
+        rep["conclusion"] = "isomorphic"
         print(" ".join(str(p + 1) for p in perm))
     else:
-        rep.conclusion = "not isomorphic"
-        print(rep.conclusion)
-    return (EXIT_OK if perm is not None else EXIT_CHECK_FAILED), rep.as_dict()
+        rep.conclude("not isomorphic")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -539,26 +478,30 @@ def _strip_json_flag(argv: list[str]) -> list[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command: parse, call its handler with a fresh report, map an
+    exception to its exit code and stderr line, and write the report."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    rep = Report(command=_strip_json_flag(argv))
     t0 = time.perf_counter()
     try:
-        code, report = args.handler(args, _strip_json_flag(argv))
+        code = args.handler(args, rep)
     except CheckFailedError as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        code, rep["error"] = EXIT_CHECK_FAILED, f"check failed: {exc}"
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, rep["error"] = EXIT_USAGE, f"error: {exc}"
     except (AssertionError, RuntimeError) as exc:
-        print(f"internal error: {exc!r}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    report["wall_time_s"] = round(time.perf_counter() - t0, 6)
-    _emit(report, args.json)
+        code, rep["error"] = EXIT_INCONCLUSIVE, f"internal error: {exc!r}"
+    if "error" in rep:
+        print(rep["error"], file=sys.stderr)
+    elif code is None:
+        code = EXIT_OK if all(c["pass"] for c in rep.get("checks", ())) else EXIT_CHECK_FAILED
+    rep["wall_time_s"] = round(time.perf_counter() - t0, 6)
+    if args.json:
+        Path(args.json).write_text(json.dumps(rep, indent=2, sort_keys=True) + "\n")
     return code
 
 

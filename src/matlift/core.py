@@ -13,7 +13,6 @@ shared freely across threads.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, repeat
@@ -104,11 +103,10 @@ class ValidationReport:
     ok: bool
     kind: str = "ok"
     witness: tuple = ()
-    sampled: bool = False
 
     def describe(self) -> str:
         if self.ok:
-            return "ok (sampled)" if self.sampled else "ok"
+            return "ok"
         if self.kind in ("elimination", "exchange"):
             a, b, e = self.witness
             return f"{self.kind} fails at ({one_based(a)}, {one_based(b)}) with element {e + 1}"
@@ -126,18 +124,6 @@ def _check_members(members: Sequence[Mask], n: int) -> Optional[ValidationReport
         if m & ~full:
             return ValidationReport(False, "out-of-range", (m,))
     return None
-
-
-def _index_pairs(
-    m: int, max_pairs: Optional[int], seed: int
-) -> tuple[Iterable[tuple[int, int]], bool]:
-    """All index pairs i < j below ``m``, or ``max_pairs`` seeded random ones
-    when there are more pairs than that; the flag says which."""
-    sampled = max_pairs is not None and m * (m - 1) // 2 > max_pairs
-    if sampled:
-        rng = random.Random(seed)
-        return (tuple(sorted(rng.sample(range(m), 2))) for _ in range(max_pairs or 0)), True
-    return ((i, j) for i in range(m) for j in range(i + 1, m)), False
 
 
 # _AVOID_CHARS[j] maps a byte to "1" when its bit j is clear, else to "0".
@@ -218,12 +204,10 @@ class _CircuitIndex:
                     return "elimination", (a, b, e)
         return None
 
-    def first_violation(
-        self, order: Sequence[Mask], max_pairs: Optional[int], seed: int
-    ) -> ValidationReport:
+    def first_violation(self, order: Sequence[Mask]) -> ValidationReport:
         """Antichain and elimination over the pairs of ``order`` (the indexed
         family, in any order), reporting the first failing pair of the walk
-        row by row (pair i < j, by i then j) or of the ``max_pairs`` sample.
+        row by row (pair i < j, by i then j).
 
         Elimination for (C1, C2, e) depends only on U = C1 | C2: it fails
         exactly when e lies in every member inside U, and that core lies
@@ -234,34 +218,18 @@ class _CircuitIndex:
         flagged, and the first flagged row always holds one, so only that
         row is walked pair by pair.  The cost is one set operation per pair
         plus one ``within`` query per distinct union of a row, with memory
-        linear in the family.  A sample is walked pair by pair in sample
-        order, one ``within`` query per meeting pair.
+        linear in the family.
         """
-        pairs, sampled = _index_pairs(len(order), max_pairs, seed)
-        groups: Iterable[Iterable[tuple[int, int]]] = (
-            (pairs,)
-            if sampled
-            else (
-                ((i, j) for j in range(i + 1, len(order)))
-                for i, c in enumerate(order)
-                if self._flags(c, {c | d for d in order[i + 1 :] if c & d})
-            )
-        )
-        for group in groups:
-            for i, j in group:
-                found = self._pair_violation(order[i], order[j])
-                if found is not None:
-                    return ValidationReport(False, *found, sampled)
-        return ValidationReport(True, "ok", (), sampled)
+        for i, c in enumerate(order):
+            if self._flags(c, {c | d for d in order[i + 1 :] if c & d}):
+                for d in order[i + 1 :]:
+                    found = self._pair_violation(c, d)
+                    if found is not None:
+                        return ValidationReport(False, *found)
+        return ValidationReport(True)
 
 
-def validate_circuits(
-    circuits: Sequence[Mask],
-    n: int,
-    *,
-    max_pairs: Optional[int] = None,
-    seed: int = 0,
-) -> ValidationReport:
+def validate_circuits(circuits: Sequence[Mask], n: int) -> ValidationReport:
     """Check the circuit axioms: nonempty members, antichain, elimination.
 
     Elimination: for distinct circuits C1, C2 and e in C1 & C2 there must
@@ -270,17 +238,12 @@ def validate_circuits(
     circuit with the later ones it meets (``_CircuitIndex.first_violation``;
     45,940 queries for the 377,557 meeting pairs of K(5,5)), and the report
     names the first failing pair in canonical pair order.
-
-    When ``max_pairs`` is given and the family has more pairs than that,
-    a deterministic random sample of pairs is checked instead, pair by pair
-    with one index query per meeting pair; the report names the first
-    failing pair in sample order and is flagged ``sampled``.
     """
     bad = _check_members(circuits, n)
     if bad is not None:
         return bad
     fam = canonical_circuits(circuits)
-    return _CircuitIndex(fam, n).first_violation(fam, max_pairs, seed)
+    return _CircuitIndex(fam, n).first_violation(fam)
 
 
 class RankMatroid:
@@ -341,14 +304,7 @@ class Matroid(RankMatroid):
 
     __slots__ = ("circuits", "_index")
 
-    def __init__(
-        self,
-        n: int,
-        circuits: Iterable[Mask],
-        *,
-        validate: bool = True,
-        max_pairs: Optional[int] = None,
-    ) -> None:
+    def __init__(self, n: int, circuits: Iterable[Mask], *, validate: bool = True) -> None:
         if not 0 <= n <= MAX_GROUND:
             raise ValueError(f"ground set size {n} outside [0, {MAX_GROUND}]")
         fam = canonical_circuits(circuits)
@@ -357,7 +313,7 @@ class Matroid(RankMatroid):
             raise CircuitAxiomError(bad)
         index = _CircuitIndex(fam, n)
         if validate:
-            report = index.first_violation(fam, max_pairs, 0)
+            report = index.first_violation(fam)
             if not report.ok:
                 raise CircuitAxiomError(report)
         self.n = n
@@ -767,13 +723,7 @@ def find_family_isomorphism(
 # hyperplane-side construction
 
 
-def validate_hyperplanes(
-    hyperplanes: Sequence[Mask],
-    n: int,
-    *,
-    max_pairs: Optional[int] = None,
-    seed: int = 0,
-) -> ValidationReport:
+def validate_hyperplanes(hyperplanes: Sequence[Mask], n: int) -> ValidationReport:
     """Check the hyperplane axioms: proper antichain plus exchange.
 
     Exchange: for all distinct H1, H2 and every element e outside H1 | H2
@@ -795,12 +745,12 @@ def validate_hyperplanes(
         if h == full:
             return ValidationReport(False, "improper-member", (h,))
     complements = [full ^ h for h in fam]
-    report = _CircuitIndex(canonical_circuits(complements), n).first_violation(complements, max_pairs, seed)
+    report = _CircuitIndex(canonical_circuits(complements), n).first_violation(complements)
     if report.ok:
         return report
     kind = "exchange" if report.kind == "elimination" else report.kind
     d1, d2, *e = report.witness
-    return ValidationReport(False, kind, (full ^ d1, full ^ d2, *e), report.sampled)
+    return ValidationReport(False, kind, (full ^ d1, full ^ d2, *e))
 
 
 def matroid_from_hyperplanes(hyperplanes: Sequence[Mask], n: int, claimed_rank: int) -> Matroid:

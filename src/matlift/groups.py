@@ -11,7 +11,10 @@ under conjugation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Optional, Sequence
+
+MAX_GROUP_ORDER = 64  # partition enumeration, the largest order any command takes
 
 
 class GroupAxiomError(ValueError):
@@ -164,8 +167,8 @@ class GroupPartition:
 def group_partitions(group: FinGroup, *, nontrivial_only: bool = True) -> list[GroupPartition]:
     """All nontrivial partitions, by exact cover of the non-identity elements
     with candidate parts {H - identity : H a proper nontrivial subgroup}."""
-    if group.order > 64:
-        raise ValueError("partition enumeration supports order <= 64")
+    if group.order > MAX_GROUP_ORDER:
+        raise ValueError(f"partition enumeration supports order <= {MAX_GROUP_ORDER}")
     eps = group.identity
     universe = frozenset(range(group.order)) - {eps}
     candidates = [
@@ -326,20 +329,26 @@ def quaternion_group() -> FinGroup:
 
 
 def builtin_group(spec: str) -> FinGroup:
-    """Parse builtin group names: z<m>, z<p>^<j>, d<m>, s3, q8."""
+    """Parse builtin group names: z<m>, z<p>^<j>, d<m>, s3, q8.  An order
+    above ``MAX_GROUP_ORDER`` is refused before the Cayley table is built."""
     s = spec.strip().lower()
     if s == "s3":
         return symmetric_group_3()
     if s == "q8":
         return quaternion_group()
+    build = None
     if s.startswith("d") and s[1:].isdigit():
-        return dihedral_group(int(s[1:]))
-    if s.startswith("z"):
-        body = s[1:]
-        if "^" in body:
-            p_str, j_str = body.split("^", 1)
-            if p_str.isdigit() and j_str.isdigit():
-                return elementary_abelian_group(int(p_str), int(j_str))
-        elif body.isdigit():
-            return cyclic_group(int(body))
-    raise ValueError(f"unknown builtin group {spec!r} (try z4, z2^2, d4, s3, q8)")
+        order, build = 2 * int(s[1:]), partial(dihedral_group, int(s[1:]))
+    elif s.startswith("z"):
+        p_str, caret, j_str = s[1:].partition("^")
+        if p_str.isdigit() and not caret:
+            order, build = int(p_str), partial(cyclic_group, int(p_str))
+        elif p_str.isdigit() and j_str.isdigit():
+            p, j = int(p_str), int(j_str)
+            # p**7 > 64 for every p >= 2, so a larger exponent is never raised to.
+            order, build = p ** min(j, 7), partial(elementary_abelian_group, p, j)
+    if build is None:
+        raise ValueError(f"unknown builtin group {spec!r} (try z4, z2^2, d4, s3, q8)")
+    if order > MAX_GROUP_ORDER:
+        raise ValueError(f"builtin groups are capped at order {MAX_GROUP_ORDER}; {spec!r} is larger")
+    return build()

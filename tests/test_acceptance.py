@@ -166,9 +166,7 @@ def test_criterion_09_axiom_property_suite(announce):
     # the kernel's stated testability bound.
     with criterion(announce, 9, "axiom suite over every constructed matroid", 300.0):
         for name, m in zoo():
-            report = validate_circuits(
-                m.circuits, m.n, max_pairs=None if len(m.circuits) <= 2000 else 200_000
-            )
+            report = validate_circuits(m.circuits, m.n)
             assert report.ok, f"{name}: {report.describe()}"
             assert m.rank(0) == 0, name
             if m.n <= 10:

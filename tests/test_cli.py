@@ -252,6 +252,12 @@ class TestGain:
         assert code == 3
         assert "internal error" in capsys.readouterr().err
 
+    def test_lift3_large_builtin_group_refused_fast(self, capsys):
+        t0 = time.perf_counter()
+        assert main(["gain", "lift3", "builtin:z2^10"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "capped at order 64" in capsys.readouterr().err
+
     def test_lift3_z4_refused(self, capsys):
         code, out = run(["gain", "lift3", "builtin:z4"], capsys)
         assert code == 1
@@ -331,9 +337,23 @@ class TestRepWitness:
     def test_dependent_x(self, capsys, tmp_path):
         gfm = tmp_path / "a.gfm"
         gfm.write_text("gf 2 2 3\n1 1 0\n0 0 1\n")
-        code = main(["rep", "witness", str(gfm), "--x", "1,2"])
+        json_path = tmp_path / "w.json"
+        code = main(["--json", str(json_path), "rep", "witness", str(gfm), "--x", "1,2"])
         assert code == 1
         assert capsys.readouterr().err.startswith("check failed: columns [1, 2] are dependent")
+        body = load_report(json_path)
+        assert body["error"].startswith("check failed: columns [1, 2] are dependent")
+        assert body["inputs"] == {"matrix": str(gfm), "x_columns": [1, 2]}
+
+    def test_x_columns_are_1_based_and_keep_their_order(self, capsys, tmp_path):
+        gfm = tmp_path / "u24.gfm"
+        gfm.write_text("gf 3 2 4\n1 0 1 1\n0 1 1 2\n")
+        for x in ("9", "0"):
+            assert main(["rep", "witness", str(gfm), "--x", x]) == 2
+            assert capsys.readouterr().err == f"error: column {x} outside [1, 4]\n"
+        json_path = tmp_path / "w.json"
+        assert main(["--json", str(json_path), "rep", "witness", str(gfm), "--x", "2,1"]) == 0
+        assert load_report(json_path)["inputs"]["x_columns"] == [2, 1]
 
 
 class TestIso:
@@ -363,35 +383,95 @@ class TestIso:
         assert check["witness"]["node_budget"] == 10**7
 
 
-class TestExitMap:
-    """Exit code and stderr prefix for each class of failure."""
+# One golden report per command family, with inputs from tests/testdata:
+# (golden name, argv, exit code).
+GOLDEN_CASES = [
+    ("check_v8", ["check", "{d}/v8.ckt"], 0),
+    ("rank_v8", ["rank", "{d}/v8.ckt", "1,2,7,8"], 0),
+    ("iso_v8", ["iso", "{d}/v8.ckt", "{d}/v8.ckt"], 0),
+    ("lift_elementary_u24", ["lift", "elementary", "{d}/u24.ckt", "--class", "1"], 0),
+    ("lift_general_u13", ["lift", "general", "{d}/u13.lift", "--check-star"], 0),
+    ("rep_witness_u24", ["rep", "witness", "{d}/u24.gfm", "--x", "1"], 0),
+    ("krt_build_4_3", ["krt", "build", "4", "3"], 0),
+    ("krt_vamos_scan_4_7", ["krt", "vamos-scan", "4", "7"], 1),
+    ("gain_build_z2_3", ["gain", "build", "builtin:z2", "3"], 0),
+    ("gain_partitions_s3", ["gain", "partitions", "builtin:s3"], 0),
+]
 
-    def expect(self, argv, code, prefix, capsys):
-        assert main(argv) == code
-        assert capsys.readouterr().err.startswith(prefix)
+
+def _file_names(value):
+    """``value`` with every testdata path replaced by its file name."""
+    if isinstance(value, dict):
+        return {k: _file_names(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_file_names(v) for v in value]
+    if isinstance(value, str) and value.startswith(str(TESTDATA)):
+        return Path(value).name
+    return value
+
+
+@pytest.mark.parametrize("name,argv,code", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_golden_report(name, argv, code, capsys, tmp_path):
+    json_path = tmp_path / "report.json"
+    argv = [a.format(d=TESTDATA) for a in argv]
+    assert main(["--json", str(json_path), *argv]) == code
+    expected = json.loads((GOLDEN / f"{name}.json").read_text())
+    assert _file_names(load_report(json_path)) == expected
+
+
+class TestExitMap:
+    """Exit code and stderr prefix for each class of failure; with --json
+    the report is still written and its ``error`` is the stderr line."""
+
+    def expect(self, argv, code, prefix, capsys, tmp_path):
+        json_path = tmp_path / "report.json"
+        assert main(["--json", str(json_path), *argv]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix)
+        body = load_report(json_path)
+        assert body["command"] == argv
+        assert body["error"].startswith(prefix) and body["error"] == err.rstrip("\n")
 
     def test_malformed_ckt(self, capsys, tmp_path):
         bad = tmp_path / "bad.ckt"
         bad.write_text("matroid 3 circuits\n1 x\n")
-        self.expect(["rank", str(bad), "1"], 2, "error:", capsys)
+        self.expect(["rank", str(bad), "1"], 2, "error:", capsys, tmp_path)
 
     def test_bad_grp(self, capsys, tmp_path):
         bad = tmp_path / "bad.grp"
         bad.write_text("group 2\na b\na b\na b\n")  # not a Latin square
-        self.expect(["gain", "partitions", str(bad)], 2, "error:", capsys)
+        self.expect(["gain", "partitions", str(bad)], 2, "error:", capsys, tmp_path)
 
     def test_ckt_axiom_violation(self, capsys, tmp_path):
         bad = tmp_path / "bad.ckt"
         bad.write_text("matroid 4 circuits\n1 2\n1 2 3\n")
         for argv in (["rank", str(bad), "1"], ["iso", str(bad), str(bad)]):
-            self.expect(argv, 2, "error: invalid circuit family", capsys)
+            self.expect(argv, 2, "error: invalid circuit family", capsys, tmp_path)
 
-    def test_assertion_is_internal_error(self, capsys, monkeypatch):
+    def test_assertion_is_internal_error(self, capsys, monkeypatch, tmp_path):
         def broken(spec):
             raise AssertionError("K(r,t) is not sparse paving")
 
         monkeypatch.setattr("matlift.krt.build_krt", broken)
-        self.expect(["krt", "certify", "4", "3"], 3, "internal error", capsys)
+        self.expect(["krt", "certify", "4", "3"], 3, "internal error", capsys, tmp_path)
+
+    def test_usage_error_writes_no_report(self, capsys, tmp_path):
+        json_path = tmp_path / "report.json"
+        assert main(["--json", str(json_path), "krt", "certify", "x", "3"]) == 2
+        assert not json_path.exists()
+
+
+def test_failing_check_exits_1(capsys, monkeypatch, tmp_path):
+    # The exit code comes from the report's checks: a lift whose rank
+    # jumps by two fails rank_increase, and the run exits 1.
+    from matlift.core import uniform_matroid
+
+    monkeypatch.setattr("matlift.lifts.elementary_lift", lambda m, members: uniform_matroid(4, 4))
+    json_path = tmp_path / "lift.json"
+    code = main(["--json", str(json_path), "lift", "elementary", str(TESTDATA / "u24.ckt"), "--class", "1"])
+    assert code == 1
+    checks = load_report(json_path)["checks"]
+    assert checks == [{"name": "linear_class", "pass": True}, {"name": "rank_increase", "pass": False}]
 
 
 # Each command family and the exact set of matlift modules a job of it loads.

@@ -17,7 +17,6 @@ from matlift.core import (
     Matroid,
     SparsePaving,
     ValidationReport,
-    _index_pairs,
     canonical_circuits,
     circuits_from_rank_oracle,
     elements_of,
@@ -88,13 +87,6 @@ class TestValidateCircuits:
     def test_constructor_raises(self):
         with pytest.raises(CircuitAxiomError):
             Matroid(4, [mask_of([0, 1]), mask_of([0, 1, 2])])
-
-    def test_sampled_mode_flags_report(self):
-        m = k43()
-        report = validate_circuits(m.circuits, 8, max_pairs=50)
-        assert report.ok and report.sampled
-        full = validate_circuits(m.circuits, 8)
-        assert full.ok and not full.sampled
 
 
 class TestRank:
@@ -435,8 +427,6 @@ class TestCircuitIndexAgainstBruteForce:
                     got = validate_circuits(fam, m.n)
                     assert got == validate_circuits_bruteforce(fam, m.n), name
                     kinds.add(got.kind)
-                got = validate_circuits(fam, m.n, max_pairs=400, seed=3)
-                assert got == validate_circuits_bruteforce(fam, m.n, max_pairs=400, seed=3), name
         assert {"ok", "antichain", "elimination"} <= kinds
 
     def test_constructor_raises_the_oracle_report(self):
@@ -463,8 +453,6 @@ class TestCircuitIndexAgainstBruteForce:
             for fam in families:
                 if len(fam) <= 250:
                     assert validate_hyperplanes(fam, m.n) == validate_hyperplanes_bruteforce(fam, m.n), name
-                got = validate_hyperplanes(fam, m.n, max_pairs=30, seed=5)
-                assert got == validate_hyperplanes_bruteforce(fam, m.n, max_pairs=30, seed=5), name
 
     def test_hyperplane_exchange_is_elimination_on_complements(self):
         rng = random.Random(71)
@@ -536,7 +524,7 @@ def _bench_families() -> tuple[tuple[str, Matroid], ...]:
 class TestUnionPassAtBenchSizes:
     """``validate_circuits`` (one ``within`` query per distinct union of a
     row) against the pair-by-pair pass of ``tests/zoo.py``, whole report
-    for whole report, full and sampled."""
+    for whole report."""
 
     def test_reports_match_pairwise_on_families_and_corruptions(self):
         rng = random.Random(89)
@@ -546,10 +534,6 @@ class TestUnionPassAtBenchSizes:
                 got = validate_circuits(fam, m.n)
                 assert got == validate_circuits_pairwise(fam, m.n), name
                 kinds.add(got.kind)
-                for seed in (3, 4):
-                    got = validate_circuits(fam, m.n, max_pairs=2000, seed=seed)
-                    assert got == validate_circuits_pairwise(fam, m.n, max_pairs=2000, seed=seed), name
-                    assert got.sampled
         assert {"ok", "antichain", "elimination"} <= kinds
 
     def test_union_equal_to_a_third_member(self):
@@ -559,8 +543,6 @@ class TestUnionPassAtBenchSizes:
             got = validate_circuits(fam, m.n)
             assert got == validate_circuits_pairwise(fam, m.n), name
             assert got.kind == "antichain" and got.witness[1] == c1 | c2, name
-            got = validate_circuits(fam, m.n, max_pairs=2000, seed=7)
-            assert got == validate_circuits_pairwise(fam, m.n, max_pairs=2000, seed=7), name
 
     @pytest.mark.parametrize("name, drop", [("K(5,5)", 1), ("K(7,5)", 1), ("M(K_3^{Z2^3})", 84)])
     def test_row_with_antichain_pair_before_elimination_pair(self, name, drop):
@@ -580,20 +562,6 @@ class TestUnionPassAtBenchSizes:
         got = validate_circuits(fam + [s], m.n)
         assert got == validate_circuits_pairwise(fam + [s], m.n)
         assert got == ValidationReport(False, "antichain", (ck, s))
-
-    def test_sampled_run_reports_first_violation_in_sample_order(self):
-        m = dict(zoo())["K(7,5)"]
-        fam = list(m.circuits)
-        del fam[5]
-        first = validate_circuits(fam, m.n)
-        got = validate_circuits(fam, m.n, max_pairs=2000, seed=8)
-        assert got == validate_circuits_pairwise(fam, m.n, max_pairs=2000, seed=8)
-        # The sample holds the first failing pair in index order, but a pair
-        # drawn before it fails too.
-        order = canonical_circuits(fam)
-        pairs = list(_index_pairs(len(order), 2000, 8)[0])
-        assert (order.index(first.witness[0]), order.index(first.witness[1])) in pairs
-        assert not got.ok and got.witness[:2] != first.witness[:2]
 
     def test_within_queries_once_per_distinct_union(self, monkeypatch):
         calls = 0

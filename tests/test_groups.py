@@ -173,3 +173,9 @@ class TestBuiltinParsing:
     def test_unknown(self):
         with pytest.raises(ValueError):
             builtin_group("f20")
+
+    def test_order_cap(self):
+        assert builtin_group("z64").order == builtin_group("z2^6").order == 64
+        for spec in ["z65", "z2^7", "z2^1000000000000", "d33", "z100000"]:
+            with pytest.raises(ValueError, match="capped at order 64"):
+                builtin_group(spec)

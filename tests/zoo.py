@@ -16,7 +16,6 @@ from matlift.core import (
     ValidationReport,
     _check_members,
     _CircuitIndex,
-    _index_pairs,
     _relabel_map,
     canonical_circuits,
     elements_of,
@@ -106,27 +105,19 @@ def gf_circuits_from_kernel(a: GfMatrix) -> list[Mask]:
     return minimal
 
 
-def validate_circuits_bruteforce(
-    circuits: Sequence[Mask],
-    n: int,
-    *,
-    max_pairs: Optional[int] = None,
-    seed: int = 0,
-) -> ValidationReport:
-    """The circuit axioms by scanning: for each pair (in ``_index_pairs``
-    order, so sampled runs draw the same pairs) the family is rescanned for
-    the circuits inside the union, and the lowest element of the
-    intersection that all of them contain is the elimination failure."""
+def validate_circuits_bruteforce(circuits: Sequence[Mask], n: int) -> ValidationReport:
+    """The circuit axioms by scanning: for each pair i < j (by i, then j)
+    the family is rescanned for the circuits inside the union, and the
+    lowest element of the intersection that all of them contain is the
+    elimination failure."""
     bad = _check_members(circuits, n)
     if bad is not None:
         return bad
     fam = canonical_circuits(circuits)
     sizes = [c.bit_count() for c in fam]
-    pair_iter, sampled = _index_pairs(len(fam), max_pairs, seed)
-    for i, j in pair_iter:
-        ci, cj = fam[i], fam[j]
+    for ci, cj in combinations(fam, 2):
         if ci & ~cj == 0:
-            return ValidationReport(False, "antichain", (ci, cj), sampled)
+            return ValidationReport(False, "antichain", (ci, cj))
         inter = ci & cj
         if inter == 0:
             continue
@@ -142,33 +133,25 @@ def validate_circuits_bruteforce(
                     break
         if remaining:
             e = (remaining & -remaining).bit_length() - 1
-            return ValidationReport(False, "elimination", (ci, cj, e), sampled)
-    return ValidationReport(True, "ok", (), sampled)
+            return ValidationReport(False, "elimination", (ci, cj, e))
+    return ValidationReport(True)
 
 
-def validate_circuits_pairwise(
-    circuits: Sequence[Mask],
-    n: int,
-    *,
-    max_pairs: Optional[int] = None,
-    seed: int = 0,
-) -> ValidationReport:
+def validate_circuits_pairwise(circuits: Sequence[Mask], n: int) -> ValidationReport:
     """The circuit axioms pair by pair over the bit-parallel circuit index:
-    one ``within`` query for the union of each pair of meeting circuits, in
-    ``_index_pairs`` order."""
+    one ``within`` query for the union of each pair i < j of meeting
+    circuits, by i, then j."""
     bad = _check_members(circuits, n)
     if bad is not None:
         return bad
     fam = canonical_circuits(circuits)
     index = _CircuitIndex(fam, n)
     avoid = index.avoid
-    pair_iter, sampled = _index_pairs(len(fam), max_pairs, seed)
-    for i, j in pair_iter:
-        ci, cj = fam[i], fam[j]
+    for ci, cj in combinations(fam, 2):
         # Canonical order makes ci the smaller set, so one test covers
         # both containment directions.
         if ci & ~cj == 0:
-            return ValidationReport(False, "antichain", (ci, cj), sampled)
+            return ValidationReport(False, "antichain", (ci, cj))
         inter = ci & cj
         if inter == 0:
             continue
@@ -178,17 +161,11 @@ def validate_circuits_pairwise(
             inter ^= low
             e = low.bit_length() - 1
             if not inside & avoid[e]:
-                return ValidationReport(False, "elimination", (ci, cj, e), sampled)
-    return ValidationReport(True, "ok", (), sampled)
+                return ValidationReport(False, "elimination", (ci, cj, e))
+    return ValidationReport(True)
 
 
-def validate_hyperplanes_bruteforce(
-    hyperplanes: Sequence[Mask],
-    n: int,
-    *,
-    max_pairs: Optional[int] = None,
-    seed: int = 0,
-) -> ValidationReport:
+def validate_hyperplanes_bruteforce(hyperplanes: Sequence[Mask], n: int) -> ValidationReport:
     """The hyperplane axioms by scanning: for each pair the family is
     rescanned for the members containing the intersection, and the lowest
     element outside the union that none of them covers is the exchange
@@ -200,11 +177,9 @@ def validate_hyperplanes_bruteforce(
             return ValidationReport(False, "out-of-range", (h,))
         if h == full:
             return ValidationReport(False, "improper-member", (h,))
-    pair_iter, sampled = _index_pairs(len(fam), max_pairs, seed)
-    for i, j in pair_iter:
-        h1, h2 = fam[i], fam[j]
+    for h1, h2 in combinations(fam, 2):
         if h1 & ~h2 == 0:
-            return ValidationReport(False, "antichain", (h1, h2), sampled)
+            return ValidationReport(False, "antichain", (h1, h2))
         outside = full & ~(h1 | h2)
         if outside == 0:
             continue
@@ -217,8 +192,8 @@ def validate_hyperplanes_bruteforce(
                     break
         if outside & ~covered:
             e = ((outside & ~covered) & -(outside & ~covered)).bit_length() - 1
-            return ValidationReport(False, "exchange", (h1, h2, e), sampled)
-    return ValidationReport(True, "ok", (), sampled)
+            return ValidationReport(False, "exchange", (h1, h2, e))
+    return ValidationReport(True)
 
 
 def is_sparse_paving_bruteforce(m: Matroid) -> bool:
