@@ -13,9 +13,11 @@ ends the run with exit 1 for a ``core.CheckFailedError`` (stderr ``check
 failed``), 2 for any other ``ValueError`` or an ``OSError`` (``error``)
 and 3 for a broken internal invariant (``internal error``); with
 ``--json`` the report as filled so far is still written, with that stderr
-line under ``error``.  Argparse usage errors and ``--help`` write no
-report.  Reports are deterministic; wall time lives in its own key so the
-rest of a report is byte-stable across runs.
+line under ``error``.  A report that cannot be written (a missing
+directory, say) prints ``error: cannot write the report: ...`` and exits 2.
+Argparse usage errors and ``--help`` write no report.  Reports are
+deterministic; wall time lives in its own key so the rest of a report is
+byte-stable across runs.
 
 This module imports only the standard library and ``matlift.core``; each
 command handler imports the layers it runs, so a job loads no module it
@@ -95,17 +97,11 @@ def _load_group(spec: str) -> FinGroup:
 
 
 def _class_indices(value: str, m: Matroid) -> frozenset[int]:
+    """The 0-based circuit indices listed in ``value`` or in the file it names."""
     body = value
     if not all(ch.isdigit() or ch in ", " for ch in value):
         body = Path(value).read_text()
-    toks = body.replace(",", " ").split()
-    idxs = set()
-    for t in toks:
-        k = int(t)
-        if not 1 <= k <= len(m.circuits):
-            raise ValueError(f"circuit index {k} outside [1, {len(m.circuits)}]")
-        idxs.add(k - 1)
-    return frozenset(idxs)
+    return frozenset(k - 1 for k in _parse_indices(body, len(m.circuits), "circuit index"))
 
 
 def _lift_dict(m: Matroid) -> dict:
@@ -501,7 +497,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = EXIT_OK if all(c["pass"] for c in rep.get("checks", ())) else EXIT_CHECK_FAILED
     rep["wall_time_s"] = round(time.perf_counter() - t0, 6)
     if args.json:
-        Path(args.json).write_text(json.dumps(rep, indent=2, sort_keys=True) + "\n")
+        try:
+            Path(args.json).write_text(json.dumps(rep, indent=2, sort_keys=True) + "\n")
+        except (ValueError, OSError) as exc:
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     return code
 
 

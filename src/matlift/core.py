@@ -401,8 +401,7 @@ class Matroid(RankMatroid):
         def dual_rank(mask: Mask) -> int:
             return mask.bit_count() + self.rank(full & ~mask) - r
 
-        fam = circuits_from_rank_oracle(dual_rank, self.n, self.n - r + 1)
-        return Matroid(self.n, fam, validate=False)
+        return Matroid(self.n, circuits_from_rank_oracle(dual_rank, self.n), validate=False)
 
     def flats(self) -> list[Mask]:
         """All flats (closure-fixed sets), by lattice walk from cl(empty)."""
@@ -479,8 +478,8 @@ class SparsePaving(RankMatroid):
         return self.r - 1 if mask in self._ch_set else self.r
 
     def to_matroid(self) -> Matroid:
-        """The circuit family: every subset of at most r+1 elements is visited."""
-        return Matroid(self.n, circuits_from_rank_oracle(self.rank, self.n, self.r + 1), validate=False)
+        """The circuit family, from ``circuits_from_rank_oracle``."""
+        return Matroid(self.n, circuits_from_rank_oracle(self.rank, self.n), validate=False)
 
 
 def _shared_face(members: Iterable[Mask]) -> Optional[tuple[Mask, Mask]]:
@@ -517,29 +516,28 @@ def _minimal_sets(sets: Iterable[Mask]) -> list[Mask]:
     return minimal
 
 
-def circuits_from_rank_oracle(
-    rank_fn: Callable[[Mask], int],
-    n: int,
-    max_size: int,
-) -> list[Mask]:
+def circuits_from_rank_oracle(rank_fn: Callable[[Mask], int], n: int) -> list[Mask]:
     """Materialize the minimal dependent sets of a matroid rank function.
 
-    Enumerates subsets in size order up to ``max_size``.  A k-set with a
-    dependent (k-1)-subset is dependent but not minimal, and is skipped
-    without a rank call; any other k-set is a circuit iff its rank is below
-    k.  Dependent sets are kept for one level only.  ``rank_fn`` must be a
-    genuine matroid rank function for this to be the circuit family.
+    Enumerates subsets in size order up to r+1 elements, r = rank_fn(full).
+    A k-set with a dependent (k-1)-subset is dependent but not minimal, and
+    is skipped without a rank call; any other k-set is a circuit iff it is
+    dependent: rank below k when k <= r, and always when k = r+1, so no
+    (r+1)-set is ranked.  Dependent sets are kept for one level only.
+    ``rank_fn`` must be a genuine matroid rank function.
     """
-    full = (1 << n) - 1
+    r = rank_fn((1 << n) - 1)
+    bits = [1 << e for e in range(n)]
     out: list[Mask] = []
     dependent: set[Mask] = set()
-    for k in range(1, max_size + 1):
-        keep = k < max_size
+    top = min(n, r + 1)
+    for k in range(1, top + 1):
+        keep = k < top
         found: set[Mask] = set()
-        for mask in subsets_of_size(full, k):
-            below = dependent and any(mask ^ (1 << e) in dependent for e in elements_of(mask))
-            if not below:
-                if rank_fn(mask) >= k:
+        for combo in combinations(bits, k):
+            mask = sum(combo)
+            if not (dependent and any(mask ^ b in dependent for b in combo)):
+                if k <= r and rank_fn(mask) >= k:
                     continue
                 out.append(mask)
             if keep:
@@ -560,7 +558,8 @@ def is_quotient(quotient: Matroid, lift: Matroid) -> bool:
     """True iff every flat of ``quotient`` is a flat of ``lift``.
 
     This is the lift/quotient oracle: ``lift`` is a lift of ``quotient``
-    exactly when this holds.
+    exactly when this holds.  A caller that knows the flats of ``quotient``
+    can test ``lift.is_flat`` on them and skip the lattice walk.
     """
     if quotient.n != lift.n:
         raise ValueError("is_quotient needs a common ground set")
@@ -599,8 +598,7 @@ def relax(m: Matroid, hyperplane: Mask) -> Matroid:
             return r
         return m.rank(mask)
 
-    fam = circuits_from_rank_oracle(relaxed_rank, m.n, r + 1)
-    return Matroid(m.n, fam)
+    return Matroid(m.n, circuits_from_rank_oracle(relaxed_rank, m.n))
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +774,7 @@ def matroid_from_hyperplanes(hyperplanes: Sequence[Mask], n: int, claimed_rank: 
         co = full & ~mask
         return dual.rank(co) - co.bit_count() + rank
 
-    fam = circuits_from_rank_oracle(primal_rank, n, rank + 1)
+    fam = circuits_from_rank_oracle(primal_rank, n)
     made = Matroid(n, fam, validate=False)
     if made.full_rank != claimed_rank:
         raise ValueError(f"materialized rank {made.full_rank} != claimed {claimed_rank}")

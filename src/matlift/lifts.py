@@ -149,9 +149,7 @@ def elementary_lift(m: Matroid, members: Iterable[int]) -> Matroid:
         r, inside = m.rank_and_circuits(mask)
         return r + (1 if inside & ~class_mask else 0)
 
-    top = m.full_rank + (0 if len(s) == len(m.circuits) else 1)
-    fam = circuits_from_rank_oracle(lifted_rank, m.n, min(m.n, top + 1))
-    return Matroid(m.n, fam)
+    return Matroid(m.n, circuits_from_rank_oracle(lifted_rank, m.n))
 
 
 def lift_rank(spec: LiftSpec, mask: Mask) -> int:
@@ -161,24 +159,35 @@ def lift_rank(spec: LiftSpec, mask: Mask) -> int:
     return r + spec.overlay.rank(inside)
 
 
+def _first_escape(overlay: RankMatroid, members: Mask, targets: Mask) -> Optional[int]:
+    """The lowest index in ``targets`` outside cl_N(members), or None.
+
+    ``targets`` lies inside cl_N(members) exactly when r_N(members |
+    targets) = r_N(members), so one rank query beyond r_N(members) settles
+    the check; only when the rank goes up are the targets walked in index
+    order to name the first one that escapes.
+    """
+    if not targets:
+        return None
+    base_rank = overlay.rank(members)
+    if overlay.rank(members | targets) == base_rank:
+        return None
+    return next((k for k in elements_of(targets) if overlay.rank(members | (1 << k)) != base_rank), None)
+
+
 def check_star_prime(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:
     """Condition (*'): for every modular pair {C1, C2} every circuit of M
     inside C1 | C2 lies in cl_N({C1, C2}).  Returns a witness on failure.
 
-    Closure membership is evaluated by rank comparison, r_N(S + C) = r_N(S),
-    which keeps overlays given only by rank oracles cheap.
+    Each pair costs two overlay rank queries (``_first_escape``), which
+    keeps overlays given only by rank oracles cheap.
     """
     m = spec.base
-    n = spec.overlay
     for i, j, inside in _modular_pairs(m, range(len(m.circuits))):
         pair_mask = (1 << i) | (1 << j)
-        others = inside & ~pair_mask
-        if not others:
-            continue
-        pair_rank = n.rank(pair_mask)
-        for k in elements_of(others):
-            if n.rank(pair_mask | (1 << k)) != pair_rank:
-                return False, StarWitness((i, j), k)
+        k = _first_escape(spec.overlay, pair_mask, inside & ~pair_mask)
+        if k is not None:
+            return False, StarWitness((i, j), k)
     return True, None
 
 
@@ -188,22 +197,17 @@ def check_star(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:
     Perfect collections are enumerated depth-first by size; every subset of
     a perfect collection is perfect, so branches rooted at a non-perfect
     collection are skipped.  Collection size is bounded by the corank of M.
+    Each collection costs two overlay rank queries (``_first_escape``).
     """
     m = spec.base
-    overlay = spec.overlay
     circuits = m.circuits
     count = len(circuits)
     max_size = min(count, m.n - m.full_rank)
 
     def violates(chosen: list[int], union: Mask) -> Optional[StarWitness]:
-        members = 0
-        for i in chosen:
-            members |= 1 << i
-        members_rank = overlay.rank(members)
-        for k in elements_of(m.circuit_indices_within(union) & ~members):
-            if overlay.rank(members | (1 << k)) != members_rank:
-                return StarWitness(tuple(chosen), k)
-        return None
+        members = mask_of(chosen)
+        k = _first_escape(spec.overlay, members, m.circuit_indices_within(union) & ~members)
+        return None if k is None else StarWitness(tuple(chosen), k)
 
     def extend(chosen: list[int], union: Mask) -> Optional[StarWitness]:
         if len(chosen) >= 2:
@@ -237,10 +241,7 @@ def build_lift(spec: LiftSpec) -> Matroid:
     if not ok:
         assert witness is not None
         raise LiftConditionError(witness)
-    top = spec.base.full_rank + spec.overlay.full_rank
-    fam = circuits_from_rank_oracle(
-        lambda mask: lift_rank(spec, mask), spec.base.n, min(spec.base.n, top + 1)
-    )
+    fam = circuits_from_rank_oracle(lambda mask: lift_rank(spec, mask), spec.base.n)
     return Matroid(spec.base.n, fam)
 
 
@@ -285,9 +286,7 @@ def evaluate_lift_formula(spec: LiftSpec) -> tuple[Optional[Matroid], Validation
                         "submodularity",
                         (mask, e.bit_length() - 1, f.bit_length() - 1),
                     )
-    top = ranks[full]
-    fam = circuits_from_rank_oracle(lambda m: ranks[m], n, min(n, top + 1))
-    return Matroid(n, fam), ValidationReport(True)
+    return Matroid(n, circuits_from_rank_oracle(ranks.__getitem__, n)), ValidationReport(True)
 
 
 def rank_one_overlay(count: int, loop_indices: Iterable[int]) -> Matroid:

@@ -455,6 +455,25 @@ class TestExitMap:
         monkeypatch.setattr("matlift.krt.build_krt", broken)
         self.expect(["krt", "certify", "4", "3"], 3, "internal error", capsys, tmp_path)
 
+    def test_bad_token_in_class_file(self, capsys, tmp_path):
+        class_file = tmp_path / "class.txt"
+        class_file.write_text("1 x\n")
+        argv = ["lift", "elementary", str(TESTDATA / "u24.ckt"), "--class", str(class_file)]
+        self.expect(argv, 2, "error: bad circuit index list '1 x\\n'", capsys, tmp_path)
+
+    def test_class_index_out_of_range(self, capsys, tmp_path):
+        argv = ["lift", "elementary", str(TESTDATA / "u24.ckt"), "--class", "2,9"]
+        self.expect(argv, 2, "error: circuit index 9 outside [1, 4]", capsys, tmp_path)
+
+    @pytest.mark.parametrize("where", ["missing/r.json", "."])
+    def test_unwritable_report_path(self, where, capsys, tmp_path):
+        json_path = tmp_path / where
+        assert main(["--json", str(json_path), "krt", "build", "4", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert "1 2 3 4" in out
+        assert err.startswith("error: cannot write the report:") and err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
+
     def test_usage_error_writes_no_report(self, capsys, tmp_path):
         json_path = tmp_path / "report.json"
         assert main(["--json", str(json_path), "krt", "certify", "x", "3"]) == 2
@@ -488,9 +507,9 @@ LAYER_CASES = [
     (["lift", "general", "{tmp}/s.lift"], {"io", "lifts"}),
     (["lift", "elementary", "{v8}", "--class", "1"], {"io", "lifts"}),
     (["rep", "witness", "{tmp}/u24.gfm", "--x", "1"], {"gf", "io", "lifts"}),
-    (["gain", "lift3", "builtin:s3"], {"gain", "groups", "lifts"}),
-    (["gain", "lift3", "builtin:s3", "--out", "{tmp}/s3.ckt"], {"gain", "groups", "io", "lifts"}),
-    (["gain", "build", "builtin:z2", "3"], {"gain", "groups", "lifts"}),
+    (["gain", "lift3", "builtin:s3"], {"gain", "groups"}),
+    (["gain", "lift3", "builtin:s3", "--out", "{tmp}/s3.ckt"], {"gain", "groups", "io"}),
+    (["gain", "build", "builtin:z2", "3"], {"gain", "groups"}),
     (["gain", "partitions", "builtin:s3"], {"groups"}),
     (["gain", "partitions", "{tmp}/s3.grp"], {"groups", "io"}),
 ]

@@ -391,9 +391,31 @@ class TestCircuitEnumerator:
         small = [(name, m) for name, m in zoo() if m.n <= 12]
         assert len(small) == 40
         for name, m in small:
-            got = canonical_circuits(circuits_from_rank_oracle(m.rank, m.n, m.n))
+            got = canonical_circuits(circuits_from_rank_oracle(m.rank, m.n))
             want = canonical_circuits(circuits_bruteforce(m.rank, m.n))
             assert got == want == m.circuits, name
+
+    def test_never_ranks_an_r_plus_one_set(self):
+        for name, m in zoo():
+            if m.n > 12:
+                continue
+            r = m.full_rank
+            queried = []
+
+            def counting_rank(mask: int) -> int:
+                queried.append(mask)
+                return m.rank(mask)
+
+            assert canonical_circuits(circuits_from_rank_oracle(counting_rank, m.n)) == m.circuits, name
+            assert queried[0] == m.full_mask, name
+            assert all(q.bit_count() <= r for q in queried[1:]), name
+
+    @pytest.mark.parametrize("r,t", [(r, t) for t in (3, 4, 5) for r in range(4, 2 * t - 1)])
+    def test_sparse_paving_to_matroid_matches_bruteforce(self, r, t):
+        sp = build_krt(KrtSpec(r, t))
+        assert sp.n <= 12
+        want = canonical_circuits(circuits_bruteforce(sp.rank, sp.n))
+        assert sp.to_matroid().circuits == want
 
 
 def _corruptions(rng: random.Random, m: Matroid) -> list[list[int]]:

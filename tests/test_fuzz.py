@@ -3,14 +3,18 @@
 Every parser either returns or raises a ``ValueError`` subclass, and the CLI
 ends every fuzzed job in a documented exit code (0-3) without a traceback.
 Inputs mix free token soup with near-valid files, so the fuzzing reaches past
-the headers into the axiom checks and the lift conditions.  Examples are
-derandomized and bounded to keep the suite fast.
+the headers into the axiom checks and the lift conditions.  Each CLI job also
+writes its ``--json`` report to a fuzzed path, some in a missing directory or
+naming a directory: a report lands wherever its directory exists, and
+otherwise the job exits 2.  Examples are derandomized and bounded to keep the
+suite fast.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -93,25 +97,41 @@ def test_parse_lift_text(text):
     returns_or_value_error(parse_lift_text, text)
 
 
-def run_cli(argv_of, text: str) -> None:
+# Report paths relative to the job's directory: plain names, names in a
+# missing directory, and names of directories ("." and "", the directory
+# itself).
+json_name = st.one_of(
+    st.text("abr.-_", min_size=1, max_size=6),
+    st.sampled_from(["", ".", "..", "missing/r.json", "missing/deeper/r.json", "r.json/"]),
+)
+
+
+def run_cli(argv_of, text: str, report: str) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input"
         path.write_text(text)
-        out, err = io.StringIO(), io.StringIO()
+        json_path = Path(tmp) / report
+        writable = json_path.parent.is_dir() and not json_path.is_dir()
         for argv in argv_of(str(path)):
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["--json", str(json_path), *argv])
             assert code in (0, 1, 2, 3), argv
-        assert "Traceback" not in err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            if writable:
+                assert json.loads(json_path.read_text())["command"] == argv
+                json_path.unlink()
+            else:
+                assert code == 2 and "error: cannot write the report" in err.getvalue()
 
 
 @CLI_FUZZ
-@given(st.one_of(soup, ckt_text()))
-def test_cli_on_fuzzed_ckt(text):
-    run_cli(lambda f: [["check", f], ["rank", f, "1"], ["iso", f, f]], text)
+@given(st.one_of(soup, ckt_text()), json_name)
+def test_cli_on_fuzzed_ckt(text, report):
+    run_cli(lambda f: [["check", f], ["rank", f, "1"], ["iso", f, f]], text, report)
 
 
 @CLI_FUZZ
-@given(st.one_of(soup, lift_text()))
-def test_cli_on_fuzzed_lift(text):
-    run_cli(lambda f: [["lift", "general", f, "--check-star"], ["lift", "general", f, "--force"]], text)
+@given(st.one_of(soup, lift_text()), json_name)
+def test_cli_on_fuzzed_lift(text, report):
+    run_cli(lambda f: [["lift", "general", f, "--check-star"], ["lift", "general", f, "--force"]], text, report)

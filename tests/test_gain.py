@@ -205,6 +205,13 @@ class TestGraphicMatroid:
         m = graphic_matroid(full_gain_graph(builtin_group("z3"), 3))
         assert validate_circuits(m.circuits, m.n).ok
 
+    @pytest.mark.parametrize("name,n,bell", [("z2", 3, 5), ("z3", 3, 5), ("s3", 3, 5), ("z2", 4, 15)])
+    def test_graphic_flats_are_the_flats(self, name, n, bell):
+        gg = full_gain_graph(builtin_group(name), n)
+        flats = gg.graphic_flats()
+        assert len(flats) == bell
+        assert flats == graphic_matroid(gg).flats()
+
 
 class TestZaslavsky:
     def test_z2_rank3(self):
@@ -313,6 +320,25 @@ class TestRank2Lift:
                 expected = gg.labels_mask(set(part) | {eps})
                 containing = [h for h in res.hyperplanes if mask & ~h == 0]
                 assert containing == [expected]
+
+    @pytest.mark.parametrize("name", ["z2^2", "s3"])
+    def test_one_axiom_pass(self, name, monkeypatch):
+        # Only the hyperplane family is validated: the quotient test reads
+        # the graphic flats and builds no cycle family.
+        from matlift.core import _CircuitIndex
+
+        passes = []
+        first_violation = _CircuitIndex.first_violation
+
+        def counting(index, order):
+            passes.append(len(order))
+            return first_violation(index, order)
+
+        monkeypatch.setattr(_CircuitIndex, "first_violation", counting)
+        res = rank2_lift_k3(builtin_group(name))
+        assert passes == [len(res.hyperplanes)]
+        assert res.quotient_ok
+        assert is_quotient(graphic_matroid(res.gain_graph), res.matroid)
 
     def test_group_order_cap(self):
         with pytest.raises(ValueError, match="capped"):

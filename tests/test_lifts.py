@@ -27,7 +27,14 @@ from matlift.lifts import (
     rank_one_overlay,
 )
 
-from zoo import random_base_matroid, random_linear_class, random_overlay
+from zoo import (
+    check_star_per_member,
+    check_star_prime_per_member,
+    random_base_matroid,
+    random_linear_class,
+    random_overlay,
+    random_witness_instance,
+)
 
 
 class TestModularPair:
@@ -247,6 +254,51 @@ class TestStarConditions:
             overlay = random_overlay(rng, len(m.circuits))
             spec = LiftSpec(m, overlay)
             assert check_star(spec)[0] == check_star_prime(spec)[0]
+
+
+def _zoo_lift_specs() -> list[LiftSpec]:
+    """The lift specs the zoo builds, the witness specs of seeded GF(p)
+    instances, and the parallel-chain obstruction with a free overlay."""
+    from matlift.gf import GfMatrix, WitnessProblem, lift_witness
+
+    u13 = uniform_matroid(1, 3)
+    specs = [
+        LiftSpec(u13, uniform_matroid(2, 3)),
+        LiftSpec(u13, rank_one_overlay(len(u13.circuits), [])),
+        lift_witness(WitnessProblem(GfMatrix(3, [[1, 0, 1, 1], [0, 1, 1, 2]]), (0,))).spec,
+    ]
+    rng = random.Random(79)
+    for _ in range(6):
+        specs.append(lift_witness(WitnessProblem(*random_witness_instance(rng))).spec)
+    chain = build_krt(KrtSpec(4, 3)).to_matroid().contract(mask_of([6, 7]))
+    specs.append(LiftSpec(chain, uniform_matroid(len(chain.circuits), len(chain.circuits))))
+    return specs
+
+
+class TestClosureChecksAgainstPerMemberLoops:
+    """(*) and (*') decide each closure with one rank query of the whole
+    set of circuits to place; the per-member loops of the oracles give the
+    same verdict and name the same escaping circuit."""
+
+    def assert_same(self, spec: LiftSpec) -> bool:
+        prime = check_star_prime(spec)
+        assert prime == check_star_prime_per_member(spec)
+        assert check_star(spec) == check_star_per_member(spec)
+        return prime[0]
+
+    def test_zoo_lifts(self):
+        verdicts = [self.assert_same(spec) for spec in _zoo_lift_specs()]
+        assert verdicts.count(False) == 1
+
+    def test_seeded_failing_overlays(self):
+        rng = random.Random(83)
+        failing = 0
+        for _ in range(300):
+            m = random_base_matroid(rng)
+            spec = LiftSpec(m, random_overlay(rng, len(m.circuits)))
+            if not self.assert_same(spec):
+                failing += 1
+        assert failing >= 50
 
 
 class TestBuildLift:

@@ -29,7 +29,15 @@ from matlift.gain import full_gain_graph, graphic_matroid, rank2_lift_k3, zaslav
 from matlift.gf import GfMatrix, WitnessProblem, column_matroid, lift_witness
 from matlift.groups import builtin_group
 from matlift.krt import IngletonWitness, KrtSpec, VamosLikeMinor, build_krt
-from matlift.lifts import LiftSpec, build_lift, elementary_lift, rank_one_overlay
+from matlift.lifts import (
+    LiftSpec,
+    StarWitness,
+    _modular_pairs,
+    _perfect,
+    build_lift,
+    elementary_lift,
+    rank_one_overlay,
+)
 
 # ---------------------------------------------------------------------------
 # independent oracles (deliberately dumb)
@@ -163,6 +171,48 @@ def validate_circuits_pairwise(circuits: Sequence[Mask], n: int) -> ValidationRe
             if not inside & avoid[e]:
                 return ValidationReport(False, "elimination", (ci, cj, e))
     return ValidationReport(True)
+
+
+def check_star_prime_per_member(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:
+    """Condition (*') with one overlay rank query per circuit inside the
+    union of each modular pair, in index order."""
+    m, n = spec.base, spec.overlay
+    for i, j, inside in _modular_pairs(m, range(len(m.circuits))):
+        pair_mask = (1 << i) | (1 << j)
+        pair_rank = n.rank(pair_mask)
+        for k in elements_of(inside & ~pair_mask):
+            if n.rank(pair_mask | (1 << k)) != pair_rank:
+                return False, StarWitness((i, j), k)
+    return True, None
+
+
+def check_star_per_member(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:
+    """Condition (*) over the perfect collections, depth-first by size, with
+    one overlay rank query per circuit inside each collection's union."""
+    m, n = spec.base, spec.overlay
+    circuits = m.circuits
+    max_size = min(len(circuits), m.n - m.full_rank)
+
+    def extend(chosen: list[int], union: Mask) -> Optional[StarWitness]:
+        if len(chosen) >= 2:
+            members = mask_of(chosen)
+            members_rank = n.rank(members)
+            for k in elements_of(m.circuit_indices_within(union) & ~members):
+                if n.rank(members | (1 << k)) != members_rank:
+                    return StarWitness(tuple(chosen), k)
+        if len(chosen) == max_size:
+            return None
+        for nxt in range(chosen[-1] + 1 if chosen else 0, len(circuits)):
+            chosen.append(nxt)
+            if _perfect(m, [circuits[i] for i in chosen], union | circuits[nxt]):
+                bad = extend(chosen, union | circuits[nxt])
+                if bad is not None:
+                    return bad
+            chosen.pop()
+        return None
+
+    witness = extend([], 0)
+    return witness is None, witness
 
 
 def validate_hyperplanes_bruteforce(hyperplanes: Sequence[Mask], n: int) -> ValidationReport:
