@@ -5,9 +5,11 @@ column set X, builds the overlay matroid N on the circuits of M = K/X so
 that M^N equals L = K\\X.  Matrices are immutable tuples of tuples, safe to
 share across threads.
 
-Every rank comes from one echelon kernel, ``_reduce_into``: the size of
-the basis the columns build, with no matrix copied or re-eliminated.
-``column_matroid`` runs it along a fundamental-circuit search.
+Every elimination goes through one echelon kernel, ``_reduce_into``.  A
+rank is the size of the basis the columns build, with no matrix copied or
+re-eliminated.  ``column_circuits`` runs it along a fundamental-circuit
+search that reports each circuit with its kernel vector, and the witness
+construction projects K modulo span(X) by reducing against X's basis.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from matlift.core import (
     Matroid,
     RankMatroid,
     elements_of,
-    one_based,
 )
 from matlift.lifts import LiftSpec, check_star_prime, lift_rank
 
@@ -86,78 +87,11 @@ class GfMatrix:
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.data)
 
-    def take_columns(self, cols: Sequence[int]) -> "GfMatrix":
-        return GfMatrix(self.p, [[row[j] for j in cols] for row in self.data])
-
-    def drop_columns(self, cols: Iterable[int]) -> "GfMatrix":
-        drop = set(cols)
-        keep = [j for j in range(self.cols) if j not in drop]
-        return self.take_columns(keep)
-
-    def drop_rows(self, rows: Iterable[int]) -> "GfMatrix":
-        drop = set(rows)
-        kept = [list(self.data[i]) for i in range(self.rows) if i not in drop]
-        if not kept:
-            raise ValueError("cannot drop every row")
-        return GfMatrix(self.p, kept)
-
     def matvec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
         p = self.p
         return tuple(sum(row[j] * v[j] for j in range(self.cols)) % p for row in self.data)
-
-    def rref(self) -> tuple["GfMatrix", tuple[int, ...]]:
-        """Reduced row echelon form plus pivot column indices."""
-        work = [list(row) for row in self.data]
-        pivots = _eliminate(self.p, work, range(self.cols))
-        return GfMatrix(self.p, work), tuple(pivots)
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
-    def kernel_basis(self) -> list[tuple[int, ...]]:
-        """A basis of the right kernel, one vector per free column."""
-        red, pivots = self.rref()
-        pivot_of_col = {c: i for i, c in enumerate(pivots)}
-        basis = []
-        for free in range(self.cols):
-            if free in pivot_of_col:
-                continue
-            v = [0] * self.cols
-            v[free] = 1
-            for col, row in pivot_of_col.items():
-                v[col] = (-red.data[row][free]) % self.p
-            basis.append(tuple(v))
-        return basis
-
-
-def _eliminate(p: int, work: list[list[int]], cols: Iterable[int]) -> list[int]:
-    """Gauss-Jordan elimination of ``work`` in place over GF(p).
-
-    Pivots on ``cols`` in order, skipping a column with no pivot left, until
-    the rows run out.  Returns the columns that got a pivot; the i-th of
-    them is reduced to the i-th standard basis vector.
-    """
-    rows = len(work)
-    pivots: list[int] = []
-    r = 0
-    for col in cols:
-        if r == rows:
-            break
-        pivot_row = next((i for i in range(r, rows) if work[i][col]), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = pow(work[r][col], p - 2, p)
-        work[r] = [(x * inv) % p for x in work[r]]
-        for i in range(rows):
-            if i != r and work[i][col]:
-                factor = work[i][col]
-                work[i] = [(a - factor * b) % p for a, b in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-    return pivots
 
 
 Row = tuple[int, list[int]]
@@ -201,8 +135,10 @@ def columns_rank(a: GfMatrix, cols: Sequence[int]) -> int:
     return _rank_of(a.p, (a.column(c) for c in cols), a.rows)
 
 
-def column_matroid(a: GfMatrix) -> Matroid:
-    """The matroid of linear dependence on the columns of ``a``.
+def column_circuits(a: GfMatrix) -> dict[Mask, tuple[int, ...]]:
+    """The circuits of the column matroid of ``a``, each with its kernel
+    vector: the dependence of the columns supported exactly on the
+    circuit, scaled so its first nonzero entry is 1.
 
     A fundamental-circuit search over the independent sets I, depth-first
     in lexicographic order.  Each later column outside the span of I is
@@ -217,7 +153,7 @@ def column_matroid(a: GfMatrix) -> Matroid:
     if a.cols > 64:
         raise ValueError("column matroid supports at most 64 columns")
     p, rows, n = a.p, a.rows, a.cols
-    fam: list[Mask] = []
+    found: dict[Mask, tuple[int, ...]] = {}
 
     def extend(indep: Mask, members: list[int], step: list[Row], later: list[tuple[int, Sequence[int]]]) -> None:
         # later: the columns past max(I), each with its residue against
@@ -229,13 +165,21 @@ def column_matroid(a: GfMatrix) -> Matroid:
             if len(step) > depth:
                 grown.append((f, step.pop()))
             elif all(residue[rows + i] for i in members):
-                fam.append(indep | 1 << f)
+                # the combination is 1 at f, so a loop needs no scaling
+                inv = pow(residue[rows + members[0]], p - 2, p) if members else 1
+                found[indep | 1 << f] = tuple(x * inv % p for x in residue[rows:])
         for k, (e, row) in enumerate(grown):
             extend(indep | 1 << e, members + [e], [row], [(f, v) for f, (_, v) in grown[k + 1:]])
 
     # column e followed by the unit vector e, its combination of columns
     extend(0, [], [], [(e, a.column(e) + tuple(int(i == e) for i in range(n))) for e in range(n)])
-    return Matroid(n, fam, validate=False)
+    return found
+
+
+def column_matroid(a: GfMatrix) -> Matroid:
+    """The matroid of linear dependence on the columns of ``a``: the
+    circuits ``column_circuits`` finds."""
+    return Matroid(a.cols, column_circuits(a), validate=False)
 
 
 class LinearMatroid(RankMatroid):
@@ -271,26 +215,6 @@ class LinearMatroid(RankMatroid):
         return got
 
 
-def circuit_vector(a: GfMatrix, circuit: Mask) -> tuple[int, ...]:
-    """The kernel vector of ``a`` supported exactly on a circuit of its
-    column matroid, normalized so the first nonzero entry is 1."""
-    cols = elements_of(circuit)
-    kernel = a.take_columns(cols).kernel_basis()
-    if len(kernel) != 1:
-        raise ValueError(
-            f"columns {one_based(circuit)} are not a circuit "
-            f"(restricted kernel dimension {len(kernel)})"
-        )
-    small = kernel[0]
-    if any(x == 0 for x in small):
-        raise ValueError(f"columns {one_based(circuit)} are not a circuit (support mismatch)")
-    lead_inv = pow(small[0], a.p - 2, a.p)
-    v = [0] * a.cols
-    for col, x in zip(cols, small):
-        v[col] = (x * lead_inv) % a.p
-    return tuple(v)
-
-
 @dataclass(frozen=True)
 class WitnessProblem:
     """A represented matroid K (columns of ``a``) and a column subset X."""
@@ -319,73 +243,43 @@ class LiftWitness:
     circuit_vectors: tuple[tuple[int, ...], ...]
 
 
-def maximal_independent_columns(a: GfMatrix, cols: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Split ``cols`` into a maximal independent prefix-greedy subset and the
-    leftover dependent columns.  The explicit reduction for dependent X."""
-    basis: list[Row] = []
-    indep: list[int] = []
-    leftover: list[int] = []
-    for c in cols:
-        _reduce_into(a.p, basis, a.column(c), a.rows)
-        if len(basis) > len(indep):
-            indep.append(c)
-        else:
-            leftover.append(c)
-    return indep, leftover
-
-
-def _pivot_x_to_standard_basis(a: GfMatrix, x_cols: Sequence[int]) -> GfMatrix:
-    """Row-reduce so the i-th X column becomes the i-th standard basis vector.
-
-    Row operations preserve column dependences, so the column matroid is
-    unchanged.
-    """
-    work = [list(row) for row in a.data]
-    if len(_eliminate(a.p, work, x_cols)) < len(x_cols):
-        raise DependentColumnsError(x_cols, circuit_combination(a, x_cols))
-    return GfMatrix(a.p, work)
-
-
-def circuit_combination(a: GfMatrix, cols: Sequence[int]) -> tuple[int, ...]:
-    """A nonzero kernel vector over the given dependent columns (for error
-    reporting)."""
-    kernel = a.take_columns(list(cols)).kernel_basis()
-    if not kernel:
-        raise ValueError("columns are independent")
-    return kernel[0]
-
-
 def lift_witness(problem: WitnessProblem) -> LiftWitness:
     """The representable-witness construction.
 
-    Pivots the X columns to standard basis vectors, forms A_M (X columns and
-    their pivot rows removed) and A_L (X columns removed), takes the kernel
-    vector x_C of each circuit C of M, and lets N be the column matroid of
-    B = [A_L x_C].  The returned spec always satisfies (*').
+    Inserts the X columns into one echelon basis, each followed by its unit
+    vector so that a column that does not grow the basis reports the
+    dependence it lies in.  Every other column, reduced against that basis
+    and stripped of X's pivot rows, is a column of A_M, which represents
+    M = K/X; the same columns as given form A_L, which represents L = K\\X.
+    Each circuit C of M comes with its kernel vector x_C from the circuit
+    search, and N is the column matroid of B = [A_L x_C].  The returned
+    spec always satisfies (*').
     """
-    a, x_cols = problem.a, list(problem.x_columns)
-    if columns_rank(a, x_cols) < len(x_cols):
-        raise DependentColumnsError(x_cols, circuit_combination(a, x_cols))
-    if len(x_cols) == a.cols:
+    a, x_cols = problem.a, problem.x_columns
+    p, rows, k = a.p, a.rows, len(x_cols)
+    basis: list[Row] = []
+    for i, c in enumerate(x_cols):
+        residue = _reduce_into(p, basis, a.column(c) + tuple(int(j == i) for j in range(k)), rows)
+        if len(basis) == i:
+            raise DependentColumnsError(x_cols, residue[rows:])
+    if k == a.cols:
         empty = Matroid(0, [])
         return LiftWitness(empty, empty, empty, LiftSpec(empty, empty), None, ())
-    if x_cols:
-        pivoted = _pivot_x_to_standard_basis(a, x_cols)
-        a_l = pivoted.drop_columns(x_cols)
-        if len(x_cols) == pivoted.rows:
-            # X spans the row space; M is the rank-0 matroid on the rest.
-            a_m = GfMatrix(a.p, [[0] * a_l.cols])
-        else:
-            a_m = a_l.drop_rows(range(len(x_cols)))
-    else:
-        a_l = a
-        a_m = a
-    m = column_matroid(a_m)
+    rest = [c for c in range(a.cols) if c not in x_cols]
+    a_l = GfMatrix(p, [[row[c] for c in rest] for row in a.data])
+    # width 0: reduce against X's rows, appending and rescaling nothing
+    projected = [_reduce_into(p, basis, a.column(c), 0) for c in rest]
+    pivots = {pivot for pivot, _ in basis}
+    kept = [i for i in range(rows) if i not in pivots]
+    # X spanning the row space leaves M the rank-0 matroid: one zero row
+    a_m = GfMatrix(p, [[v[i] for v in projected] for i in kept] or [[0] * len(rest)])
+    found = column_circuits(a_m)
+    m = Matroid(a_m.cols, found, validate=False)
     l = column_matroid(a_l)
-    vectors = tuple(circuit_vector(a_m, c) for c in m.circuits)
+    vectors = tuple(found[c] for c in m.circuits)
     if vectors:
         columns = [a_l.matvec(v) for v in vectors]
-        b: Optional[GfMatrix] = GfMatrix(a.p, [[col[i] for col in columns] for i in range(a_l.rows)])
+        b: Optional[GfMatrix] = GfMatrix(p, [[col[i] for col in columns] for i in range(rows)])
         n: RankMatroid = LinearMatroid(b)
     else:
         b = None

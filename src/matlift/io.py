@@ -85,10 +85,6 @@ def emit_matroid_text(m: Matroid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_matroid(m: Matroid, path: str | Path) -> None:
-    Path(path).write_text(emit_matroid_text(m))
-
-
 # ---------------------------------------------------------------------------
 # .grp
 

@@ -345,6 +345,19 @@ class TestRepWitness:
         assert body["error"].startswith("check failed: columns [1, 2] are dependent")
         assert body["inputs"] == {"matrix": str(gfm), "x_columns": [1, 2]}
 
+    @pytest.mark.parametrize("x, line", [
+        ("1,2,3", "check failed: columns [1, 2, 3] are dependent (kernel vector [5, 4, 1])\n"),
+        ("3,1,2", "check failed: columns [3, 1, 2] are dependent (kernel vector [2, 3, 1])\n"),
+    ])
+    def test_dependent_x_kernel_vector_over_gf7(self, capsys, tmp_path, x, line):
+        gfm = tmp_path / "a.gfm"
+        gfm.write_text("gf 7 2 3\n1 0 2\n0 1 3\n")
+        json_path = tmp_path / "w.json"
+        assert main(["--json", str(json_path), "rep", "witness", str(gfm), "--x", x]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == line
+        assert load_report(json_path)["error"] == line.rstrip("\n")
+
     def test_x_columns_are_1_based_and_keep_their_order(self, capsys, tmp_path):
         gfm = tmp_path / "u24.gfm"
         gfm.write_text("gf 3 2 4\n1 0 1 1\n0 1 1 2\n")

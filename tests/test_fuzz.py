@@ -3,7 +3,9 @@
 Every parser either returns or raises a ``ValueError`` subclass, and the CLI
 ends every fuzzed job in a documented exit code (0-3) without a traceback.
 Inputs mix free token soup with near-valid files, so the fuzzing reaches past
-the headers into the axiom checks and the lift conditions.  Each CLI job also
+the headers into the axiom checks and the lift conditions; ``rep witness``
+gets well-formed matrices over good and bad field orders with fuzzed X
+lists, and a job that exits 1 must name dependent columns.  Each CLI job also
 writes its ``--json`` report to a fuzzed path, some in a missing directory or
 naming a directory: a report lands wherever its directory exists, and
 otherwise the job exits 2.  Examples are derandomized and bounded to keep the
@@ -106,7 +108,7 @@ json_name = st.one_of(
 )
 
 
-def run_cli(argv_of, text: str, report: str) -> None:
+def run_cli(argv_of, text: str, report: str, check_report=None) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input"
         path.write_text(text)
@@ -119,7 +121,10 @@ def run_cli(argv_of, text: str, report: str) -> None:
             assert code in (0, 1, 2, 3), argv
             assert "Traceback" not in err.getvalue()
             if writable:
-                assert json.loads(json_path.read_text())["command"] == argv
+                body = json.loads(json_path.read_text())
+                assert body["command"] == argv
+                if check_report is not None:
+                    check_report(code, body)
                 json_path.unlink()
             else:
                 assert code == 2 and "error: cannot write the report" in err.getvalue()
@@ -135,3 +140,30 @@ def test_cli_on_fuzzed_ckt(text, report):
 @given(st.one_of(soup, lift_text()), json_name)
 def test_cli_on_fuzzed_lift(text, report):
     run_cli(lambda f: [["lift", "general", f, "--check-star"], ["lift", "general", f, "--force"]], text, report)
+
+
+@st.composite
+def witness_job(draw) -> tuple[str, str]:
+    """A well-formed matrix of at most 4 x 7, over a prime field or over a
+    composite or oversized order, and an --x list for it: repeats, columns
+    out of range, no column at all, and more columns than rows (so
+    dependent)."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 251, 4, 9, 257]))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 7))
+    data = draw(st.lists(st.lists(st.integers(-1, 8), min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    text = "\n".join([f"gf {p} {rows} {cols}"] + [" ".join(map(str, r)) for r in data]) + "\n"
+    x = list(draw(st.permutations(range(1, cols + 1))))[: draw(st.integers(0, rows + 1))]
+    x += draw(st.lists(st.integers(0, cols + 1), max_size=1))
+    return text, draw(st.sampled_from([",", " ", ", "])).join(map(str, x))
+
+
+def exit_1_is_dependent_x(code: int, report: dict) -> None:
+    if code == 1:
+        assert report.get("error", "").startswith("check failed: columns"), report
+
+
+@FUZZ
+@given(witness_job(), json_name)
+def test_cli_on_fuzzed_gfm(job, report):
+    text, x = job
+    run_cli(lambda f: [["rep", "witness", f, "--x", x]], text, report, exit_1_is_dependent_x)

@@ -15,18 +15,25 @@ from matlift.gf import (
     GfMatrix,
     LinearMatroid,
     WitnessProblem,
-    _pivot_x_to_standard_basis,
-    circuit_vector,
+    column_circuits,
     column_matroid,
     columns_rank,
     is_prime,
     lift_witness,
-    maximal_independent_columns,
     verify_witness,
 )
 from matlift.lifts import build_lift, check_star_prime
 
-from zoo import circuits_bruteforce, gf_circuits_from_kernel, gf_rank_bruteforce, random_gf_matrix
+from zoo import (
+    circuits_bruteforce,
+    gf_circuit_vector,
+    gf_circuits_from_kernel,
+    gf_kernel_basis,
+    gf_rank_bruteforce,
+    gf_rref,
+    random_gf_matrix,
+    random_witness_instance,
+)
 
 
 class TestField:
@@ -47,33 +54,30 @@ class TestField:
 
 
 class TestRref:
+    """The oracle the echelon paths are checked against: ``zoo``'s plain
+    Gauss-Jordan elimination, which shares no code with ``matlift.gf``."""
+
     def test_identity(self):
-        a = GfMatrix(2, [[1, 0], [0, 1]])
-        red, pivots = a.rref()
-        assert red == a and pivots == (0, 1)
+        assert gf_rref(2, [[1, 0], [0, 1]]) == ([[1, 0], [0, 1]], [0, 1])
 
     def test_zero(self):
-        a = GfMatrix(2, [[0, 0], [0, 0]])
-        red, pivots = a.rref()
-        assert red == a and pivots == ()
+        assert gf_rref(2, [[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], [])
 
     def test_gf2_hand_example(self):
-        red, pivots = GfMatrix(2, [[1, 1], [1, 1]]).rref()
-        assert red.data == ((1, 1), (0, 0))
-        assert pivots == (0,)
+        assert gf_rref(2, [[1, 1], [1, 1]]) == ([[1, 1], [0, 0]], [0])
 
     def test_kernel_vectors_lie_in_kernel(self):
         rng = random.Random(3)
         for _ in range(40):
             a = random_gf_matrix(rng)
-            for v in a.kernel_basis():
+            for v in gf_kernel_basis(a.p, a.data):
                 assert all(x == 0 for x in a.matvec(v))
 
     def test_rank_nullity(self):
         rng = random.Random(5)
         for _ in range(40):
             a = random_gf_matrix(rng)
-            assert a.rank() + len(a.kernel_basis()) == a.cols
+            assert len(gf_rref(a.p, a.data)[1]) + len(gf_kernel_basis(a.p, a.data)) == a.cols
 
 
 class TestColumnMatroid:
@@ -88,7 +92,7 @@ class TestColumnMatroid:
         rng = random.Random(7)
         for _ in range(40):
             a = random_gf_matrix(rng)
-            assert column_matroid(a).full_rank == len(a.rref()[1])
+            assert column_matroid(a).full_rank == len(gf_rref(a.p, a.data)[1])
 
     def test_zero_columns_are_loops(self):
         a = GfMatrix(5, [[0, 1, 0], [0, 2, 0]])
@@ -120,29 +124,43 @@ class TestColumnMatroid:
             assert column_matroid(a).circuits == want
 
 
+def _assert_circuit_vectors(a: GfMatrix) -> None:
+    """Each vector of the circuit search against the oracle's kernel."""
+    for c, v in column_circuits(a).items():
+        assert len(v) == a.cols
+        assert mask_of(i for i, x in enumerate(v) if x) == c
+        assert next(x for x in v if x) == 1
+        assert all(x == 0 for x in a.matvec(v))
+        assert v == gf_circuit_vector(a, c)
+
+
 class TestCircuitVector:
+    """The kernel vector ``column_circuits`` reports with each circuit."""
+
     def test_gf2_pair(self):
-        assert circuit_vector(GfMatrix(2, [[1, 1]]), 0b11) == (1, 1)
+        assert column_circuits(GfMatrix(2, [[1, 1]])) == {0b11: (1, 1)}
 
     def test_gf3_pair(self):
-        assert circuit_vector(GfMatrix(3, [[1, 2]]), 0b11) == (1, 1)
+        assert column_circuits(GfMatrix(3, [[1, 2]])) == {0b11: (1, 1)}
 
     def test_rejects_independent(self):
-        with pytest.raises(ValueError):
-            circuit_vector(GfMatrix(2, [[1, 0], [0, 1]]), 0b11)
+        assert column_circuits(GfMatrix(2, [[1, 0], [0, 1]])) == {}
+
+    def test_gf7_triangle_scaled_to_first_entry(self):
+        # col1 + 5 col2 + 3 col3 = 0; the search finds it as 5 col1 + 4 col2 + col3
+        assert column_circuits(GfMatrix(7, [[1, 0, 2], [0, 1, 3]])) == {0b111: (1, 5, 3)}
+
+    def test_loops(self):
+        assert column_circuits(GfMatrix(5, [[0, 1, 0], [0, 2, 0]])) == {0b1: (1, 0, 0), 0b100: (0, 0, 1)}
 
     def test_support_and_kernel(self):
         rng = random.Random(13)
-        for _ in range(20):
-            a = random_gf_matrix(rng, max_rows=3, max_cols=7)
-            m = column_matroid(a)
-            for c in m.circuits:
-                v = circuit_vector(a, c)
-                assert all(x == 0 for x in a.matvec(v))
-                support = mask_of(i for i, x in enumerate(v) if x)
-                assert support == c
-                first = next(x for x in v if x)
-                assert first == 1
+        for _ in range(40):
+            _assert_circuit_vectors(random_gf_matrix(rng, p=rng.choice([2, 3, 5, 7, 251]), max_rows=3, max_cols=7))
+
+    def test_edge_matrices(self):
+        for a in EDGE_MATRICES.values():
+            _assert_circuit_vectors(a)
 
 
 class TestWitness:
@@ -167,6 +185,24 @@ class TestWitness:
         with pytest.raises(DependentColumnsError) as err:
             lift_witness(WitnessProblem(a, (0, 1)))
         assert err.value.columns == (0, 1)
+        assert err.value.combination == (1, 1)
+
+    @pytest.mark.parametrize("x, combination", [((0, 1, 2), (5, 4, 1)), ((2, 0, 1), (2, 3, 1))])
+    def test_dependent_x_over_gf7(self, x, combination):
+        # col3 = 2 col1 + 3 col2: the combination is 1 at the first column
+        # that does not grow X's basis and 0 past it
+        a = GfMatrix(7, [[1, 0, 2], [0, 1, 3]])
+        with pytest.raises(DependentColumnsError) as err:
+            lift_witness(WitnessProblem(a, x))
+        assert err.value.columns == x
+        assert err.value.combination == combination
+        assert str(err.value) == f"columns {[c + 1 for c in x]} are dependent (kernel vector {list(combination)})"
+
+    def test_dependent_zero_column(self):
+        a = GfMatrix(3, [[1, 0, 2], [0, 0, 1]])
+        with pytest.raises(DependentColumnsError) as err:
+            lift_witness(WitnessProblem(a, (0, 1, 2)))
+        assert err.value.combination == (0, 1, 0)
 
     def test_x_is_every_column(self):
         a = GfMatrix(2, [[1, 0], [0, 1]])
@@ -181,19 +217,6 @@ class TestWitness:
         assert w.m.circuits == () and w.b_matrix is None
         assert w.spec.overlay == Matroid(0, [])
         assert verify_witness(w.spec, w.l)
-
-    def test_pivot_reports_dependent_x(self):
-        a = GfMatrix(2, [[1, 1, 0], [0, 0, 1]])
-        with pytest.raises(DependentColumnsError) as err:
-            _pivot_x_to_standard_basis(a, [0, 1])
-        assert err.value.columns == (0, 1)
-        assert err.value.combination == (1, 1)
-
-    def test_maximal_independent_reduction(self):
-        a = GfMatrix(2, [[1, 1, 0], [0, 0, 1]])
-        indep, leftover = maximal_independent_columns(a, [0, 1, 2])
-        assert indep == [0, 2] and leftover == [1]
-        lift_witness(WitnessProblem(a, tuple(indep)))  # now fine
 
     def test_wrong_overlay_fails_verification(self):
         a = GfMatrix(3, [[1, 0, 1, 1], [0, 1, 1, 2]])
@@ -234,6 +257,64 @@ class TestWitness:
             for mask in range(1 << w.b_matrix.cols):
                 assert scaled.rank(mask) == w.spec.overlay.rank(mask)
             done += 1
+
+
+def _independent_prefix(a: GfMatrix, order, size: int) -> tuple[int, ...]:
+    """The first ``size`` columns of ``order`` that each grow the rank."""
+    x: list[int] = []
+    for c in order:
+        if len(x) < size and gf_rank_bruteforce(a, x + [c]) > len(x):
+            x.append(c)
+    return tuple(x)
+
+
+def _differential_case(rng: random.Random, kind: str) -> tuple[GfMatrix, tuple[int, ...]]:
+    """A seeded (A, X) with X independent: empty, spanning the row space
+    (A of full row rank, X a basis), every column, or a random prefix; a
+    column of A is zero now and then."""
+    while True:
+        p = rng.choice([2, 3, 5, 7, 251])
+        rows = rng.randint(1, 4)
+        cols = rng.randint(1, rows) if kind == "all" else rng.randint(1, 7)
+        data = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+        for c in range(cols):
+            if kind != "all" and rng.random() < 0.15:
+                for row in data:
+                    row[c] = 0
+        a = GfMatrix(p, data)
+        order = list(range(cols))
+        rng.shuffle(order)
+        rank = gf_rank_bruteforce(a, order)
+        if kind == "empty":
+            return a, ()
+        if kind == "spanning" and rank == rows:
+            return a, _independent_prefix(a, order, rows)
+        if kind == "all" and rank == cols:
+            return a, tuple(order)
+        if kind == "random":
+            return a, _independent_prefix(a, order, rng.randint(1, rows))
+
+
+@pytest.mark.parametrize("kind", ["empty", "spanning", "all", "random"])
+def test_witness_matches_contraction_and_deletion(kind):
+    """``lift_witness`` against the materialized K/X and K\\X on 50 seeded
+    instances of each kind, with every x_C checked independently: A_L x_C
+    must lie in span(X), the one dependence of K/X supported on C."""
+    rng = random.Random(f"witness-{kind}")
+    for _ in range(50):
+        a, x = _differential_case(rng, kind)
+        w = lift_witness(WitnessProblem(a, x))
+        k = column_matroid(a)
+        assert w.m == k.contract(mask_of(x))
+        assert w.l == k.delete(mask_of(x))
+        assert len(w.circuit_vectors) == len(w.m.circuits)
+        for j, (c, v) in enumerate(zip(w.m.circuits, w.circuit_vectors)):
+            assert mask_of(i for i, e in enumerate(v) if e) == c
+            assert next(e for e in v if e) == 1
+            image = [row[j] for row in w.b_matrix.data]
+            augmented = GfMatrix(a.p, [[row[i] for i in x] + [e] for row, e in zip(a.data, image)])
+            assert gf_rank_bruteforce(augmented, range(len(x) + 1)) == len(x)
+        assert verify_witness(w.spec, w.l)
 
 
 class TestLinearMatroidOverlay:
@@ -285,17 +366,6 @@ def _assert_rank_paths_match(a: GfMatrix, masks) -> None:
         assert materialized.rank(mask) == want
 
 
-def _greedy_bruteforce(a: GfMatrix, cols) -> tuple[list[int], list[int]]:
-    indep: list[int] = []
-    leftover: list[int] = []
-    for c in cols:
-        if gf_rank_bruteforce(a, indep + [c]) > len(indep):
-            indep.append(c)
-        else:
-            leftover.append(c)
-    return indep, leftover
-
-
 EDGE_MATRICES = {
     "zero columns": GfMatrix(3, [[0, 1, 0, 2, 0, 1], [0, 2, 0, 1, 0, 1]]),
     "all zero": GfMatrix(2, [[0, 0, 0], [0, 0, 0]]),
@@ -320,9 +390,6 @@ class TestEchelonAgainstReElimination:
         a = EDGE_MATRICES[name]
         assert column_matroid(a).circuits == _bruteforce_circuits(a)
         _assert_rank_paths_match(a, range(1 << a.cols))
-        cols = list(range(a.cols))
-        assert maximal_independent_columns(a, cols) == _greedy_bruteforce(a, cols)
-        assert maximal_independent_columns(a, cols[::-1]) == _greedy_bruteforce(a, cols[::-1])
 
     def test_edge_case_shapes(self):
         zero = EDGE_MATRICES["zero columns"]
@@ -375,23 +442,12 @@ class TestEchelonAgainstReElimination:
             assert columns_rank(a, cols) == want
 
 
-def _random_witness_instance(rng: random.Random):
-    while True:
-        a = random_gf_matrix(rng, p=rng.choice([2, 3, 5, 7]), max_rows=4, max_cols=9)
-        cols = list(range(a.cols))
-        rng.shuffle(cols)
-        size = rng.randint(0, 2)
-        x = tuple(sorted(cols[:size]))
-        if columns_rank(a, x) == len(x):
-            return a, x
-
-
 def test_witness_suite_random_instances():
     """Three dozen random instances here; the full 200-instance run is the
     acceptance criterion."""
     rng = random.Random(20240818)
     for _ in range(36):
-        a, x = _random_witness_instance(rng)
+        a, x = random_witness_instance(rng)
         w = lift_witness(WitnessProblem(a, x))
         assert check_star_prime(w.spec)[0]
         assert verify_witness(w.spec, w.l)
@@ -408,6 +464,5 @@ def test_witness_suite_random_instances():
 )
 def test_rref_preserves_column_dependences(which_p: int, rows: list[list[int]]):
     p = (3, 7)[which_p]
-    a = GfMatrix(p, rows)
-    red, _ = a.rref()
-    assert column_matroid(a) == column_matroid(red)
+    red, _ = gf_rref(p, rows)
+    assert column_matroid(GfMatrix(p, rows)) == column_matroid(GfMatrix(p, red))

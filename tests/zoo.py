@@ -89,18 +89,70 @@ def circuits_bruteforce(rank_fn: Callable[[Mask], int], n: int) -> list[Mask]:
     return out
 
 
+def gf_rref(p: int, rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of ``rows`` over GF(p) and its pivot
+    columns, by plain Gauss-Jordan elimination on a copy."""
+    work = [[x % p for x in row] for row in rows]
+    width = len(work[0]) if work else 0
+    pivots: list[int] = []
+    for col in range(width):
+        r = len(pivots)
+        pick = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if pick is None:
+            continue
+        work[r], work[pick] = work[pick], work[r]
+        inv = pow(work[r][col], p - 2, p)
+        work[r] = [x * inv % p for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col]:
+                f = work[i][col]
+                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[r])]
+        pivots.append(col)
+    return work, pivots
+
+
+def gf_kernel_basis(p: int, rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """A basis of the right kernel of ``rows`` over GF(p), one vector per
+    free column of the reduced row echelon form."""
+    red, pivots = gf_rref(p, rows)
+    width = len(red[0]) if red else 0
+    basis = []
+    for free in (c for c in range(width) if c not in pivots):
+        v = [0] * width
+        v[free] = 1
+        for r, col in enumerate(pivots):
+            v[col] = -red[r][free] % p
+        basis.append(tuple(v))
+    return basis
+
+
+def _columns(a: GfMatrix, cols: Sequence[int]) -> list[list[int]]:
+    return [[row[c] for c in cols] for row in a.data]
+
+
 def gf_rank_bruteforce(a: GfMatrix, cols: Sequence[int]) -> int:
     """Rank of the chosen columns of ``a`` by a full Gauss-Jordan pass over
-    a fresh copy of them, sharing no echelon state with the library's rank
-    paths."""
-    return a.take_columns(list(cols)).rank() if cols else 0
+    a fresh copy of them, sharing no code with ``matlift.gf``."""
+    return len(gf_rref(a.p, _columns(a, list(cols)))[1]) if cols else 0
+
+
+def gf_circuit_vector(a: GfMatrix, circuit: Mask) -> tuple[int, ...]:
+    """The kernel vector of ``a`` supported on ``circuit``, a circuit of its
+    column matroid, scaled so its first nonzero entry is 1."""
+    cols = elements_of(circuit)
+    (small,) = gf_kernel_basis(a.p, _columns(a, cols))
+    inv = pow(small[0], a.p - 2, a.p)
+    v = [0] * a.cols
+    for c, x in zip(cols, small):
+        v[c] = x * inv % a.p
+    return tuple(v)
 
 
 def gf_circuits_from_kernel(a: GfMatrix) -> list[Mask]:
     """The circuits of the column matroid of ``a`` as the minimal nonempty
     supports of its kernel vectors, every vector of the kernel listed from
     a basis (p ** nullity of them)."""
-    basis = a.kernel_basis()
+    basis = gf_kernel_basis(a.p, a.data)
     supports = set()
     for coeffs in product(range(a.p), repeat=len(basis)):
         v = [sum(c * b[j] for c, b in zip(coeffs, basis)) % a.p for j in range(a.cols)]
@@ -465,14 +517,12 @@ def random_linear_class(rng: random.Random, m: Matroid) -> frozenset[int]:
 def random_witness_instance(rng: random.Random) -> tuple[GfMatrix, tuple[int, ...]]:
     """A random (A, X) with p in {2,3,5,7}, at most 4x9, X independent of
     size at most 2."""
-    from matlift.gf import columns_rank
-
     while True:
         a = random_gf_matrix(rng, p=rng.choice([2, 3, 5, 7]), max_rows=4, max_cols=9)
         cols = list(range(a.cols))
         rng.shuffle(cols)
         x = tuple(sorted(cols[: rng.randint(0, 2)]))
-        if columns_rank(a, x) == len(x):
+        if gf_rank_bruteforce(a, x) == len(x):
             return a, x
 
 
