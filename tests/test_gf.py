@@ -187,6 +187,19 @@ class TestWitness:
         assert err.value.columns == (0, 1)
         assert err.value.combination == (1, 1)
 
+    def test_pivot_reports_dependent_x(self):
+        # X's pivot step stops at the first column that does not grow the
+        # basis; the combination it reports annihilates X's columns
+        a = GfMatrix(5, [[1, 2, 0, 3], [0, 0, 1, 1]])
+        x = (2, 0, 1)
+        with pytest.raises(DependentColumnsError) as err:
+            lift_witness(WitnessProblem(a, x))
+        assert err.value.columns == x
+        combo = err.value.combination
+        assert combo[-1] == 1
+        x_only = GfMatrix(5, [[row[c] for c in x] for row in a.data])
+        assert x_only.matvec(combo) == (0, 0)
+
     @pytest.mark.parametrize("x, combination", [((0, 1, 2), (5, 4, 1)), ((2, 0, 1), (2, 3, 1))])
     def test_dependent_x_over_gf7(self, x, combination):
         # col3 = 2 col1 + 3 col2: the combination is 1 at the first column
