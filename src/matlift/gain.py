@@ -205,15 +205,24 @@ def switching_orbit(gg: GainGraph, mask: Mask) -> tuple[Mask, list[Mask]]:
     (i, j) to g_i^-1 * label * g_j, so the orbit is the image over all
     per-vertex value tuples."""
     g = gg.group
-    if g.order ** gg.n > 1 << 20:
+    k = g.order
+    if k ** gg.n > 1 << 20:
         raise ValueError("switching orbit enumeration too large")
+    # The image of the mask's edges on a vertex pair (i, j) depends only on
+    # (g_i, g_j): one table per pair, indexed g_i * order + g_j.
+    tables: dict[tuple[int, int], list[Mask]] = {}
+    for idx in elements_of(mask):
+        e = gg.edges[idx]
+        row = tables.setdefault((e.i, e.j), [0] * (k * k))
+        for a in range(k):
+            left = g.mul(g.inv(a), e.label)
+            for b in range(k):
+                row[a * k + b] |= 1 << gg.edge_index(e.i, e.j, g.mul(left, b))
     seen: set[Mask] = set()
-    for values in product(range(g.order), repeat=gg.n):
+    for values in product(range(k), repeat=gg.n):
         image = 0
-        for idx in elements_of(mask):
-            e = gg.edges[idx]
-            lab = g.mul(g.mul(g.inv(values[e.i]), e.label), values[e.j])
-            image |= 1 << gg.edge_index(e.i, e.j, lab)
+        for (i, j), row in tables.items():
+            image |= row[values[i] * k + values[j]]
         seen.add(image)
     orbit = sorted(seen)
     return orbit[0], orbit

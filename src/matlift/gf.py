@@ -131,10 +131,6 @@ def _rank_of(p: int, vectors: Iterable[Sequence[int]], width: int) -> int:
     return len(basis)
 
 
-def columns_rank(a: GfMatrix, cols: Sequence[int]) -> int:
-    return _rank_of(a.p, (a.column(c) for c in cols), a.rows)
-
-
 def column_circuits(a: GfMatrix) -> dict[Mask, tuple[int, ...]]:
     """The circuits of the column matroid of ``a``, each with its kernel
     vector: the dependence of the columns supported exactly on the

@@ -4,15 +4,20 @@ from __future__ import annotations
 
 import json
 import os
+import random
+import shutil
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
 
 import matlift
+import matlift.core as core
 from matlift.cli import main
+from matlift.core import elements_of, mask_of, validate_circuits
 
 TESTDATA = Path(__file__).parent / "testdata"
 GOLDEN = Path(__file__).parent / "golden"
@@ -553,3 +558,120 @@ def test_command_loads_only_its_layers(argv, layers, tmp_path):
     code, loaded = json.loads(proc.stdout)
     assert code in (0, 1)
     assert set(loaded) == {"matlift", "matlift.cli", "matlift.core"} | {f"matlift.{m}" for m in layers}
+
+
+# ---------------------------------------------------------------------------
+# validation walls: large saved families, checked end to end
+
+# (command writing the file, file name, ground size, circuit count, rank).
+# The union pass alone takes about 3.4 s, 560 s and 358 s on these files,
+# so the 60 s subprocess timeout holds them to the bounded certificate.
+WALL_FAMILIES = [
+    (["gain", "lift3", "builtin:s3"], "s3.ckt", 18, 1662, 4),
+    (["gain", "lift3", "builtin:z2^3"], "z2_3.ckt", 24, 20770, 4),
+    (["krt", "build", "8", "8"], "k88.ckt", 18, 48485, 8),
+]
+
+
+@pytest.fixture(scope="module")
+def wall_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("walls")
+    for argv, name, *_ in WALL_FAMILIES:
+        assert main([*argv, "--out", str(d / name)]) == 0
+    return d
+
+
+def _cli_subprocess(argv: list[str], python: str = sys.executable, **env) -> subprocess.CompletedProcess:
+    src = str(Path(matlift.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, **env}
+    return subprocess.run([python, "-m", "matlift.cli", *argv], capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("name, n, circuits, rank", [w[1:] for w in WALL_FAMILIES], ids=[w[1] for w in WALL_FAMILIES])
+def test_check_large_saved_family(wall_dir, name, n, circuits, rank):
+    proc = _cli_subprocess(["check", str(wall_dir / name)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"valid matroid: n={n}, {circuits} circuits, rank {rank}\n"
+
+
+def test_iso_large_saved_family_with_relabeling(wall_dir, tmp_path):
+    from matlift.io import parse_matroid
+
+    m = parse_matroid(wall_dir / "s3.ckt", validate=False)
+    rng = random.Random(113)
+    perm = list(range(m.n))
+    rng.shuffle(perm)
+    rows = [sorted(perm[e] + 1 for e in elements_of(c)) for c in m.circuits]
+    rng.shuffle(rows)
+    relabeled = tmp_path / "s3_relabeled.ckt"
+    relabeled.write_text(f"matroid {m.n} circuits\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+    proc = _cli_subprocess(["iso", str(wall_dir / "s3.ckt"), str(relabeled)])
+    assert proc.returncode == 0, proc.stderr
+    image = [int(tok) - 1 for tok in proc.stdout.split()]
+    assert {mask_of(image[e] for e in elements_of(c)) for c in m.circuits} == {mask_of(e - 1 for e in r) for r in rows}
+
+
+@pytest.mark.parametrize("name", [w[1] for w in WALL_FAMILIES])
+def test_large_saved_family_takes_the_bounded_certificate(wall_dir, name, monkeypatch):
+    """At most C(n, k+1) + m + n + s(s-1)/2 circuit-index queries, s the
+    members of at most k elements; the union pass makes hundreds of
+    thousands on these families."""
+    from matlift.io import parse_matroid
+
+    m = parse_matroid(wall_dir / name, validate=False)
+    index = core._CircuitIndex(m.circuits, m.n)
+    k = index.free_size()
+    s, count = index.upto[k].bit_length(), len(m.circuits)
+    calls = 0
+    within = core._CircuitIndex.within
+
+    def counted(self, mask):
+        nonlocal calls
+        calls += 1
+        return within(self, mask)
+
+    monkeypatch.setattr(core._CircuitIndex, "within", counted)
+    assert validate_circuits(m.circuits, m.n).ok
+    assert k == m.full_rank
+    assert calls <= comb(m.n, k + 1) + count + m.n + s * (s - 1) // 2
+
+
+# The 14 golden reports: GOLDEN_CASES and the four checked above.
+ALL_GOLDEN_CASES = GOLDEN_CASES + [
+    ("krt_certify_4_3", ["krt", "certify", "4", "3"], 0),
+    ("krt_certify_7_5", ["krt", "certify", "7", "5"], 0),
+    ("krt_ingleton_5_4", ["krt", "ingleton", "5", "4"], 0),
+    ("gain_lift3_s3", ["gain", "lift3", "builtin:s3"], 0),
+]
+
+
+def _oldest_python() -> tuple[str | None, str]:
+    """The ``python3.10`` on PATH and a reason when it cannot be used.
+    ``PYENV_VERSION`` picks a 3.10 install behind a pyenv shim and is
+    ignored by any other interpreter."""
+    exe = shutil.which("python3.10")
+    if exe is None:
+        return None, "no python3.10 on PATH"
+    probe = subprocess.run([exe, "-c", "import sys; print(sys.version_info[:2])"], capture_output=True,
+                           text=True, env={**os.environ, "PYENV_VERSION": "3.10"}, timeout=60)
+    if probe.returncode != 0 or probe.stdout.strip() != "(3, 10)":
+        return None, f"python3.10 on PATH does not run: {probe.stderr.strip()[:200]}"
+    return exe, ""
+
+
+def test_goldens_under_oldest_supported_python(tmp_path):
+    """pyproject.toml declares requires-python >= 3.10: every golden report
+    is reproduced by ``python3.10 -m matlift.cli``."""
+    exe, reason = _oldest_python()
+    if exe is None:
+        pytest.skip(reason)
+    assert len(ALL_GOLDEN_CASES) == 14
+    for name, argv, code in ALL_GOLDEN_CASES:
+        json_path = tmp_path / f"{name}.json"
+        argv = [a.format(d=TESTDATA) for a in argv]
+        proc = _cli_subprocess(["--json", str(json_path), *argv], python=exe, PYENV_VERSION="3.10")
+        assert proc.returncode == code, (name, proc.stderr)
+        expected = json.loads((GOLDEN / f"{name}.json").read_text())
+        expected.pop("wall_time_s", None)
+        assert _file_names(load_report(json_path)) == expected, name
+

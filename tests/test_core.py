@@ -474,7 +474,10 @@ class TestCircuitIndexAgainstBruteForce:
             families = [hyps, hyps[1:], hyps + [rng.randrange(1 << m.n)]]
             for fam in families:
                 if len(fam) <= 250:
-                    assert validate_hyperplanes(fam, m.n) == validate_hyperplanes_bruteforce(fam, m.n), name
+                    want = validate_hyperplanes_bruteforce(fam, m.n)
+                    assert validate_hyperplanes(fam, m.n) == want, name
+                    if want.kind not in ("out-of-range", "improper-member"):
+                        assert _certifies({m.full_mask ^ h for h in fam}, m.n) == want.ok, name
 
     def test_hyperplane_exchange_is_elimination_on_complements(self):
         rng = random.Random(71)
@@ -528,6 +531,81 @@ class TestCircuitIndexAgainstBruteForce:
         verdicts = [is_sparse_paving(m) for m in matroids]
         assert verdicts == [is_sparse_paving_bruteforce(m) for m in matroids]
         assert any(verdicts) and not all(verdicts)
+
+
+def _certifies(fam, n: int) -> bool:
+    """The bounded certificate run directly, whatever path the cost rule
+    in ``_CircuitIndex.report`` would pick."""
+    canon = canonical_circuits(fam)
+    index = core._CircuitIndex(canon, n)
+    return index.certifies(canon, index.free_size())
+
+
+def _random_clutter(rng: random.Random) -> tuple[int, list[int]]:
+    """Up to 9 random nonempty sets on at most 7 elements, reduced to the
+    inclusion-minimal ones; a third of them drawn as unions of small sets so
+    that members meet."""
+    n = rng.randint(1, 7)
+    raw = {rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 9))}
+    if rng.random() < 0.33:
+        small = [mask_of(rng.sample(range(n), min(n, 2))) for _ in range(3)]
+        raw |= {a | b for a in small for b in small}
+    return n, [c for c in raw if not any(d != c and d & ~c == 0 for d in raw)]
+
+
+# Two non-matroids on {0, 1, 2, 3}.  The greedy member-free set is {0, 1}
+# (k = 2) for the first and {0, 2, 3} (k = 3) for the second.
+# - {012, 013} fails elimination only at a union of 4 = k+2 elements and has
+#   no member of at most k elements, so only (A), every 3-set holding a
+#   member, rejects it: {0, 2, 3} holds none.
+# - {01, 12} fails elimination at 1 inside a union of 3 <= k+1 elements, and
+#   the one 4-set holds a member, so only (C) rejects it.
+LARGE_UNION_FAILURE = [0b0111, 0b1011]
+SMALL_UNION_FAILURE = [0b0011, 0b0110]
+
+
+class TestBoundedCertificate:
+    """``_CircuitIndex.certifies`` against the scanning oracles of
+    ``tests/zoo.py``, verdict for verdict, and ``validate_circuits`` (bounded
+    certificate, union pass on failure) report for report."""
+
+    def test_zoo_and_six_corruptions_each(self):
+        # The pair-by-pair oracle up to 1,000 members (6.5 s for the 1,662
+        # of lift3(S3) and its corruptions), the scanning one up to 200.
+        rng = random.Random(97)
+        verdicts = set()
+        for name, m in zoo():
+            for fam in [list(m.circuits)] + _corruptions(rng, m) + _corruptions(rng, m):
+                got = validate_circuits(fam, m.n)
+                if len(fam) <= 1000:
+                    assert got == validate_circuits_pairwise(fam, m.n), name
+                if len(fam) <= 200:
+                    assert got == validate_circuits_bruteforce(fam, m.n), name
+                assert _certifies(fam, m.n) == got.ok, name
+                verdicts.add(got.kind)
+        assert {"ok", "antichain", "elimination"} <= verdicts
+
+    def test_random_clutters(self):
+        rng = random.Random(101)
+        oks = 0
+        for _ in range(3000):
+            n, fam = _random_clutter(rng)
+            want = validate_circuits_bruteforce(fam, n)
+            assert validate_circuits(fam, n) == want == validate_circuits_pairwise(fam, n), (n, fam)
+            assert _certifies(fam, n) == want.ok, (n, fam)
+            oks += want.ok
+        assert 100 <= oks <= 2900
+
+    @pytest.mark.parametrize("fam, large", [(LARGE_UNION_FAILURE, True), (SMALL_UNION_FAILURE, False)])
+    def test_hand_built_non_matroids(self, fam, large):
+        n = 4
+        want = validate_circuits_bruteforce(fam, n)
+        assert not want.ok and validate_circuits(fam, n) == want
+        index = core._CircuitIndex(canonical_circuits(fam), n)
+        k = index.free_size()
+        a, b, _ = want.witness
+        assert ((a | b).bit_count() >= k + 2) == large
+        assert not index.certifies(canonical_circuits(fam), k)
 
 
 @lru_cache(maxsize=1)
@@ -598,6 +676,11 @@ class TestUnionPassAtBenchSizes:
         m = dict(zoo())["K(5,5)"]
         assert validate_circuits(m.circuits, m.n).ok
         assert 0 < calls <= 46_000  # 377,557 pairs of meeting circuits
+        # The valid family takes the bounded certificate; the union pass
+        # alone keeps the same bound.
+        calls = 0
+        assert core._CircuitIndex(m.circuits, m.n).first_violation(m.circuits).ok
+        assert 0 < calls <= 46_000
         # The first violation lies in row 370 of 869; only that row is
         # walked pair by pair.
         fam = list(m.circuits)

@@ -5,7 +5,10 @@ ends every fuzzed job in a documented exit code (0-3) without a traceback.
 Inputs mix free token soup with near-valid files, so the fuzzing reaches past
 the headers into the axiom checks and the lift conditions; ``rep witness``
 gets well-formed matrices over good and bad field orders with fuzzed X
-lists, and a job that exits 1 must name dependent columns.  Each CLI job also
+lists, and a job that exits 1 must name dependent columns.  The ``gain``
+commands get Cayley tables of small groups, renamed, reordered and
+sometimes with one entry changed, and a ``lift3`` that exits 0 reports
+rank 4.  Each CLI job also
 writes its ``--json`` report to a fuzzed path, some in a missing directory or
 naming a directory: a report lands wherever its directory exists, and
 otherwise the job exits 2.  Examples are derandomized and bounded to keep the
@@ -20,11 +23,12 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from matlift.cli import main
-from matlift.io import parse_group_text, parse_lift_text, parse_matrix_text, parse_matroid_text
+from matlift.groups import builtin_group
+from matlift.io import emit_group_text, parse_group_text, parse_lift_text, parse_matrix_text, parse_matroid_text
 
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -167,3 +171,35 @@ def exit_1_is_dependent_x(code: int, report: dict) -> None:
 def test_cli_on_fuzzed_gfm(job, report):
     text, x = job
     run_cli(lambda f: [["rep", "witness", f, "--x", x]], text, report, exit_1_is_dependent_x)
+
+
+@st.composite
+def cayley_text(draw) -> str:
+    """The Cayley table of a builtin group of order at most 6 with its
+    elements renamed and reordered, sometimes with one entry changed."""
+    g = builtin_group(draw(st.sampled_from(["s3", "z2^2", "z4", "z6", "z3", "z5", "z2", "z1"])))
+    k = g.order
+    perm = draw(st.permutations(range(k)))
+    table = [[0] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(k):
+            table[perm[a]][perm[b]] = perm[g.mul(a, b)]
+    if draw(st.integers(0, 3)) == 0:
+        table[draw(st.integers(0, k - 1))][draw(st.integers(0, k - 1))] = draw(st.integers(0, k - 1))
+    names = draw(st.lists(st.text("abxyz019_", min_size=1, max_size=3), min_size=k, max_size=k, unique=True))
+    return "\n".join([f"group {k}", " ".join(names)] + [" ".join(names[x] for x in row) for row in table]) + "\n"
+
+
+def lift3_rank_is_4(code: int, report: dict) -> None:
+    if report["command"][1] == "lift3" and code == 0:
+        assert report["lift"]["rank"] == 4, report
+
+
+@FUZZ
+@given(st.one_of(cayley_text(), grp_text(), soup), st.sampled_from([3, 4, 5, 2, 0]), json_name)
+@example(emit_group_text(builtin_group("s3")), 3, "r.json")
+@example(emit_group_text(builtin_group("z2^2")), 4, "r.json")
+def test_cli_on_fuzzed_grp(text, n, report):
+    run_cli(lambda f: [["gain", "partitions", f], ["gain", "build", f, str(n)], ["gain", "lift3", f]],
+            text, report, lift3_rank_is_4)
+

@@ -4,6 +4,7 @@ vertices with its certificates."""
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, product
 
 import pytest
@@ -185,6 +186,33 @@ class TestOrbits:
             canon, _ = switching_orbit(gg, gg.labels_mask(set(part) | {g.identity}))
             forms.add(canon)
         assert len(forms) == 3
+
+    @pytest.mark.parametrize(
+        "name, n",
+        [("z2", 3), ("z3", 3), ("z2^2", 3), ("s3", 3), ("d4", 3), ("z2^3", 3), ("q8", 3), ("z2", 4), ("z3", 4)],
+    )
+    def test_orbit_matches_composed_switchings(self, name, n):
+        # Reference: switch vertex by vertex with ``switch_mask``, over every
+        # per-vertex value tuple.
+        gg = full_gain_graph(builtin_group(name), n)
+        rng = random.Random(f"orbit:{name}:{n}")
+        masks = [0, gg.full_mask] + [rng.getrandbits(gg.edge_count) for _ in range(6)]
+        masks += [gg.labels_mask(set(part) | {gg.group.identity}) for part in _parts(gg.group)]
+        for mask in masks:
+            want = set()
+            for values in product(range(gg.group.order), repeat=n):
+                image = mask
+                for k, beta in enumerate(values):
+                    image = gg.switch_mask(image, k, beta)
+                want.add(image)
+            assert switching_orbit(gg, mask) == (min(want), sorted(want))
+
+
+def _parts(group):
+    from matlift.groups import primitive_partition
+
+    prim = primitive_partition(group)
+    return prim.parts if prim is not None else []
 
 
 class TestGraphicMatroid:
