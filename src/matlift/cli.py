@@ -201,9 +201,11 @@ def cmd_lift_general(args: argparse.Namespace, rep: Report) -> None:
 def cmd_rep_witness(args: argparse.Namespace, rep: Report) -> None:
     from matlift.gf import WitnessProblem, lift_witness, verify_witness
     from matlift.io import parse_matrix
+    from matlift.lifts import require_sweepable
     a = parse_matrix(args.matrix)
     x_columns = _parse_indices(args.x, a.cols, "column")
     rep["inputs"] = {"matrix": args.matrix, "x_columns": x_columns}
+    require_sweepable(a.cols - len(x_columns))  # refuse before building K/X, slow on wide matrices
     witness = lift_witness(WitnessProblem(a, tuple(c - 1 for c in x_columns)))
     rep.check("star_prime", True)  # lift_witness raised otherwise
     rep.check("witness_verifies", verify_witness(witness.spec, witness.l))

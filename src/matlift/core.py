@@ -426,6 +426,20 @@ class Matroid(RankMatroid):
             r -= 1
         return r
 
+    def rank_sweep(self) -> Iterator[tuple[Mask, int, Mask]]:
+        """(X, r(X), ``circuit_indices_within(X)``) for every X, in an order
+        fixed by n.  X's parent is X + m, m the least element missing from
+        X: X keeps the parent's circuits that miss m, and one rank less
+        when that is all of them."""
+        avoid = self._index.avoid
+        stack = [(self.full_mask, self.full_rank, self._index.upto[-1], self.n)]
+        while stack:
+            x, r, inside, low = stack.pop()
+            yield x, r, inside
+            for m in range(low):
+                kept = inside & avoid[m]
+                stack.append((x ^ 1 << m, r - (kept == inside), kept, m))
+
     def loops(self) -> Mask:
         return self.closure(0)
 
@@ -577,30 +591,39 @@ def _minimal_sets(sets: Iterable[Mask]) -> list[Mask]:
 def circuits_from_rank_oracle(rank_fn: Callable[[Mask], int], n: int) -> list[Mask]:
     """Materialize the minimal dependent sets of a matroid rank function.
 
-    Enumerates subsets in size order up to r+1 elements, r = rank_fn(full).
-    A k-set with a dependent (k-1)-subset is dependent but not minimal, and
-    is skipped without a rank call; any other k-set is a circuit iff it is
-    dependent: rank below k when k <= r, and always when k = r+1, so no
-    (r+1)-set is ranked.  Dependent sets are kept for one level only.
+    Walks the sets of at most r = rank_fn(full) elements by size.  A k-set
+    with a dependent (k-1)-face is dependent, not minimal, and not ranked;
+    any other is a circuit iff its rank is below k.  B + f, B a basis and
+    f > max(B), is a circuit iff f lies in no cl(B - b), that is, iff no
+    B - b + f is a dependent r-set; so no (r+1)-set is scanned or ranked.
     ``rank_fn`` must be a genuine matroid rank function.
     """
     r = rank_fn((1 << n) - 1)
     bits = [1 << e for e in range(n)]
     out: list[Mask] = []
     dependent: set[Mask] = set()
-    top = min(n, r + 1)
-    for k in range(1, top + 1):
-        keep = k < top
+    for k in range(1, r + 1):
         found: set[Mask] = set()
         for combo in combinations(bits, k):
             mask = sum(combo)
             if not (dependent and any(mask ^ b in dependent for b in combo)):
-                if k <= r and rank_fn(mask) >= k:
+                if rank_fn(mask) >= k:
                     continue
                 out.append(mask)
-            if keep:
-                found.add(mask)
+            found.add(mask)
         dependent = found
+    closure: dict[Mask, Mask] = {}
+    for mask in dependent:
+        for b in bits:
+            if mask & b:
+                closure[mask ^ b] = closure.get(mask ^ b, 0) | b
+    for combo in combinations(bits, r):
+        basis = sum(combo)
+        if basis not in dependent:
+            blocked = basis
+            for b in combo:
+                blocked |= closure.get(basis ^ b, 0)
+            out.extend(basis | f for f in bits[combo[-1].bit_length() if combo else 0 :] if not blocked & f)
     return out
 
 

@@ -25,7 +25,7 @@ from matlift.core import (
     RankMatroid,
     elements_of,
 )
-from matlift.lifts import LiftSpec, check_star_prime, lift_rank
+from matlift.lifts import LiftSpec, check_star_prime, lift_ranks
 
 MAX_PRIME = 251
 
@@ -290,12 +290,11 @@ def lift_witness(problem: WitnessProblem) -> LiftWitness:
 def verify_witness(spec: LiftSpec, l: Matroid) -> bool:
     """True iff the lift rank of the spec equals L's rank on every subset.
 
-    Checks equality (not mere isomorphism) exhaustively over the ground set.
+    Checks equality (not mere isomorphism) exhaustively over the ground
+    set: ``lift_ranks`` and L's ``rank_sweep`` walk the subsets in the same
+    order, each set's ranks read from its parent's.  Ground sets above
+    ``MAX_SWEEP_GROUND`` elements are refused with ``ValueError``.
     """
     if spec.base.n != l.n:
         raise ValueError("ground set mismatch")
-    full = (1 << l.n) - 1
-    for mask in range(full + 1):
-        if lift_rank(spec, mask) != l.rank(mask):
-            return False
-    return True
+    return all(got == want for (_, got), (_, want, _) in zip(lift_ranks(spec), l.rank_sweep()))

@@ -57,20 +57,28 @@ def parse_matroid_text(text: str, *, path: str = "<string>", validate: bool = Tr
         raise ParseError(path, lineno, f"bad ground set size {parts[1]!r}") from None
     if not 1 <= n <= 64:
         raise ParseError(path, lineno, f"ground set size {n} outside [1, 64]")
+    bit = {str(e): 1 << (e - 1) for e in range(1, n + 1)}.__getitem__
     circuits = []
     for lineno, body in lines[1:]:
+        toks = body.split()
         try:
-            elems = [int(tok) for tok in body.split()]
-        except ValueError:
-            raise ParseError(path, lineno, f"non-integer element in {body!r}") from None
-        if not elems:
-            continue
-        for e in elems:
-            if not 1 <= e <= n:
-                raise ParseError(path, lineno, f"element {e} outside [1, {n}]")
-        if len(set(elems)) != len(elems):
+            mask = sum(map(bit, toks))
+        except KeyError:
+            # a token that is not a plain decimal in [1, n]: walk the line
+            # element by element to name the first bad one
+            try:
+                elems = [int(tok) for tok in toks]
+            except ValueError:
+                raise ParseError(path, lineno, f"non-integer element in {body!r}") from None
+            for e in elems:
+                if not 1 <= e <= n:
+                    raise ParseError(path, lineno, f"element {e} outside [1, {n}]")
+            mask = mask_of(e - 1 for e in elems)
+        # distinct bits sum (or OR) to as many bits as tokens; a repeat
+        # leaves fewer
+        if mask.bit_count() != len(toks):
             raise ParseError(path, lineno, f"repeated element in circuit {body!r}")
-        circuits.append(mask_of(e - 1 for e in elems))
+        circuits.append(mask)
     return Matroid(n, circuits, validate=validate)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from matlift.core import (
     CheckFailedError,
@@ -22,6 +22,10 @@ from matlift.core import (
     mask_of,
     one_based,
 )
+
+# Ground sets up to this size may be checked over all 2^n subsets
+# (``lift_ranks``: ``verify_witness`` and ``evaluate_lift_formula``).
+MAX_SWEEP_GROUND = 16
 
 
 class LiftConditionError(CheckFailedError):
@@ -78,20 +82,19 @@ def _modular_pairs(m: Matroid, members: Iterable[int]) -> Iterator[tuple[int, in
             yield i, j, m.circuit_indices_within(union)
 
 
-def _perfect(m: Matroid, col: Sequence[Mask], union: Mask) -> bool:
-    """Perfect collection test for distinct circuits ``col`` with the given
-    union: nullity of the union equals the collection size and no member
-    lies inside the union of the others."""
-    if union.bit_count() - m.rank(union) != len(col):
-        return False
-    for i, c in enumerate(col):
-        rest = 0
-        for j, d in enumerate(col):
-            if j != i:
-                rest |= d
-        if c & ~rest == 0:
-            return False
-    return True
+def _with_member(parts: list[Mask], union: Mask, c: Mask) -> Optional[list[Mask]]:
+    """The private parts (each member's elements outside the other members)
+    of a collection with private parts ``parts`` and union ``union`` once
+    circuit ``c`` joins it, or None when one of them is empty: each member
+    loses c's elements, and c keeps those outside the union."""
+    own = c & ~union
+    if not own:
+        return None
+    grown = [p & ~c for p in parts]
+    if not all(grown):
+        return None
+    grown.append(own)
+    return grown
 
 
 def is_perfect(m: Matroid, circuits: Iterable[Mask]) -> bool:
@@ -101,12 +104,14 @@ def is_perfect(m: Matroid, circuits: Iterable[Mask]) -> bool:
     for c in col:
         if not m.is_circuit(c):
             raise ValueError(f"{one_based(c)} is not a circuit")
-    if len(set(col)) != len(col):
-        return False
+    parts: list[Mask] = []
     union = 0
     for c in col:
-        union |= c
-    return _perfect(m, col, union)
+        grown = _with_member(parts, union, c)
+        if grown is None:
+            return False
+        parts, union = grown, union | c
+    return union.bit_count() - m.rank(union) == len(col)
 
 
 def is_linear_class(m: Matroid, members: Iterable[int]) -> bool:
@@ -197,37 +202,41 @@ def check_star(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:
     Perfect collections are enumerated depth-first by size; every subset of
     a perfect collection is perfect, so branches rooted at a non-perfect
     collection are skipped.  Collection size is bounded by the corank of M.
-    Each collection costs two overlay rank queries (``_first_escape``).
+    A collection carries its union and its members' private parts, so
+    circuit c extends a perfect collection of k members exactly when
+    ``_with_member`` leaves every part nonempty (c is not inside the union,
+    and no member lies inside the others and c) and the new union has
+    nullity k + 1: one rank query per candidate.  Each collection costs two
+    overlay rank queries (``_first_escape``).
     """
     m = spec.base
     circuits = m.circuits
     count = len(circuits)
     max_size = min(count, m.n - m.full_rank)
 
-    def violates(chosen: list[int], union: Mask) -> Optional[StarWitness]:
-        members = mask_of(chosen)
-        k = _first_escape(spec.overlay, members, m.circuit_indices_within(union) & ~members)
-        return None if k is None else StarWitness(tuple(chosen), k)
-
-    def extend(chosen: list[int], union: Mask) -> Optional[StarWitness]:
+    def extend(chosen: list[int], union: Mask, parts: list[Mask]) -> Optional[StarWitness]:
         if len(chosen) >= 2:
-            bad = violates(chosen, union)
-            if bad is not None:
-                return bad
+            members = mask_of(chosen)
+            k = _first_escape(spec.overlay, members, m.circuit_indices_within(union) & ~members)
+            if k is not None:
+                return StarWitness(tuple(chosen), k)
         if len(chosen) == max_size:
             return None
-        start = chosen[-1] + 1 if chosen else 0
-        for nxt in range(start, count):
+        nullity = len(chosen) + 1
+        for nxt in range(chosen[-1] + 1 if chosen else 0, count):
+            grown = _with_member(parts, union, circuits[nxt])
+            if grown is None:
+                continue
             nunion = union | circuits[nxt]
-            chosen.append(nxt)
-            if _perfect(m, [circuits[i] for i in chosen], nunion):
-                bad = extend(chosen, nunion)
+            if nunion.bit_count() - m.rank(nunion) == nullity:
+                chosen.append(nxt)
+                bad = extend(chosen, nunion, grown)
                 if bad is not None:
                     return bad
-            chosen.pop()
+                chosen.pop()
         return None
 
-    witness = extend([], 0)
+    witness = extend([], 0, [])
     return (witness is None), witness
 
 
@@ -245,22 +254,37 @@ def build_lift(spec: LiftSpec) -> Matroid:
     return Matroid(spec.base.n, fam)
 
 
+def lift_ranks(spec: LiftSpec) -> Iterator[tuple[Mask, int]]:
+    """(X, r_M(X) + r_N({circuits of M|X})) for every X, from M's
+    ``rank_sweep``: one overlay rank query per set.  Refuses (``ValueError``)
+    ground sets above ``MAX_SWEEP_GROUND`` elements."""
+    require_sweepable(spec.base.n)
+    rank = spec.overlay.rank
+    return ((x, r + rank(inside)) for x, r, inside in spec.base.rank_sweep())
+
+
+def require_sweepable(n: int) -> None:
+    """Raise ``ValueError`` when n exceeds ``MAX_SWEEP_GROUND``, the largest
+    ground set whose 2^n subsets are checked one by one."""
+    if n > MAX_SWEEP_GROUND:
+        raise ValueError(f"exhaustive check over all 2^{n} subsets refused; needs at most {MAX_SWEEP_GROUND} elements")
+
+
 def evaluate_lift_formula(spec: LiftSpec) -> tuple[Optional[Matroid], ValidationReport]:
     """Diagnostic mode: evaluate the lift rank formula without requiring (*').
 
     Checks the rank axioms (normalization, unit increase, local
     submodularity) over all subsets and reports the first violation; when
     none is found the materialized matroid is returned alongside an ok
-    report.  Intended for small ground sets only (exhaustive over 2^n
-    subsets).
+    report.  Exhaustive over 2^n subsets, so ``lift_ranks`` refuses ground
+    sets above ``MAX_SWEEP_GROUND``.
     """
     n = spec.base.n
-    if n > 16:
-        raise ValueError("diagnostic evaluation is exhaustive; needs n <= 16")
+    swept = lift_ranks(spec)  # refuses a large n before the table is made
     full = (1 << n) - 1
     ranks = [0] * (full + 1)
-    for mask in range(full + 1):
-        ranks[mask] = lift_rank(spec, mask)
+    for mask, r in swept:
+        ranks[mask] = r
     if ranks[0] != 0:
         return None, ValidationReport(False, "normalization", (0, ranks[0]))
     for mask in range(full + 1):

@@ -373,6 +373,25 @@ class TestRepWitness:
         assert main(["--json", str(json_path), "rep", "witness", str(gfm), "--x", "2,1"]) == 0
         assert load_report(json_path)["inputs"]["x_columns"] == [2, 1]
 
+    def test_above_sweep_bound_exits_2_fast(self, capsys, tmp_path):
+        # 3x26 over GF(2) with X = {1}: the check would sweep 2^25 subsets of
+        # K\X, past MAX_SWEEP_GROUND, so the command refuses before building
+        rng = random.Random(26)
+        rows = [[int(i == 0)] + [rng.randrange(2) for _ in range(25)] for i in range(3)]
+        gfm = tmp_path / "wide.gfm"
+        gfm.write_text("gf 2 3 26\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows))
+        json_path = tmp_path / "w.json"
+        t0 = time.perf_counter()
+        code = main(["--json", str(json_path), "rep", "witness", str(gfm), "--x", "1"])
+        elapsed = time.perf_counter() - t0
+        line = "error: exhaustive check over all 2^25 subsets refused; needs at most 16 elements"
+        assert code == 2
+        assert capsys.readouterr().err == line + "\n"
+        body = load_report(json_path)
+        assert body["error"] == line
+        assert body["inputs"] == {"matrix": str(gfm), "x_columns": [1]}
+        assert elapsed < 1.0
+
 
 class TestIso:
     def test_non_isomorphic(self, capsys, tmp_path):

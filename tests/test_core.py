@@ -41,8 +41,10 @@ from zoo import (
     circuits_bruteforce,
     closure_bruteforce,
     has_minor_isomorphic_to,
+    gf_rank_bruteforce,
     is_sparse_paving_bruteforce,
     random_base_matroid,
+    random_gf_matrix,
     random_sparse_paving,
     rank_bruteforce,
     sparse_paving_from,
@@ -410,12 +412,85 @@ class TestCircuitEnumerator:
             assert queried[0] == m.full_mask, name
             assert all(q.bit_count() <= r for q in queried[1:]), name
 
+    @staticmethod
+    def assert_matches_bruteforce(rank_fn, n: int, label: str) -> None:
+        # each circuit once, in the order ``combinations`` gives: by size,
+        # then by the sorted tuple of elements
+        want = sorted(circuits_bruteforce(rank_fn, n), key=lambda c: (c.bit_count(), elements_of(c)))
+        assert circuits_from_rank_oracle(rank_fn, n) == want, label
+
+    def test_matches_bruteforce_in_combinations_order(self):
+        for name, m in zoo():
+            if m.n <= 12:
+                self.assert_matches_bruteforce(m.rank, m.n, name)
+
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_rank_zero_and_free(self, n):
+        self.assert_matches_bruteforce(uniform_matroid(0, n).rank, n, f"U(0,{n})")
+        self.assert_matches_bruteforce(uniform_matroid(n, n).rank, n, f"U({n},{n})")
+        assert circuits_from_rank_oracle(uniform_matroid(0, n).rank, n) == [1 << e for e in range(n)]
+        assert circuits_from_rank_oracle(uniform_matroid(n, n).rank, n) == []
+
+    def test_loops_and_parallel_pairs(self):
+        from matlift.gf import GfMatrix, column_matroid
+
+        for r in range(1, 5):
+            # U(r,5) as Vandermonde columns over GF(7), then a zero column
+            # (a loop) and twice column 1 (a parallel pair)
+            rows = [[pow(x, i, 7) for x in range(1, 6)] + [0, 2 * pow(1, i, 7)] for i in range(r)]
+            m = column_matroid(GfMatrix(7, rows))
+            assert m.is_circuit(1 << 5) and m.is_circuit(1 | 1 << 6), r
+            self.assert_matches_bruteforce(m.rank, m.n, f"U({r},5) + loop + parallel")
+        m = Matroid(4, [0b1, 0b110])  # a loop beside a parallel pair
+        self.assert_matches_bruteforce(m.rank, m.n, "loop and parallel pair")
+
+    def test_seeded_gf_column_matroids(self):
+        from matlift.gf import LinearMatroid
+
+        rng = random.Random(101)
+        for _ in range(60):
+            a = random_gf_matrix(rng, p=rng.choice([2, 3, 5, 7, 251]), max_rows=4, max_cols=9)
+            self.assert_matches_bruteforce(lambda mask: gf_rank_bruteforce(a, elements_of(mask)), a.cols, repr(a))
+            self.assert_matches_bruteforce(LinearMatroid(a).rank, a.cols, repr(a))
+
     @pytest.mark.parametrize("r,t", [(r, t) for t in (3, 4, 5) for r in range(4, 2 * t - 1)])
     def test_sparse_paving_to_matroid_matches_bruteforce(self, r, t):
         sp = build_krt(KrtSpec(r, t))
         assert sp.n <= 12
         want = canonical_circuits(circuits_bruteforce(sp.rank, sp.n))
         assert sp.to_matroid().circuits == want
+
+
+class TestRankSweep:
+    """``Matroid.rank_sweep`` against the index query and rank oracle it
+    replaces, set by set."""
+
+    def test_visits_every_set_once_with_rank_and_circuits(self):
+        for name, m in zoo():
+            if m.n > 12:
+                continue
+            seen = set()
+            for x, r, inside in m.rank_sweep():
+                assert x not in seen, name
+                seen.add(x)
+                assert inside == m.circuit_indices_within(x), (name, x)
+                assert r == m.rank(x), (name, x)
+            assert len(seen) == 1 << m.n, name
+
+    def test_against_bruteforce_rank(self):
+        rng = random.Random(103)
+        for _ in range(20):
+            m = random_base_matroid(rng, max_elems=7)
+            for x, r, _ in m.rank_sweep():
+                assert r == rank_bruteforce(m, x)
+
+    def test_same_order_for_every_matroid_on_n_elements(self):
+        for n in range(6):
+            orders = {tuple(x for x, _, _ in m.rank_sweep()) for m in (uniform_matroid(r, n) for r in range(n + 1))}
+            assert len(orders) == 1
+
+    def test_empty_ground_set(self):
+        assert list(Matroid(0, []).rank_sweep()) == [(0, 0, 0)]
 
 
 def _corruptions(rng: random.Random, m: Matroid) -> list[list[int]]:

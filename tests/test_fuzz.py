@@ -30,6 +30,8 @@ from matlift.cli import main
 from matlift.groups import builtin_group
 from matlift.io import emit_group_text, parse_group_text, parse_lift_text, parse_matrix_text, parse_matroid_text
 
+from zoo import parse_matroid_text_per_element
+
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
 CLI_FUZZ = settings(FUZZ, max_examples=40)
@@ -83,6 +85,36 @@ def returns_or_value_error(parse, text: str) -> None:
 @given(st.one_of(soup, ckt_text()))
 def test_parse_matroid_text(text):
     returns_or_value_error(parse_matroid_text, text)
+
+
+# tokens int() reads but a plain decimal lookup does not: a leading zero
+# or sign, an underscore, a non-ASCII digit
+_odd_token = st.sampled_from(["01", "+2", "-0", "1_0", "\u0663", "007", "2.0", "0x1"])
+
+
+@st.composite
+def odd_ckt_text(draw) -> str:
+    n = draw(st.integers(1, 12))
+    cell = st.one_of(st.integers(0, n + 1).map(str), _odd_token)
+    rows = draw(st.lists(st.lists(cell, min_size=1, max_size=5), max_size=6))
+    return "\n".join([f"matroid {n} circuits"] + [" ".join(r) for r in rows]) + "\n"
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@FUZZ
+@given(st.one_of(soup, ckt_text(), odd_ckt_text()))
+@example("matroid 10 circuits\n1_0 01 \u0663\n")
+@example("matroid 4 circuits\n2 +2\n")
+def test_parse_matroid_text_matches_per_element_walk(text):
+    """The one-pass line reader against the per-element walk it replaced:
+    the same matroid, or the same error and message."""
+    assert _outcome(parse_matroid_text, text) == _outcome(parse_matroid_text_per_element, text)
 
 
 @FUZZ

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matlift.core as core
-from matlift.core import Matroid, canonical_circuits, elements_of, mask_of, uniform_matroid
+from matlift.core import Matroid, canonical_circuits, elements_of, mask_of, relax, uniform_matroid
 from matlift.gf import (
     DependentColumnsError,
     GfMatrix,
@@ -21,7 +23,7 @@ from matlift.gf import (
     lift_witness,
     verify_witness,
 )
-from matlift.lifts import build_lift, check_star_prime
+from matlift.lifts import MAX_SWEEP_GROUND, LiftSpec, build_lift, check_star_prime
 
 from zoo import (
     circuits_bruteforce,
@@ -32,7 +34,62 @@ from zoo import (
     gf_rref,
     random_gf_matrix,
     random_witness_instance,
+    verify_witness_per_subset,
 )
+
+_lift_witness = lift_witness
+
+
+def _matrix_overlay(count: int, rank: int):
+    """The rank-``rank`` overlay on ``count`` circuits whose first ``rank``
+    elements are free and the rest loops, as a ``LinearMatroid`` (no
+    64-element cap)."""
+    if not count:
+        return Matroid(0, [])
+    return LinearMatroid(GfMatrix(2, [[int(i == j < rank) for j in range(count)] for i in range(max(rank, 1))]))
+
+
+def _corrupted(a: GfMatrix, x: tuple[int, ...], w) -> list[tuple[str, LiftSpec, Matroid]]:
+    """Broken (spec, L) pairs from a witness of (A, X): the overlay replaced
+    by the free and by the all-loops matroid, L relaxed at its first
+    circuit-hyperplane, and L = K\\X' for another X' of the same size."""
+    count = len(w.m.circuits)
+    out = [
+        ("free overlay", LiftSpec(w.m, _matrix_overlay(count, count)), w.l),
+        ("all-loops overlay", LiftSpec(w.m, _matrix_overlay(count, 0)), w.l),
+    ]
+    hyperplanes = [c for c in w.l.circuits if w.l.is_circuit_hyperplane(c)]
+    if hyperplanes:
+        out.append(("relaxed L", w.spec, relax(w.l, hyperplanes[0])))
+    other = next((y for y in combinations(range(a.cols), len(x)) if set(y) != set(x)), None)
+    if other is not None:
+        out.append(("other X", w.spec, column_matroid(a).delete(mask_of(other))))
+    return out
+
+
+@pytest.fixture(autouse=True)
+def sweep_matches_per_subset_loop():
+    """Every witness a test in this module builds: ``verify_witness`` (the
+    subset sweep) returns what the per-subset loop of ``zoo`` returns, on
+    the witness and on each of its ``_corrupted`` copies.  Witnesses above
+    the sweep bound, which both refuse, are left out."""
+    built = []
+
+    def recording(problem: WitnessProblem):
+        w = _lift_witness(problem)
+        built.append((problem, w))
+        return w
+
+    globals()["lift_witness"] = recording
+    try:
+        yield
+    finally:
+        globals()["lift_witness"] = _lift_witness
+    for problem, w in built:
+        if w.l.n > MAX_SWEEP_GROUND:
+            continue
+        for _, spec, l in [("witness", w.spec, w.l)] + _corrupted(problem.a, problem.x_columns, w):
+            assert verify_witness(spec, l) == verify_witness_per_subset(spec, l)
 
 
 class TestField:
@@ -327,6 +384,36 @@ def test_witness_matches_contraction_and_deletion(kind):
             augmented = GfMatrix(a.p, [[row[i] for i in x] + [e] for row, e in zip(a.data, image)])
             assert gf_rank_bruteforce(augmented, range(len(x) + 1)) == len(x)
         assert verify_witness(w.spec, w.l)
+
+
+def test_sweep_agrees_with_per_subset_loop_on_corruptions():
+    """Each kind of corruption makes both checks fail at least five times."""
+    rng = random.Random("sweep")
+    verdicts: Counter = Counter()
+    for _ in range(120):
+        a, x = _differential_case(rng, rng.choice(["empty", "spanning", "random"]))
+        w = lift_witness(WitnessProblem(a, x))
+        assert verify_witness(w.spec, w.l) and verify_witness_per_subset(w.spec, w.l)
+        for kind, spec, l in _corrupted(a, x, w):
+            got = verify_witness(spec, l)
+            assert got == verify_witness_per_subset(spec, l), kind
+            verdicts[kind, got] += 1
+    for kind in ("free overlay", "all-loops overlay", "relaxed L", "other X"):
+        assert verdicts[kind, False] >= 5, (kind, verdicts)
+
+
+def test_matrix_overlays():
+    assert _matrix_overlay(5, 5).full_rank == 5 and _matrix_overlay(5, 5).closure(0) == 0
+    assert _matrix_overlay(5, 0).full_rank == 0 and _matrix_overlay(5, 0).closure(0) == 0b11111
+
+
+def test_verify_witness_refuses_above_the_sweep_bound():
+    # 2x18 over GF(3), X = {1}: K\X has 17 elements
+    rng = random.Random(17)
+    a = GfMatrix(3, [[1] + [rng.randrange(3) for _ in range(17)], [0] + [rng.randrange(3) for _ in range(17)]])
+    w = lift_witness(WitnessProblem(a, (0,)))
+    with pytest.raises(ValueError, match="2\\^17 subsets refused"):
+        verify_witness(w.spec, w.l)
 
 
 class TestLinearMatroidOverlay:

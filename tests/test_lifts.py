@@ -21,19 +21,24 @@ from matlift.lifts import (
     is_linear_class,
     is_modular_pair,
     is_perfect,
+    MAX_SWEEP_GROUND,
     lift_agrees_with_elementary,
     lift_rank,
+    lift_ranks,
     linear_class_closure,
     rank_one_overlay,
+    require_sweepable,
 )
 
 from zoo import (
     check_star_per_member,
+    check_star_rebuild,
     check_star_prime_per_member,
     random_base_matroid,
     random_linear_class,
     random_overlay,
     random_witness_instance,
+    perfect_rebuild,
 )
 
 
@@ -299,6 +304,89 @@ class TestClosureChecksAgainstPerMemberLoops:
             if not self.assert_same(spec):
                 failing += 1
         assert failing >= 50
+
+
+class TestIncrementalPerfectTest:
+    """``check_star`` carries each collection's union and private parts
+    from its parent; ``zoo.check_star_rebuild`` rebuilds the perfect test
+    for every candidate.  Both walk the same depth-first order, so the
+    verdict and the first witness agree."""
+
+    def assert_same(self, spec: LiftSpec) -> bool:
+        got = check_star(spec)
+        assert got == check_star_rebuild(spec)
+        return got[0]
+
+    def test_zoo_lifts(self):
+        verdicts = [self.assert_same(spec) for spec in _zoo_lift_specs()]
+        assert verdicts.count(False) == 1
+
+    def test_star_condition_specs(self):
+        # the specs of TestStarConditions: all-loops and U(2,m) overlays,
+        # the parallel-chain obstruction and random overlays
+        verdicts = []
+        for seed in (43, 47):
+            rng = random.Random(seed)
+            for _ in range(10):
+                m = random_base_matroid(rng)
+                count = len(m.circuits)
+                overlays = [uniform_matroid(0, count)] + ([uniform_matroid(2, count)] if count >= 2 else [])
+                verdicts.extend(self.assert_same(LiftSpec(m, n)) for n in overlays)
+        rng = random.Random(59)
+        for _ in range(60):
+            m = random_base_matroid(rng)
+            verdicts.append(self.assert_same(LiftSpec(m, random_overlay(rng, len(m.circuits)))))
+        assert True in verdicts and False in verdicts
+
+    def test_seeded_failing_overlays(self):
+        rng = random.Random(89)
+        failing = 0
+        for _ in range(300):
+            m = random_base_matroid(rng)
+            if not self.assert_same(LiftSpec(m, random_overlay(rng, len(m.circuits)))):
+                failing += 1
+        assert failing >= 50
+
+    def test_is_perfect_matches_rebuild(self):
+        rng = random.Random(97)
+        seen = {True: 0, False: 0}
+        for _ in range(10):
+            m = random_base_matroid(rng, max_elems=7)
+            for size in (1, 2, 3, 4):
+                for col in combinations(m.circuits, size):
+                    union = 0
+                    for c in col:
+                        union |= c
+                    want = perfect_rebuild(m, col, union)
+                    assert is_perfect(m, col) == want
+                    seen[want] += 1
+        assert seen[True] and seen[False]
+
+
+class TestLiftRanks:
+    """The lift rank formula over every subset, read from M's rank sweep."""
+
+    def test_equals_lift_rank_on_every_set(self):
+        rng = random.Random(107)
+        for _ in range(30):
+            m = random_base_matroid(rng)
+            spec = LiftSpec(m, random_overlay(rng, len(m.circuits)))
+            got = list(lift_ranks(spec))
+            assert len(got) == 1 << m.n
+            assert dict(got) == {mask: lift_rank(spec, mask) for mask in range(1 << m.n)}
+
+    def test_bound_is_shared(self):
+        require_sweepable(MAX_SWEEP_GROUND)
+        with pytest.raises(ValueError, match=f"2\\^{MAX_SWEEP_GROUND + 1} subsets refused"):
+            require_sweepable(MAX_SWEEP_GROUND + 1)
+        for n in (MAX_SWEEP_GROUND + 1, 64):
+            # one circuit, the whole ground set; refused before any table of
+            # 2^n ranks is made
+            big = uniform_matroid(n - 1, n)
+            spec = LiftSpec(big, uniform_matroid(0, 1))
+            for check in (lift_ranks, evaluate_lift_formula):
+                with pytest.raises(ValueError, match=f"2\\^{n} subsets refused; needs at most 16 elements"):
+                    check(spec)
 
 
 class TestBuildLift:

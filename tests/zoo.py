@@ -32,10 +32,11 @@ from matlift.krt import IngletonWitness, KrtSpec, VamosLikeMinor, build_krt
 from matlift.lifts import (
     LiftSpec,
     StarWitness,
+    _first_escape,
     _modular_pairs,
-    _perfect,
     build_lift,
     elementary_lift,
+    lift_rank,
     rank_one_overlay,
 )
 
@@ -165,6 +166,41 @@ def gf_circuits_from_kernel(a: GfMatrix) -> list[Mask]:
     return minimal
 
 
+def parse_matroid_text_per_element(text: str, *, path: str = "<string>") -> Matroid:
+    """A .ckt body parsed as ``matlift.io`` did before its one-pass line
+    reader: each token through ``int``, then a range check per element,
+    then a repeat check by set size; the same errors, messages and line
+    numbers."""
+    from matlift.io import ParseError, _content_lines
+
+    lines = _content_lines(text)
+    if not lines:
+        raise ParseError(path, 1, "empty matroid file")
+    lineno, header = lines[0]
+    parts = header.split()
+    if len(parts) != 3 or parts[0] != "matroid" or parts[2] != "circuits":
+        raise ParseError(path, lineno, f"expected header 'matroid <n> circuits', got {header!r}")
+    try:
+        n = int(parts[1])
+    except ValueError:
+        raise ParseError(path, lineno, f"bad ground set size {parts[1]!r}") from None
+    if not 1 <= n <= 64:
+        raise ParseError(path, lineno, f"ground set size {n} outside [1, 64]")
+    circuits = []
+    for lineno, body in lines[1:]:
+        try:
+            elems = [int(tok) for tok in body.split()]
+        except ValueError:
+            raise ParseError(path, lineno, f"non-integer element in {body!r}") from None
+        for e in elems:
+            if not 1 <= e <= n:
+                raise ParseError(path, lineno, f"element {e} outside [1, {n}]")
+        if len(set(elems)) != len(elems):
+            raise ParseError(path, lineno, f"repeated element in circuit {body!r}")
+        circuits.append(mask_of(e - 1 for e in elems))
+    return Matroid(n, circuits)
+
+
 def validate_circuits_bruteforce(circuits: Sequence[Mask], n: int) -> ValidationReport:
     """The circuit axioms by scanning: for each pair i < j (by i, then j)
     the family is rescanned for the circuits inside the union, and the
@@ -238,6 +274,59 @@ def check_star_prime_per_member(spec: LiftSpec) -> tuple[bool, Optional[StarWitn
     return True, None
 
 
+def perfect_rebuild(m: Matroid, col: Sequence[Mask], union: Mask) -> bool:
+    """Perfect collection test for distinct circuits ``col`` with the given
+    union, from scratch: nullity of the union equals the collection size
+    and no member lies inside the union of the others."""
+    if union.bit_count() - m.rank(union) != len(col):
+        return False
+    for i, c in enumerate(col):
+        rest = 0
+        for j, d in enumerate(col):
+            if j != i:
+                rest |= d
+        if c & ~rest == 0:
+            return False
+    return True
+
+
+def check_star_rebuild(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:
+    """Condition (*) over the perfect collections, depth-first by size,
+    with ``perfect_rebuild`` run on every candidate collection and each
+    closure decided by ``lifts._first_escape``."""
+    m = spec.base
+    circuits = m.circuits
+    max_size = min(len(circuits), m.n - m.full_rank)
+
+    def extend(chosen: list[int], union: Mask) -> Optional[StarWitness]:
+        if len(chosen) >= 2:
+            members = mask_of(chosen)
+            k = _first_escape(spec.overlay, members, m.circuit_indices_within(union) & ~members)
+            if k is not None:
+                return StarWitness(tuple(chosen), k)
+        if len(chosen) == max_size:
+            return None
+        for nxt in range(chosen[-1] + 1 if chosen else 0, len(circuits)):
+            chosen.append(nxt)
+            if perfect_rebuild(m, [circuits[i] for i in chosen], union | circuits[nxt]):
+                bad = extend(chosen, union | circuits[nxt])
+                if bad is not None:
+                    return bad
+            chosen.pop()
+        return None
+
+    witness = extend([], 0)
+    return witness is None, witness
+
+
+def verify_witness_per_subset(spec: LiftSpec, l: Matroid) -> bool:
+    """``lift_rank`` against L's rank on X = 0, 1, ..., 2^n - 1, each set
+    queried cold."""
+    if spec.base.n != l.n:
+        raise ValueError("ground set mismatch")
+    return all(lift_rank(spec, mask) == l.rank(mask) for mask in range(1 << l.n))
+
+
 def check_star_per_member(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:
     """Condition (*) over the perfect collections, depth-first by size, with
     one overlay rank query per circuit inside each collection's union."""
@@ -256,7 +345,7 @@ def check_star_per_member(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:
             return None
         for nxt in range(chosen[-1] + 1 if chosen else 0, len(circuits)):
             chosen.append(nxt)
-            if _perfect(m, [circuits[i] for i in chosen], union | circuits[nxt]):
+            if perfect_rebuild(m, [circuits[i] for i in chosen], union | circuits[nxt]):
                 bad = extend(chosen, union | circuits[nxt])
                 if bad is not None:
                     return bad
