@@ -172,16 +172,18 @@ def cmd_lift_elementary(args: argparse.Namespace, rep: Report) -> None:
 
 def cmd_lift_general(args: argparse.Namespace, rep: Report) -> None:
     from matlift.io import parse_lift
-    from matlift.lifts import build_lift, check_star, check_star_prime, evaluate_lift_formula
+    from matlift.lifts import LiftConditionError, build_lift, check_star, evaluate_lift_formula
     rep["inputs"] = {"spec": args.spec}
     spec = parse_lift(args.spec)
-    ok_prime, witness_prime = check_star_prime(spec)
-    rep.check("star_prime", ok_prime, None if ok_prime else str(witness_prime))
+    try:  # build_lift checks (*') first
+        lifted, witness_prime = build_lift(spec), None
+    except LiftConditionError as err:
+        lifted, witness_prime = None, err.witness
+    rep.check("star_prime", witness_prime is None, None if witness_prime is None else str(witness_prime))
     if args.check_star:
         ok_star, witness_star = check_star(spec)
         rep.check("star", ok_star, None if ok_star else str(witness_star))
-    if ok_prime:
-        lifted = build_lift(spec)
+    if lifted is not None:
         rep.check("lift_rank", lifted.full_rank == spec.base.full_rank + spec.overlay.full_rank)
         rep["lift"] = _lift_dict(lifted)
         rep["conclusion"] = f"lift built, rank {lifted.full_rank}"

@@ -344,6 +344,11 @@ class RankMatroid:
     def is_basis(self, mask: Mask) -> bool:
         return mask.bit_count() == self.full_rank == self.rank(mask)
 
+    def parallel_classes(self) -> list[Mask]:
+        """Disjoint sets of mutually parallel elements covering every
+        non-loop, by least element: singletons unless overridden."""
+        return [1 << e for e in range(self.n)]
+
 
 class Matroid(RankMatroid):
     """A matroid given by its circuit family on ground set {0, ..., n-1}.
@@ -442,6 +447,25 @@ class Matroid(RankMatroid):
 
     def loops(self) -> Mask:
         return self.closure(0)
+
+    def parallel_classes(self) -> list[Mask]:
+        """The parallel classes, from the 1- and 2-element circuits: parallel
+        non-loops form cliques of 2-circuits, so each element joins the
+        class of its least partner."""
+        head, loops = list(range(self.n)), 0
+        for c in self.circuits:
+            if c.bit_count() > 2:
+                break
+            low = c & -c
+            if c == low:
+                loops |= c
+            else:
+                e = (c ^ low).bit_length() - 1
+                head[e] = min(head[e], low.bit_length() - 1)
+        classes: dict[int, Mask] = {}
+        for e in elements_of(self.full_mask & ~loops):
+            classes[head[e]] = classes.get(head[e], 0) | 1 << e
+        return list(classes.values())
 
     def circuits_within(self, mask: Mask) -> list[Mask]:
         """Circuits of the restriction M|mask (exactly those inside mask)."""

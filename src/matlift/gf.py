@@ -15,7 +15,7 @@ construction projects K modulo span(X) by reducing against X's basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from matlift import core
 from matlift.core import (
@@ -23,7 +23,6 @@ from matlift.core import (
     Mask,
     Matroid,
     RankMatroid,
-    elements_of,
 )
 from matlift.lifts import LiftSpec, check_star_prime, lift_ranks
 
@@ -120,17 +119,6 @@ def _reduce_into(p: int, basis: list[Row], v: Sequence[int], width: int) -> Sequ
     return v
 
 
-def _rank_of(p: int, vectors: Iterable[Sequence[int]], width: int) -> int:
-    """Rank of vectors of length ``width``: inserted into a fresh echelon
-    basis until it is full."""
-    basis: list[Row] = []
-    for v in vectors:
-        if len(basis) == width:
-            break
-        _reduce_into(p, basis, v, width)
-    return len(basis)
-
-
 def column_circuits(a: GfMatrix) -> dict[Mask, tuple[int, ...]]:
     """The circuits of the column matroid of ``a``, each with its kernel
     vector: the dependence of the columns supported exactly on the
@@ -184,9 +172,9 @@ class LinearMatroid(RankMatroid):
     Used as the overlay N in witness constructions, where the ground set (the
     circuit list of M) can be large but only ranks and closures of index sets
     are ever needed.  The matrix is row-reduced once to r(N) rows, which
-    keeps every column dependence; a rank query inserts the mask's columns
-    into a fresh echelon basis and stops when it holds r(N) of them.  The
-    rank memo is capped like ``Matroid``'s.
+    keeps every column dependence; a rank query walks the mask's elements
+    lazily, inserting their columns into a fresh echelon basis, and stops
+    when it holds r(N) rows.  The rank memo is capped like ``Matroid``'s.
     """
 
     __slots__ = ("matrix", "_columns")
@@ -204,11 +192,30 @@ class LinearMatroid(RankMatroid):
     def rank(self, mask: Mask) -> int:
         got = self._rank_cache.get(mask)
         if got is None:
-            columns = self._columns
-            got = _rank_of(self.matrix.p, (columns[e] for e in elements_of(mask)), self._full_rank)
+            p, columns, full = self.matrix.p, self._columns, self._full_rank
+            basis: list[Row] = []
+            rest = mask
+            while rest and len(basis) < full:
+                low = rest & -rest
+                rest ^= low
+                _reduce_into(p, basis, columns[low.bit_length() - 1], full)
+            got = len(basis)
             if len(self._rank_cache) < core.RANK_CACHE_LIMIT:
                 self._rank_cache[mask] = got
         return got
+
+    def parallel_classes(self) -> list[Mask]:
+        """The nonzero reduced columns grouped by their multiple with
+        leading entry 1."""
+        p = self.matrix.p
+        classes: dict[tuple[int, ...], Mask] = {}
+        for e, col in enumerate(self._columns):
+            lead = next((x for x in col if x), 0)
+            if lead:
+                inv = pow(lead, p - 2, p)
+                key = tuple(x * inv % p for x in col)
+                classes[key] = classes.get(key, 0) | 1 << e
+        return list(classes.values())
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ circuit-family matroids and matrix-backed linear matroids work as overlays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from matlift.core import (
     CheckFailedError,
@@ -49,10 +49,18 @@ class StarWitness:
 
 @dataclass(frozen=True)
 class LiftSpec:
-    """A base matroid plus an overlay matroid on its circuit list."""
+    """A base matroid plus an overlay matroid on its circuit list.
+
+    Every overlay query goes through ``overlay_rank``, which asks N for the
+    rank of one representative per parallel class met: the least element
+    of each class (its head).  r_N(S) equals r_N(reps(S)), and N's memo
+    then holds at most one key per set of classes.  The class table is
+    built once, from ``overlay.parallel_classes()``.
+    """
 
     base: Matroid
     overlay: RankMatroid
+    _table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.overlay.n != len(self.base.circuits):
@@ -60,6 +68,28 @@ class LiftSpec:
                 f"overlay ground set has {self.overlay.n} elements, "
                 f"base has {len(self.base.circuits)} circuits"
             )
+        classes = tuple((c, c & -c) for c in self.overlay.parallel_classes())
+        heads = mask_of(head.bit_length() - 1 for _, head in classes)
+        head_of = {e: head for c, head in classes for e in elements_of(c & ~head)}
+        object.__setattr__(self, "_table", (heads, mask_of(head_of), head_of, classes))
+
+    def overlay_rank(self, mask: Mask) -> int:
+        """r_N(mask) as r_N(reps(mask)).  reps keeps mask's heads, drops
+        its loops and replaces its other elements by their heads, found
+        element by element or class by class, whichever is fewer."""
+        heads, others, head_of, classes = self._table
+        reps = mask & heads
+        rest = mask & others
+        if rest.bit_count() <= len(classes):
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                reps |= head_of[low.bit_length() - 1]
+        else:
+            for c, head in classes:
+                if mask & c:
+                    reps |= head
+        return self.overlay.rank(reps)
 
 
 def is_modular_pair(m: Matroid, c1: Mask, c2: Mask) -> bool:
@@ -75,10 +105,14 @@ def is_modular_pair(m: Matroid, c1: Mask, c2: Mask) -> bool:
 def _modular_pairs(m: Matroid, members: Iterable[int]) -> Iterator[tuple[int, int, Mask]]:
     """For each modular pair i < j among the circuit indices ``members``
     (|C_i | C_j| - r(C_i | C_j) = 2), yield i, j and the bit mask of the
-    indices of every circuit of M inside C_i | C_j."""
+    indices of every circuit of M inside C_i | C_j.  A union U has nullity
+    at least |U| - r(M), so a pair whose union has more than r(M) + 2
+    elements is skipped without a rank query."""
+    bound = m.full_rank + 2
     for i, j in combinations(members, 2):
         union = m.circuits[i] | m.circuits[j]
-        if union.bit_count() - m.rank(union) == 2:
+        size = union.bit_count()
+        if size <= bound and size - m.rank(union) == 2:
             yield i, j, m.circuit_indices_within(union)
 
 
@@ -161,11 +195,12 @@ def lift_rank(spec: LiftSpec, mask: Mask) -> int:
     """The lift rank formula r(X) = r_M(X) + r_N({circuits of M|X}), with
     both terms read from one query of M's circuit index."""
     r, inside = spec.base.rank_and_circuits(mask)
-    return r + spec.overlay.rank(inside)
+    return r + spec.overlay_rank(inside)
 
 
-def _first_escape(overlay: RankMatroid, members: Mask, targets: Mask) -> Optional[int]:
-    """The lowest index in ``targets`` outside cl_N(members), or None.
+def _first_escape(rank: Callable[[Mask], int], members: Mask, targets: Mask) -> Optional[int]:
+    """The lowest index in ``targets`` outside cl_N(members), or None, for
+    N with rank function ``rank``.
 
     ``targets`` lies inside cl_N(members) exactly when r_N(members |
     targets) = r_N(members), so one rank query beyond r_N(members) settles
@@ -174,10 +209,10 @@ def _first_escape(overlay: RankMatroid, members: Mask, targets: Mask) -> Optiona
     """
     if not targets:
         return None
-    base_rank = overlay.rank(members)
-    if overlay.rank(members | targets) == base_rank:
+    base_rank = rank(members)
+    if rank(members | targets) == base_rank:
         return None
-    return next((k for k in elements_of(targets) if overlay.rank(members | (1 << k)) != base_rank), None)
+    return next((k for k in elements_of(targets) if rank(members | (1 << k)) != base_rank), None)
 
 
 def check_star_prime(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:
@@ -190,7 +225,7 @@ def check_star_prime(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:
     m = spec.base
     for i, j, inside in _modular_pairs(m, range(len(m.circuits))):
         pair_mask = (1 << i) | (1 << j)
-        k = _first_escape(spec.overlay, pair_mask, inside & ~pair_mask)
+        k = _first_escape(spec.overlay_rank, pair_mask, inside & ~pair_mask)
         if k is not None:
             return False, StarWitness((i, j), k)
     return True, None
@@ -202,41 +237,52 @@ def check_star(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:
     Perfect collections are enumerated depth-first by size; every subset of
     a perfect collection is perfect, so branches rooted at a non-perfect
     collection are skipped.  Collection size is bounded by the corank of M.
-    A collection carries its union and its members' private parts, so
-    circuit c extends a perfect collection of k members exactly when
-    ``_with_member`` leaves every part nonempty (c is not inside the union,
-    and no member lies inside the others and c) and the new union has
-    nullity k + 1: one rank query per candidate.  Each collection costs two
-    overlay rank queries (``_first_escape``).
+    A collection carries its union, the circuits inside it and its
+    members' private parts, so circuit c extends a perfect collection of k
+    members exactly when the new union has at most r(M) + k + 1 elements
+    (its nullity is at least its size less r(M)), ``_with_member`` leaves
+    every part nonempty (c is not inside the union, and no member lies
+    inside the others and c) and the new union has nullity k + 1.  Each
+    distinct union is indexed once (``rank_and_circuits``), which gives
+    both its rank and the circuits inside it, and each collection costs
+    two overlay rank queries (``_first_escape``).
     """
     m = spec.base
     circuits = m.circuits
     count = len(circuits)
     max_size = min(count, m.n - m.full_rank)
+    indexed: dict[Mask, tuple[int, Mask]] = {}
 
-    def extend(chosen: list[int], union: Mask, parts: list[Mask]) -> Optional[StarWitness]:
+    def extend(chosen: list[int], union: Mask, inside: Mask, parts: list[Mask]) -> Optional[StarWitness]:
         if len(chosen) >= 2:
             members = mask_of(chosen)
-            k = _first_escape(spec.overlay, members, m.circuit_indices_within(union) & ~members)
+            k = _first_escape(spec.overlay_rank, members, inside & ~members)
             if k is not None:
                 return StarWitness(tuple(chosen), k)
         if len(chosen) == max_size:
             return None
         nullity = len(chosen) + 1
+        bound = m.full_rank + nullity
         for nxt in range(chosen[-1] + 1 if chosen else 0, count):
+            nunion = union | circuits[nxt]
+            size = nunion.bit_count()
+            if size > bound:
+                continue
             grown = _with_member(parts, union, circuits[nxt])
             if grown is None:
                 continue
-            nunion = union | circuits[nxt]
-            if nunion.bit_count() - m.rank(nunion) == nullity:
+            got = indexed.get(nunion)
+            if got is None:
+                got = indexed[nunion] = m.rank_and_circuits(nunion)
+            if size - got[0] == nullity:
                 chosen.append(nxt)
-                bad = extend(chosen, nunion, grown)
+                bad = extend(chosen, nunion, got[1], grown)
                 if bad is not None:
                     return bad
                 chosen.pop()
         return None
 
-    witness = extend([], 0, [])
+    witness = extend([], 0, 0, [])
     return (witness is None), witness
 
 
@@ -259,7 +305,7 @@ def lift_ranks(spec: LiftSpec) -> Iterator[tuple[Mask, int]]:
     ``rank_sweep``: one overlay rank query per set.  Refuses (``ValueError``)
     ground sets above ``MAX_SWEEP_GROUND`` elements."""
     require_sweepable(spec.base.n)
-    rank = spec.overlay.rank
+    rank = spec.overlay_rank
     return ((x, r + rank(inside)) for x, r, inside in spec.base.rank_sweep())
 
 

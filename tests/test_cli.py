@@ -327,6 +327,25 @@ class TestLiftCommands:
         assert code == 1
         assert "formula" in out.lower() or "axiom" in out.lower()
 
+    @pytest.mark.parametrize("overlay, code", [("1 2 3\n", 0), ("", 1)])
+    def test_general_checks_star_prime_once(self, capsys, tmp_path, monkeypatch, overlay, code):
+        # (*') is checked by build_lift alone; the report keeps its checks
+        # in the order star_prime, star, lift_rank
+        import matlift.lifts as lifts
+
+        calls = []
+        check = lifts.check_star_prime
+        monkeypatch.setattr(lifts, "check_star_prime", lambda spec: calls.append(spec) or check(spec))
+        spec = tmp_path / "s.lift"
+        spec.write_text("base\nmatroid 3 circuits\n1 2\n1 3\n2 3\noverlay\nmatroid 3 circuits\n" + overlay)
+        path = tmp_path / "r.json"
+        assert run(["--json", str(path), "lift", "general", str(spec), "--check-star"], capsys)[0] == code
+        assert len(calls) == 1
+        checks = load_report(path)["checks"]
+        want = [("star_prime", True), ("star", True), ("lift_rank", True)] if code == 0 else [("star_prime", False), ("star", False)]
+        assert [(c["name"], c["pass"]) for c in checks] == want
+        assert ("witness" in checks[0]) == (code == 1)
+
 
 class TestRepWitness:
     def test_paper_instance(self, capsys, tmp_path):

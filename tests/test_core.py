@@ -833,6 +833,7 @@ class TestRankEdgeCases:
         classes = [mask_of([0, 1, 2]), mask_of([3, 4]), mask_of([5])]
         fam = [mask_of(p) for cls in classes for p in combinations(elements_of(cls), 2)] + [1 << 6]
         m = Matroid(7, fam)
+        assert m.parallel_classes() == classes
         for mask in range(1 << 7):
             assert m.rank(mask) == sum(1 for cls in classes if mask & cls)
             assert m.rank(mask) == rank_bruteforce(m, mask)

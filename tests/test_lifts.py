@@ -8,7 +8,8 @@ from itertools import combinations
 
 import pytest
 
-from matlift.core import Matroid, is_quotient, mask_of, uniform_matroid
+from matlift.core import Matroid, RankMatroid, elements_of, is_quotient, mask_of, uniform_matroid
+from matlift.gf import GfMatrix, LinearMatroid, column_matroid
 from matlift.krt import KrtSpec, build_krt
 from matlift.lifts import (
     LiftConditionError,
@@ -39,6 +40,13 @@ from zoo import (
     random_overlay,
     random_witness_instance,
     perfect_rebuild,
+    gf_rank_bruteforce,
+    parallel_classes_bruteforce,
+    random_gf_matrix,
+    random_gf_matrix_with_parallels,
+    rank_bruteforce,
+    rep_witness_specs,
+    zoo,
 )
 
 
@@ -264,7 +272,7 @@ class TestStarConditions:
 def _zoo_lift_specs() -> list[LiftSpec]:
     """The lift specs the zoo builds, the witness specs of seeded GF(p)
     instances, and the parallel-chain obstruction with a free overlay."""
-    from matlift.gf import GfMatrix, WitnessProblem, lift_witness
+    from matlift.gf import WitnessProblem, lift_witness
 
     u13 = uniform_matroid(1, 3)
     specs = [
@@ -361,6 +369,99 @@ class TestIncrementalPerfectTest:
                     assert is_perfect(m, col) == want
                     seen[want] += 1
         assert seen[True] and seen[False]
+
+
+def _matrices_with_parallels() -> list[GfMatrix]:
+    rng = random.Random(113)
+    return [random_gf_matrix_with_parallels(rng, rng.choice([2, 3, 5, 7, 251])) for _ in range(40)]
+
+
+class TestParallelClasses:
+    """``parallel_classes`` against the partition that pair rank queries
+    of an independent rank oracle give."""
+
+    def test_matroid_on_zoo(self):
+        for name, m in zoo():
+            want = parallel_classes_bruteforce(lambda s: rank_bruteforce(m, s), m.n)
+            assert m.parallel_classes() == want, name
+
+    def test_matroid_with_loops_and_parallels(self):
+        shapes = [rank_one_overlay(count, loops) for count in range(1, 7) for loops in ([], [0], [0, count - 1])]
+        shapes += [column_matroid(a) for a in _matrices_with_parallels()]
+        seen_loops = seen_parallel = False
+        for m in shapes:
+            want = parallel_classes_bruteforce(lambda s: rank_bruteforce(m, s), m.n)
+            assert m.parallel_classes() == want, m
+            seen_loops |= mask_of(range(m.n)) != sum(want)
+            seen_parallel |= any(c & (c - 1) for c in want)
+        assert seen_loops and seen_parallel
+
+    def test_linear_matroid(self):
+        rng = random.Random(137)
+        plain = [random_gf_matrix(rng, p=rng.choice([2, 3, 5, 7, 251])) for _ in range(20)]
+        sizes = []
+        for a in _matrices_with_parallels() + plain:
+            want = parallel_classes_bruteforce(lambda s: gf_rank_bruteforce(a, elements_of(s)), a.cols)
+            assert LinearMatroid(a).parallel_classes() == want, a.data
+            sizes.append((len(want), a.cols))
+        assert any(k < n for k, n in sizes) and any(k == n for k, n in sizes)
+
+    def test_default_is_singletons(self):
+        # the base class reads nothing off a representation: singletons,
+        # which is the partition of a simple loopless matroid (K(r,t)) and
+        # refines the partition of any other
+        for r, t in [(4, 3), (5, 4), (6, 4)]:
+            sp = build_krt(KrtSpec(r, t))
+            want = parallel_classes_bruteforce(sp.rank, sp.n)
+            assert sp.parallel_classes() == want == [1 << e for e in range(sp.n)]
+        for name, m in zoo():
+            classes = RankMatroid.parallel_classes(m)
+            assert classes == [1 << e for e in range(m.n)], name
+
+
+class TestOverlayRank:
+    """``LiftSpec.overlay_rank`` asks N for one representative per parallel
+    class met; it must equal N's rank of the set itself."""
+
+    def _specs(self) -> list[LiftSpec]:
+        specs = [spec for spec in _zoo_lift_specs() if spec.overlay.n <= 12]
+        rng = random.Random(127)
+        while len(specs) < 60:
+            m = random_base_matroid(rng)
+            count = len(m.circuits)
+            if count <= 12:
+                specs.append(LiftSpec(m, random_overlay(rng, count)))
+        for a in _matrices_with_parallels():
+            # a matrix's column matroid, materialized and as a linear
+            # overlay, on the circuits of U(0, n), its n loops
+            base = uniform_matroid(0, a.cols)
+            specs += [LiftSpec(base, column_matroid(a)), LiftSpec(base, LinearMatroid(a))]
+        return specs
+
+    def test_every_mask_on_small_overlays(self):
+        checked = 0
+        for spec in self._specs():
+            n = spec.overlay.n
+            assert n <= 12
+            for mask in range(1 << n):
+                assert spec.overlay_rank(mask) == spec.overlay.rank(mask), (spec, mask)
+            checked += 1
+        assert checked >= 60
+
+    def test_sampled_masks_on_rep_witnesses(self):
+        rng = random.Random(131)
+        for spec in rep_witness_specs():
+            n = spec.overlay.n
+            _, others, _, classes = spec._table
+            assert spec.overlay.full_rank == 2 and len(classes) <= 4 < n
+            routes = {True: 0, False: 0}
+            for _ in range(400):
+                # a few circuits (element by element) or many (class by class)
+                size = rng.choice([1, 2, 3, rng.randrange(n)])
+                mask = mask_of(rng.sample(range(n), size))
+                routes[(mask & others).bit_count() <= len(classes)] += 1
+                assert spec.overlay_rank(mask) == spec.overlay.rank(mask)
+            assert routes[True] >= 50 and routes[False] >= 50, routes
 
 
 class TestLiftRanks:

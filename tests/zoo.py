@@ -33,7 +33,6 @@ from matlift.lifts import (
     LiftSpec,
     StarWitness,
     _first_escape,
-    _modular_pairs,
     build_lift,
     elementary_lift,
     lift_rank,
@@ -166,6 +165,19 @@ def gf_circuits_from_kernel(a: GfMatrix) -> list[Mask]:
     return minimal
 
 
+def parallel_classes_bruteforce(rank_fn: Callable[[Mask], int], n: int) -> list[Mask]:
+    """The parallel classes of the non-loops of {0..n-1}, in order of least
+    element: e and f share a class when r({e}) = r({f}) = r({e, f}) = 1,
+    with every pair asked."""
+    nonloops = [e for e in range(n) if rank_fn(1 << e) == 1]
+    classes: list[Mask] = []
+    for e in nonloops:
+        mates = mask_of(f for f in nonloops if rank_fn(1 << e | 1 << f) == 1)
+        if mates & -mates == 1 << e:
+            classes.append(mates)
+    return classes
+
+
 def parse_matroid_text_per_element(text: str, *, path: str = "<string>") -> Matroid:
     """A .ckt body parsed as ``matlift.io`` did before its one-pass line
     reader: each token through ``int``, then a range check per element,
@@ -261,11 +273,22 @@ def validate_circuits_pairwise(circuits: Sequence[Mask], n: int) -> ValidationRe
     return ValidationReport(True)
 
 
+def modular_pairs_unbounded(m: Matroid) -> Iterator[tuple[int, int, Mask]]:
+    """Every modular pair i < j of circuit indices, with the bit mask of the
+    circuits inside the union: each pair's union is ranked, with no size
+    bound to skip it."""
+    for i, j in combinations(range(len(m.circuits)), 2):
+        union = m.circuits[i] | m.circuits[j]
+        if union.bit_count() - m.rank(union) == 2:
+            yield i, j, m.circuit_indices_within(union)
+
+
 def check_star_prime_per_member(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:
     """Condition (*') with one overlay rank query per circuit inside the
-    union of each modular pair, in index order."""
+    union of each modular pair, in index order, asked of the overlay
+    itself."""
     m, n = spec.base, spec.overlay
-    for i, j, inside in _modular_pairs(m, range(len(m.circuits))):
+    for i, j, inside in modular_pairs_unbounded(m):
         pair_mask = (1 << i) | (1 << j)
         pair_rank = n.rank(pair_mask)
         for k in elements_of(inside & ~pair_mask):
@@ -293,7 +316,7 @@ def perfect_rebuild(m: Matroid, col: Sequence[Mask], union: Mask) -> bool:
 def check_star_rebuild(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:
     """Condition (*) over the perfect collections, depth-first by size,
     with ``perfect_rebuild`` run on every candidate collection and each
-    closure decided by ``lifts._first_escape``."""
+    closure decided by ``lifts._first_escape`` on the overlay's own rank."""
     m = spec.base
     circuits = m.circuits
     max_size = min(len(circuits), m.n - m.full_rank)
@@ -301,7 +324,7 @@ def check_star_rebuild(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:
     def extend(chosen: list[int], union: Mask) -> Optional[StarWitness]:
         if len(chosen) >= 2:
             members = mask_of(chosen)
-            k = _first_escape(spec.overlay, members, m.circuit_indices_within(union) & ~members)
+            k = _first_escape(spec.overlay.rank, members, m.circuit_indices_within(union) & ~members)
             if k is not None:
                 return StarWitness(tuple(chosen), k)
         if len(chosen) == max_size:
@@ -520,6 +543,43 @@ def random_gf_matrix(rng: random.Random, p: int | None = None, max_rows: int = 4
     cols = rng.randint(max(2, rows), max_cols)
     data = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
     return GfMatrix(p, data)
+
+
+def random_gf_matrix_with_parallels(rng: random.Random, p: int, max_rows: int = 3, max_cols: int = 10) -> GfMatrix:
+    """A seeded GF(p) matrix whose columns are random ones mixed with zero
+    columns, repeats and nonzero multiples of earlier columns, shuffled."""
+    rows = rng.randint(1, max_rows)
+    cols = [[rng.randrange(p) for _ in range(rows)] for _ in range(rng.randint(1, 4))]
+    target = rng.randint(len(cols) + 2, max_cols)
+    while len(cols) < target:
+        roll = rng.random()
+        if roll < 0.15:
+            cols.append([0] * rows)
+        elif roll < 0.4:
+            cols.append(list(rng.choice(cols)))
+        elif roll < 0.8:
+            scale = rng.randrange(1, p)
+            cols.append([x * scale % p for x in rng.choice(cols)])
+        else:
+            cols.append([rng.randrange(p) for _ in range(rows)])
+    rng.shuffle(cols)
+    return GfMatrix(p, [[col[i] for col in cols] for i in range(rows)])
+
+
+def rep_witness_specs() -> list[LiftSpec]:
+    """Witness specs of the two ``rep witness`` shapes of the benchmark, a
+    7x15 matrix over GF(3) and a 7x16 one over GF(2), each seeded with
+    rank 7 and X two independent columns: overlays on hundreds of circuits
+    with rank 2, so a few parallel classes."""
+    specs = []
+    for seed, (p, rows, cols) in enumerate([(3, 7, 15), (2, 7, 16)]):
+        rng = random.Random(f"rep-witness:{seed}")
+        while True:
+            a = GfMatrix(p, [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)])
+            if gf_rank_bruteforce(a, range(cols)) == rows and gf_rank_bruteforce(a, (0, 1)) == 2:
+                break
+        specs.append(lift_witness(WitnessProblem(a, (0, 1))).spec)
+    return specs
 
 
 def relabel(m: Matroid, rng: random.Random) -> Matroid:
