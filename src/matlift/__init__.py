@@ -12,12 +12,10 @@ from matlift.core import (
     canonical_circuits,
     elements_of,
     find_isomorphism,
-    is_quotient,
     is_sparse_paving,
     mask_of,
     matroid_from_hyperplanes,
     one_based,
-    relax,
     uniform_matroid,
     validate_circuits,
     validate_hyperplanes,
@@ -37,12 +35,10 @@ __all__ = [
     "canonical_circuits",
     "elements_of",
     "find_isomorphism",
-    "is_quotient",
     "is_sparse_paving",
     "mask_of",
     "matroid_from_hyperplanes",
     "one_based",
-    "relax",
     "uniform_matroid",
     "validate_circuits",
     "validate_hyperplanes",

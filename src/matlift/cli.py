@@ -36,12 +36,12 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from matlift.core import (
     DEFAULT_NODE_BUDGET,
     CheckFailedError,
+    CircuitAxiomError,
     Matroid,
     SearchBudgetExceeded,
     find_isomorphism,
     mask_of,
     one_based,
-    validate_circuits,
 )
 
 if TYPE_CHECKING:
@@ -133,15 +133,15 @@ def _krt(args: argparse.Namespace):
 def cmd_check(args: argparse.Namespace, rep: Report) -> None:
     from matlift.io import parse_matroid
     rep["inputs"] = {"matroid": args.matroid}
-    m = parse_matroid(args.matroid, validate=False)
-    result = validate_circuits(m.circuits, m.n)
-    witness = None if result.ok else {"kind": result.kind, "detail": result.describe()}
-    rep.check("circuit_axioms", result.ok, witness)
-    rep.conclude(
-        f"valid matroid: n={m.n}, {len(m.circuits)} circuits, rank {m.full_rank}"
-        if result.ok
-        else f"invalid circuit family: {result.describe()}"
-    )
+    try:
+        m = parse_matroid(args.matroid)
+    except CircuitAxiomError as err:
+        detail = err.report.describe()
+        rep.check("circuit_axioms", False, {"kind": err.report.kind, "detail": detail})
+        rep.conclude(f"invalid circuit family: {detail}")
+        return
+    rep.check("circuit_axioms", True)
+    rep.conclude(f"valid matroid: n={m.n}, {len(m.circuits)} circuits, rank {m.full_rank}")
 
 
 def cmd_rank(args: argparse.Namespace, rep: Report) -> None:
@@ -307,10 +307,10 @@ def cmd_krt_vamos_scan(args: argparse.Namespace, rep: Report) -> None:
 
 
 def cmd_gain_build(args: argparse.Namespace, rep: Report) -> None:
-    from matlift.gain import full_gain_graph
+    from matlift.gain import GainGraph
     rep["inputs"] = {"group": args.group, "n": args.n}
     group = _load_group(args.group)
-    gg = full_gain_graph(group, args.n)
+    gg = GainGraph(group, args.n)
     rep.check("edge_count", gg.edge_count == args.n * (args.n - 1) // 2 * group.order)
     rep["edges"] = [
         {"i": e.i + 1, "j": e.j + 1, "label": group.names[e.label]} for e in gg.edges

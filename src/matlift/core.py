@@ -341,9 +341,6 @@ class RankMatroid:
     def is_flat(self, mask: Mask) -> bool:
         return self.closure(mask) == mask
 
-    def is_basis(self, mask: Mask) -> bool:
-        return mask.bit_count() == self.full_rank == self.rank(mask)
-
     def parallel_classes(self) -> list[Mask]:
         """Disjoint sets of mutually parallel elements covering every
         non-loop, by least element: singletons unless overridden."""
@@ -399,13 +396,6 @@ class Matroid(RankMatroid):
     def is_circuit(self, mask: Mask) -> bool:
         return mask in self._index.members
 
-    def contains_circuit(self, mask: Mask) -> bool:
-        """True iff some circuit is a subset of ``mask``."""
-        return self._index.within(mask) != 0
-
-    def is_independent(self, mask: Mask) -> bool:
-        return not self.contains_circuit(mask)
-
     def rank(self, mask: Mask) -> int:
         cached = self._rank_cache.get(mask)
         if cached is not None:
@@ -445,9 +435,6 @@ class Matroid(RankMatroid):
                 kept = inside & avoid[m]
                 stack.append((x ^ 1 << m, r - (kept == inside), kept, m))
 
-    def loops(self) -> Mask:
-        return self.closure(0)
-
     def parallel_classes(self) -> list[Mask]:
         """The parallel classes, from the 1- and 2-element circuits: parallel
         non-loops form cliques of 2-circuits, so each element joins the
@@ -467,63 +454,10 @@ class Matroid(RankMatroid):
             classes[head[e]] = classes.get(head[e], 0) | 1 << e
         return list(classes.values())
 
-    def circuits_within(self, mask: Mask) -> list[Mask]:
-        """Circuits of the restriction M|mask (exactly those inside mask)."""
-        return [self.circuits[k] for k in elements_of(self._index.within(mask))]
-
     def circuit_indices_within(self, mask: Mask) -> Mask:
-        """Same as ``circuits_within`` but as a bit mask of circuit indices."""
+        """The circuits of the restriction M|mask (exactly those inside
+        mask), as a bit mask of circuit indices."""
         return self._index.within(mask)
-
-    def delete(self, removed: Mask) -> "Matroid":
-        """M \\ removed, with survivors relabeled to 0..n'-1 preserving order."""
-        kept, relabel = _relabel_map(self.n, removed)
-        fam = [_compress(c, relabel) for c in self.circuits if c & removed == 0]
-        return Matroid(len(kept), fam, validate=False)
-
-    def contract(self, removed: Mask) -> "Matroid":
-        """M / removed, with survivors relabeled to 0..n'-1 preserving order."""
-        kept, relabel = _relabel_map(self.n, removed)
-        reduced = {c & ~removed for c in self.circuits}
-        reduced.discard(0)
-        minimal = _minimal_sets(reduced)
-        fam = [_compress(c, relabel) for c in minimal]
-        return Matroid(len(kept), fam, validate=False)
-
-    def dual(self) -> "Matroid":
-        full = self.full_mask
-        r = self.full_rank
-
-        def dual_rank(mask: Mask) -> int:
-            return mask.bit_count() + self.rank(full & ~mask) - r
-
-        return Matroid(self.n, circuits_from_rank_oracle(dual_rank, self.n), validate=False)
-
-    def flats(self) -> list[Mask]:
-        """All flats (closure-fixed sets), by lattice walk from cl(empty)."""
-        bottom = self.closure(0)
-        seen = {bottom}
-        frontier = [bottom]
-        while frontier:
-            nxt = []
-            for f in frontier:
-                rest = self.full_mask & ~f
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    g = self.closure(f | low)
-                    if g not in seen:
-                        seen.add(g)
-                        nxt.append(g)
-            frontier = nxt
-        return sorted(seen, key=lambda m: (m.bit_count(), m))
-
-    def hyperplanes(self) -> list[Mask]:
-        r = self.full_rank
-        return [f for f in self.flats() if self.rank(f) == r - 1]
-
-    def is_circuit_hyperplane(self, mask: Mask) -> bool:
-        return self.is_circuit(mask) and self.rank(mask) == self.full_rank - 1 and self.is_flat(mask)
 
 
 class SparsePaving(RankMatroid):
@@ -590,28 +524,6 @@ def _shared_face(members: Iterable[Mask]) -> Optional[tuple[Mask, Mask]]:
     return None
 
 
-def _relabel_map(n: int, removed: Mask) -> tuple[list[int], dict[int, int]]:
-    kept = [e for e in range(n) if not (removed >> e) & 1]
-    return kept, {e: i for i, e in enumerate(kept)}
-
-
-def _compress(mask: Mask, relabel: dict[int, int]) -> Mask:
-    out = 0
-    for e in elements_of(mask):
-        out |= 1 << relabel[e]
-    return out
-
-
-def _minimal_sets(sets: Iterable[Mask]) -> list[Mask]:
-    """Subset-minimal members of a family of masks."""
-    ordered = sorted(set(sets), key=lambda m: (m.bit_count(), m))
-    minimal: list[Mask] = []
-    for cand in ordered:
-        if not any(c & ~cand == 0 for c in minimal):
-            minimal.append(cand)
-    return minimal
-
-
 def circuits_from_rank_oracle(rank_fn: Callable[[Mask], int], n: int) -> list[Mask]:
     """Materialize the minimal dependent sets of a matroid rank function.
 
@@ -659,18 +571,6 @@ def uniform_matroid(r: int, n: int) -> Matroid:
     return Matroid(n, subsets_of_size(full, r + 1), validate=False)
 
 
-def is_quotient(quotient: Matroid, lift: Matroid) -> bool:
-    """True iff every flat of ``quotient`` is a flat of ``lift``.
-
-    This is the lift/quotient oracle: ``lift`` is a lift of ``quotient``
-    exactly when this holds.  A caller that knows the flats of ``quotient``
-    can test ``lift.is_flat`` on them and skip the lattice walk.
-    """
-    if quotient.n != lift.n:
-        raise ValueError("is_quotient needs a common ground set")
-    return all(lift.closure(f) == f for f in quotient.flats())
-
-
 def is_sparse_paving(m: Matroid) -> bool:
     """True iff every rank(M)-element subset is a basis or a circuit-hyperplane.
 
@@ -686,24 +586,6 @@ def is_sparse_paving(m: Matroid) -> bool:
     if m.circuits and m.circuits[0].bit_count() < r:
         return False
     return _shared_face(m.circuits[: m._index.upto[r].bit_length()]) is None
-
-
-def relax(m: Matroid, hyperplane: Mask) -> Matroid:
-    """Relax a circuit-hyperplane into a basis.
-
-    Recomputes the full circuit family from the relaxed rank function and
-    re-validates, rather than patching the old family.
-    """
-    if not m.is_circuit_hyperplane(hyperplane):
-        raise ValueError(f"{one_based(hyperplane)} is not a circuit-hyperplane")
-    r = m.full_rank
-
-    def relaxed_rank(mask: Mask) -> int:
-        if mask == hyperplane:
-            return r
-        return m.rank(mask)
-
-    return Matroid(m.n, circuits_from_rank_oracle(relaxed_rank, m.n))
 
 
 # ---------------------------------------------------------------------------

@@ -58,10 +58,6 @@ class GainGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    @property
-    def full_mask(self) -> Mask:
-        return (1 << len(self.edges)) - 1
-
     def edge_index(self, i: int, j: int, label: int) -> int:
         return self._index[(i, j, label)]
 
@@ -81,7 +77,7 @@ class GainGraph:
     def graphic_flats(self) -> list[Mask]:
         """The flats of the graphic matroid: for each partition of the
         vertices, the edges with both ends in one block (Bell(n) flats),
-        ordered like ``Matroid.flats``."""
+        ordered by size, then value."""
         # Partitions as restricted growth strings: vertex v joins one of the
         # blocks opened so far or opens the next one.
         blocks = [[0]]
@@ -89,27 +85,6 @@ class GainGraph:
             blocks = [b + [k] for b in blocks for k in range(max(b) + 2)]
         flats = [mask_of(k for k, e in enumerate(self.edges) if b[e.i] == b[e.j]) for b in blocks]
         return sorted(flats, key=lambda m: (m.bit_count(), m))
-
-    def switch_edge(self, edge: GainEdge, k: int, beta: int) -> GainEdge:
-        """Switching at vertex k with value beta: label alpha becomes
-        beta^-1 * alpha when i = k, alpha * beta when j = k."""
-        g = self.group
-        if edge.i == k:
-            return GainEdge(edge.i, edge.j, g.mul(g.inv(beta), edge.label))
-        if edge.j == k:
-            return GainEdge(edge.i, edge.j, g.mul(edge.label, beta))
-        return edge
-
-    def switch_mask(self, mask: Mask, k: int, beta: int) -> Mask:
-        out = 0
-        for idx in elements_of(mask):
-            e = self.switch_edge(self.edges[idx], k, beta)
-            out |= 1 << self.edge_index(e.i, e.j, e.label)
-        return out
-
-
-def full_gain_graph(group: FinGroup, n: int) -> GainGraph:
-    return GainGraph(group, n)
 
 
 @dataclass(frozen=True)
@@ -229,12 +204,14 @@ def switching_orbit(gg: GainGraph, mask: Mask) -> tuple[Mask, list[Mask]]:
 
 
 def graphic_matroid(gg: GainGraph) -> Matroid:
-    """The matroid of the underlying multigraph: circuits are its cycles."""
+    """The matroid of the underlying multigraph: circuits are its cycles.
+    The base of ``zaslavsky_lift``."""
     return Matroid(len(gg.edges), (c.mask for c in cycles(gg)))
 
 
 def balanced_class_indices(gg: GainGraph, m: Matroid) -> frozenset[int]:
-    """Indices (in m's canonical circuit order) of the balanced cycles."""
+    """Indices (in m's canonical circuit order) of the balanced cycles: the
+    linear class of ``zaslavsky_lift``."""
     return frozenset(
         k for k, c in enumerate(m.circuits) if is_balanced(gg, elements_of(c))
     )
@@ -242,6 +219,9 @@ def balanced_class_indices(gg: GainGraph, m: Matroid) -> frozenset[int]:
 
 def zaslavsky_lift(gg: GainGraph) -> Matroid:
     """The elementary lift of the graphic matroid along the balanced cycles.
+
+    Kept, with no command, as Zaslavsky's lift matroid of a gain graph, the
+    construction that the paper's gain-graph lifts generalise.
 
     Balanced cycles always form a linear class; a failure here would be an
     internal error, not bad input.  In the lift a cycle is a circuit iff it

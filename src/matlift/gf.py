@@ -235,12 +235,11 @@ class WitnessProblem:
 
 @dataclass(frozen=True)
 class LiftWitness:
-    """Output of the witness construction: M = K/X, L = K\\X, and the overlay
-    N on M's circuits together with the lift spec (M, N)."""
+    """Output of the witness construction: M = K/X, L = K\\X, and the lift
+    spec (M, N) with the overlay N on M's circuits."""
 
     m: Matroid
     l: Matroid
-    n: RankMatroid
     spec: LiftSpec
     b_matrix: Optional[GfMatrix]
     circuit_vectors: tuple[tuple[int, ...], ...]
@@ -267,7 +266,7 @@ def lift_witness(problem: WitnessProblem) -> LiftWitness:
             raise DependentColumnsError(x_cols, residue[rows:])
     if k == a.cols:
         empty = Matroid(0, [])
-        return LiftWitness(empty, empty, empty, LiftSpec(empty, empty), None, ())
+        return LiftWitness(empty, empty, LiftSpec(empty, empty), None, ())
     rest = [c for c in range(a.cols) if c not in x_cols]
     a_l = GfMatrix(p, [[row[c] for c in rest] for row in a.data])
     # width 0: reduce against X's rows, appending and rescaling nothing
@@ -291,7 +290,7 @@ def lift_witness(problem: WitnessProblem) -> LiftWitness:
     ok, witness = check_star_prime(spec)
     if not ok:
         raise AssertionError(f"witness construction violated (*'): {witness}")
-    return LiftWitness(m, l, n, spec, b, vectors)
+    return LiftWitness(m, l, spec, b, vectors)
 
 
 def verify_witness(spec: LiftSpec, l: Matroid) -> bool:

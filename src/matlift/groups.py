@@ -92,13 +92,6 @@ class FinGroup:
         """g * a * g^-1."""
         return self.mul(self.mul(g, a), self.inv(g))
 
-    def is_abelian(self) -> bool:
-        return all(
-            self.table[a][b] == self.table[b][a]
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
-        )
-
     def __repr__(self) -> str:
         return f"FinGroup({self.name}, order={self.order})"
 
@@ -157,14 +150,8 @@ class GroupPartition:
     def __len__(self) -> int:
         return len(self.parts)
 
-    def part_containing(self, g: int) -> frozenset[int]:
-        for p in self.parts:
-            if g in p:
-                return p
-        raise KeyError(g)
 
-
-def group_partitions(group: FinGroup, *, nontrivial_only: bool = True) -> list[GroupPartition]:
+def group_partitions(group: FinGroup) -> list[GroupPartition]:
     """All nontrivial partitions, by exact cover of the non-identity elements
     with candidate parts {H - identity : H a proper nontrivial subgroup}."""
     if group.order > MAX_GROUP_ORDER:
@@ -196,9 +183,7 @@ def group_partitions(group: FinGroup, *, nontrivial_only: bool = True) -> list[G
                 chosen.pop()
 
     search(universe, [])
-    partitions = [GroupPartition.from_parts(c) for c in covers]
-    if nontrivial_only:
-        partitions = [p for p in partitions if len(p) >= 2]
+    partitions = [GroupPartition.from_parts(c) for c in covers if len(c) >= 2]
     return sorted(set(partitions), key=lambda p: (len(p), [sorted(x) for x in p.parts]))
 
 

@@ -1,9 +1,9 @@
 """Text formats: .ckt matroids, .grp groups, .gfm matrices, .lift specs.
 
-All formats are line-oriented, 1-based, and emitted canonically (sorted
-families, LF endings) so files round-trip byte-stably.  ``#`` starts a
-comment anywhere; blank lines are ignored.  Parse errors carry the
-offending line number.  Only ``core`` is imported at load time; each
+All formats are line-oriented and 1-based; .ckt files are emitted
+canonically (sorted families, LF endings), so they round-trip
+byte-stably.  ``#`` starts a comment anywhere; blank lines are ignored.
+Parse errors carry the offending line number.  Only ``core`` is imported at load time; each
 parser imports the layer whose type it builds, so parsing a .ckt loads no
 other layer.
 """
@@ -144,16 +144,6 @@ def parse_group(path: str | Path) -> FinGroup:
     return parse_group_text(p.read_text(), path=str(p))
 
 
-def emit_group_text(g: FinGroup) -> str:
-    lines = [f"group {g.order}", " ".join(g.names)]
-    lines.extend(" ".join(g.names[x] for x in row) for row in g.table)
-    return "\n".join(lines) + "\n"
-
-
-def write_group(g: FinGroup, path: str | Path) -> None:
-    Path(path).write_text(emit_group_text(g))
-
-
 # ---------------------------------------------------------------------------
 # .gfm
 
@@ -192,12 +182,6 @@ def parse_matrix_text(text: str, *, path: str = "<string>") -> GfMatrix:
 def parse_matrix(path: str | Path) -> GfMatrix:
     p = Path(path)
     return parse_matrix_text(p.read_text(), path=str(p))
-
-
-def emit_matrix_text(a: GfMatrix) -> str:
-    lines = [f"gf {a.p} {a.rows} {a.cols}"]
-    lines.extend(" ".join(str(x) for x in row) for row in a.data)
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -243,17 +227,3 @@ def parse_lift_text(text: str, *, path: str = "<string>") -> LiftSpec:
 def parse_lift(path: str | Path) -> LiftSpec:
     p = Path(path)
     return parse_lift_text(p.read_text(), path=str(p))
-
-
-def emit_lift_text(spec: LiftSpec) -> str:
-    """Both families plus the circuit index map (as comments) for reproducibility."""
-    overlay = spec.overlay
-    if not isinstance(overlay, Matroid):
-        raise TypeError("only circuit-family overlays can be serialized")
-    lines = ["base"]
-    lines.append(emit_matroid_text(spec.base).rstrip("\n"))
-    lines.append("overlay")
-    for k, c in enumerate(spec.base.circuits, start=1):
-        lines.append(f"# circuit {k}: {' '.join(str(e) for e in one_based(c))}")
-    lines.append(emit_matroid_text(overlay).rstrip("\n"))
-    return "\n".join(lines) + "\n"

@@ -319,16 +319,6 @@ def _pairings(elems: list[int]) -> Iterator[list[Mask]]:
             yield [mask_of([first, mate])] + sub
 
 
-def is_vamos_like(m: Matroid | SparsePaving) -> Optional[tuple[Mask, Mask, Mask, Mask]]:
-    """A partition of an 8-element rank-4 sparse paving matroid into four
-    pairs such that exactly five of the six pair unions are circuits, or
-    None.  Raises on inputs outside that shape."""
-    if m.n != 8 or m.full_rank != 4:
-        raise ValueError("Vamos-likeness applies to rank-4 matroids on 8 elements")
-    minors = scan_vamos_like_minors(m)  # m is its only such minor
-    return minors[0].partition if minors else None
-
-
 @dataclass(frozen=True)
 class VamosLikeMinor:
     """A rank-4, 8-element Vamos-like minor: which elements were contracted
@@ -378,6 +368,9 @@ def _in_labels_of(mask: Mask, ground: Mask) -> Mask:
 
 def antichain_check(big: KrtSpec, small: KrtSpec, *, proper: bool = True) -> bool:
     """True iff no (proper) minor of K(big) is isomorphic to K(small).
+
+    Kept, with no command, as the paper's claim that the K(r,t) of the
+    r <= 2t-3 regime form a minor antichain.
 
     In the antichain regime n' - r' >= 5, so each (R - r')-set C and each
     set D of the remaining size give a minor K/C\\D of that shape, sparse

@@ -159,19 +159,6 @@ def is_linear_class(m: Matroid, members: Iterable[int]) -> bool:
     return all(inside & ~smask == 0 for _, _, inside in _modular_pairs(m, sorted(s)))
 
 
-def linear_class_closure(m: Matroid, seed: Iterable[int]) -> frozenset[int]:
-    """Smallest linear class containing the given circuit indices."""
-    smask = mask_of(seed)
-    changed = True
-    while changed:
-        changed = False
-        for _, _, inside in _modular_pairs(m, elements_of(smask)):
-            if inside & ~smask:
-                smask |= inside
-                changed = True
-    return frozenset(elements_of(smask))
-
-
 def elementary_lift(m: Matroid, members: Iterable[int]) -> Matroid:
     """The elementary lift of M given a linear class of circuits.
 
@@ -357,26 +344,3 @@ def evaluate_lift_formula(spec: LiftSpec) -> tuple[Optional[Matroid], Validation
                         (mask, e.bit_length() - 1, f.bit_length() - 1),
                     )
     return Matroid(n, circuits_from_rank_oracle(ranks.__getitem__, n)), ValidationReport(True)
-
-
-def rank_one_overlay(count: int, loop_indices: Iterable[int]) -> Matroid:
-    """Rank-1 matroid on ``count`` circuit indices: given indices are loops,
-    the rest are parallel non-loops (rank 0 when everything is a loop)."""
-    loops = set(loop_indices)
-    fam: list[Mask] = [1 << i for i in sorted(loops)]
-    nonloops = [i for i in range(count) if i not in loops]
-    fam.extend((1 << i) | (1 << j) for i, j in combinations(nonloops, 2))
-    return Matroid(count, fam, validate=False)
-
-
-def lift_agrees_with_elementary(m: Matroid, members: Iterable[int]) -> bool:
-    """Consistency of the two routes: the M^N lift with the rank-1 overlay
-    whose loops are a linear class equals the elementary lift from that
-    class."""
-    s = frozenset(members)
-    if not is_linear_class(m, s):
-        raise ValueError("circuit set is not a linear class")
-    spec = LiftSpec(m, rank_one_overlay(len(m.circuits), s))
-    via_general = build_lift(spec)
-    via_elementary = elementary_lift(m, s)
-    return via_general == via_elementary

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from matlift.cli import main
 from matlift.core import mask_of, validate_circuits
-from matlift.gain import balanced_circuit_audit, full_gain_graph, zaslavsky_lift
+from matlift.gain import GainGraph, balanced_circuit_audit, zaslavsky_lift
 from matlift.gf import WitnessProblem, lift_witness, verify_witness
 from matlift.groups import builtin_group, elementary_abelian_group, group_partitions, primitive_partition, refines, symmetric_group_3
 from matlift.krt import (
@@ -27,9 +27,10 @@ from matlift.krt import (
     is_ingleton_sparse_paving,
     scan_vamos_like_minors,
 )
-from matlift.lifts import LiftSpec, check_star, check_star_prime, lift_agrees_with_elementary
+from matlift.lifts import LiftSpec, check_star, check_star_prime
 
 from zoo import (
+    lift_agrees_with_elementary,
     random_base_matroid,
     random_linear_class,
     random_overlay,
@@ -157,7 +158,7 @@ def test_criterion_08_elementary_lift_consistency(announce):
             m = random_base_matroid(rng, max_elems=8, max_circuits=12)
             cls = random_linear_class(rng, m)
             assert lift_agrees_with_elementary(m, cls)
-        gg = full_gain_graph(builtin_group("z2"), 3)
+        gg = GainGraph(builtin_group("z2"), 3)
         assert balanced_circuit_audit(zaslavsky_lift(gg), gg).ok
 
 

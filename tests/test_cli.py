@@ -19,9 +19,10 @@ import matlift.core as core
 from matlift.cli import main
 from matlift.core import elements_of, mask_of, validate_circuits
 
+from zoo import S3_GRP
+
 TESTDATA = Path(__file__).parent / "testdata"
 GOLDEN = Path(__file__).parent / "golden"
-
 
 # The five Vamos-like minors of K(4,7): X = {15, 16} with three consecutive
 # blocks C_i, C_{i+1}, C_{i+2}, each a copy of K(4,3) (the brute-force
@@ -283,11 +284,8 @@ class TestGain:
         assert out.splitlines()[:2] == ["1 2 0", "1 2 1"]
 
     def test_group_file_roundtrip(self, capsys, tmp_path):
-        from matlift.groups import builtin_group
-        from matlift.io import write_group
-
         path = tmp_path / "s3.grp"
-        write_group(builtin_group("s3"), path)
+        path.write_text(S3_GRP)
         code, out = run(["gain", "partitions", str(path)], capsys)
         assert code == 0 and "1 nontrivial partition" in out
 
@@ -581,12 +579,9 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("matlift")
 
 @pytest.mark.parametrize("argv,layers", LAYER_CASES, ids=[" ".join(a) for a, _ in LAYER_CASES])
 def test_command_loads_only_its_layers(argv, layers, tmp_path):
-    from matlift.groups import builtin_group
-    from matlift.io import write_group
-
     (tmp_path / "s.lift").write_text("base\nmatroid 3 circuits\n1 2\n1 3\n2 3\noverlay\nmatroid 3 circuits\n1 2 3\n")
     (tmp_path / "u24.gfm").write_text("gf 3 2 4\n1 0 1 1\n0 1 1 2\n")
-    write_group(builtin_group("s3"), tmp_path / "s3.grp")
+    (tmp_path / "s3.grp").write_text(S3_GRP)
     argv = [a.format(tmp=tmp_path, v8=TESTDATA / "v8.ckt") for a in argv]
     src = str(Path(matlift.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -28,9 +28,9 @@ from hypothesis import strategies as st
 
 from matlift.cli import main
 from matlift.groups import builtin_group
-from matlift.io import emit_group_text, parse_group_text, parse_lift_text, parse_matrix_text, parse_matroid_text
+from matlift.io import parse_group_text, parse_lift_text, parse_matrix_text, parse_matroid_text
 
-from zoo import parse_matroid_text_per_element
+from zoo import S3_GRP, parse_matroid_text_per_element
 
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -229,8 +229,8 @@ def lift3_rank_is_4(code: int, report: dict) -> None:
 
 @FUZZ
 @given(st.one_of(cayley_text(), grp_text(), soup), st.sampled_from([3, 4, 5, 2, 0]), json_name)
-@example(emit_group_text(builtin_group("s3")), 3, "r.json")
-@example(emit_group_text(builtin_group("z2^2")), 4, "r.json")
+@example(S3_GRP, 3, "r.json")
+@example("group 4\n00 01 10 11\n00 01 10 11\n01 00 11 10\n10 11 00 01\n11 10 01 00\n", 4, "r.json")  # Z2^2
 def test_cli_on_fuzzed_grp(text, n, report):
     run_cli(lambda f: [["gain", "partitions", f], ["gain", "build", f, str(n)], ["gain", "lift3", f]],
             text, report, lift3_rank_is_4)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matlift.core as core
-from matlift.core import Matroid, canonical_circuits, elements_of, mask_of, relax, uniform_matroid
+from matlift.core import Matroid, canonical_circuits, elements_of, mask_of, uniform_matroid
 from matlift.gf import (
     DependentColumnsError,
     GfMatrix,
@@ -27,13 +27,17 @@ from matlift.lifts import MAX_SWEEP_GROUND, LiftSpec, build_lift, check_star_pri
 
 from zoo import (
     circuits_bruteforce,
+    contract,
+    delete,
     gf_circuit_vector,
     gf_circuits_from_kernel,
     gf_kernel_basis,
     gf_rank_bruteforce,
     gf_rref,
+    is_circuit_hyperplane,
     random_gf_matrix,
     random_witness_instance,
+    relax,
     verify_witness_per_subset,
 )
 
@@ -58,12 +62,12 @@ def _corrupted(a: GfMatrix, x: tuple[int, ...], w) -> list[tuple[str, LiftSpec, 
         ("free overlay", LiftSpec(w.m, _matrix_overlay(count, count)), w.l),
         ("all-loops overlay", LiftSpec(w.m, _matrix_overlay(count, 0)), w.l),
     ]
-    hyperplanes = [c for c in w.l.circuits if w.l.is_circuit_hyperplane(c)]
+    hyperplanes = [c for c in w.l.circuits if is_circuit_hyperplane(w.l, c)]
     if hyperplanes:
         out.append(("relaxed L", w.spec, relax(w.l, hyperplanes[0])))
     other = next((y for y in combinations(range(a.cols), len(x)) if set(y) != set(x)), None)
     if other is not None:
-        out.append(("other X", w.spec, column_matroid(a).delete(mask_of(other))))
+        out.append(("other X", w.spec, delete(column_matroid(a), mask_of(other))))
     return out
 
 
@@ -153,7 +157,7 @@ class TestColumnMatroid:
     def test_zero_columns_are_loops(self):
         a = GfMatrix(5, [[0, 1, 0], [0, 2, 0]])
         m = column_matroid(a)
-        assert m.loops() == 0b101
+        assert m.closure(0) == 0b101
 
     def test_contraction_commutes_with_row_reduction(self):
         # column_matroid(A)/X == column_matroid(A_M) for independent X
@@ -168,7 +172,7 @@ class TestColumnMatroid:
             if gf_rank_bruteforce(a, x) < len(x):
                 continue
             witness = lift_witness(WitnessProblem(a, x))
-            contracted = k.contract(mask_of(x))
+            contracted = contract(k, mask_of(x))
             assert witness.m == contracted
             done += 1
 
@@ -374,8 +378,8 @@ def test_witness_matches_contraction_and_deletion(kind):
         a, x = _differential_case(rng, kind)
         w = lift_witness(WitnessProblem(a, x))
         k = column_matroid(a)
-        assert w.m == k.contract(mask_of(x))
-        assert w.l == k.delete(mask_of(x))
+        assert w.m == contract(k, mask_of(x))
+        assert w.l == delete(k, mask_of(x))
         assert len(w.circuit_vectors) == len(w.m.circuits)
         for j, (c, v) in enumerate(zip(w.m.circuits, w.circuit_vectors)):
             assert mask_of(i for i, e in enumerate(v) if e) == c
@@ -491,7 +495,7 @@ class TestEchelonAgainstReElimination:
 
     def test_edge_case_shapes(self):
         zero = EDGE_MATRICES["zero columns"]
-        assert column_matroid(zero).loops() == 0b10101
+        assert column_matroid(zero).closure(0) == 0b10101
         parallel = column_matroid(EDGE_MATRICES["parallel columns"])
         assert parallel.is_circuit(0b1 | 0b10) and parallel.is_circuit(0b1 | 1 << 4)
         assert LinearMatroid(EDGE_MATRICES["rank deficient"]).full_rank == 2

@@ -15,7 +15,6 @@ from matlift.core import (
     is_sparse_paving,
     mask_of,
     one_based,
-    relax,
     uniform_matroid,
     validate_circuits,
 )
@@ -27,16 +26,19 @@ from matlift.krt import (
     build_krt,
     ingleton_inequality,
     is_ingleton_sparse_paving,
-    is_vamos_like,
     obstruction_report,
     scan_vamos_like_minors,
 )
 from zoo import (
     antichain_bruteforce,
+    contract,
+    delete,
     ingleton_bruteforce,
+    is_circuit_hyperplane,
     pairings_bruteforce,
     random_circuit_hyperplanes,
     random_sparse_paving,
+    relax,
     sparse_paving_from,
     vamos_scan_bruteforce,
 )
@@ -98,7 +100,7 @@ class TestBuild:
         assert len(s.c_prime) == 4 and len(s.c_double_prime) == 3
         m = build_krt(s).to_matroid()
         assert m.n == 10 and m.full_rank == 5
-        assert sum(1 for c in m.circuits if m.is_circuit_hyperplane(c)) == 7
+        assert sum(1 for c in m.circuits if is_circuit_hyperplane(m, c)) == 7
 
     @pytest.mark.parametrize("r,t", ALL_DESK_SPECS)
     def test_construction_valid_and_sparse_paving(self, r, t):
@@ -119,7 +121,7 @@ class TestBuild:
     @pytest.mark.parametrize("r,t", ALL_DESK_SPECS)
     def test_every_ch_has_r_elements_and_rank_r_minus_1(self, r, t):
         m = build_krt(KrtSpec(r, t)).to_matroid()
-        chs = [c for c in m.circuits if m.is_circuit_hyperplane(c)]
+        chs = [c for c in m.circuits if is_circuit_hyperplane(m, c)]
         assert len(chs) == 2 * t - 1
         for c in chs:
             assert c.bit_count() == r
@@ -150,8 +152,8 @@ class TestObstruction:
 
         spec = KrtSpec(4, 3)
         k = build_krt(spec).to_matroid()
-        m = k.contract(spec.x_mask)
-        l = k.delete(spec.x_mask)
+        m = contract(k, spec.x_mask)
+        l = delete(k, spec.x_mask)
         count = len(m.circuits)
         rng = random.Random(1)
         tried = 0
@@ -209,8 +211,8 @@ class TestObstruction:
 
 def _materialized_report(spec: KrtSpec, k: Matroid) -> ObstructionReport:
     """Facts (a)-(d) read from K/X and K\\X built as circuit families."""
-    m = k.contract(spec.x_mask)
-    l = k.delete(spec.x_mask)
+    m = contract(k, spec.x_mask)
+    l = delete(k, spec.x_mask)
     blocks = spec.blocks
 
     def witness(i, j):
@@ -304,20 +306,15 @@ class TestIngleton:
 
 class TestVamosLike:
     def test_k43_partition(self):
-        got = is_vamos_like(build_krt(KrtSpec(4, 3)))
-        assert got is not None
-        assert [one_based(p) for p in got] == [[1, 2], [3, 4], [5, 6], [7, 8]]
+        (got,) = scan_vamos_like_minors(build_krt(KrtSpec(4, 3)))
+        assert [one_based(p) for p in got.partition] == [[1, 2], [3, 4], [5, 6], [7, 8]]
 
     def test_u48_absent(self):
-        assert is_vamos_like(uniform_matroid(4, 8)) is None
+        assert scan_vamos_like_minors(uniform_matroid(4, 8)) == []
 
     def test_relaxation_absent(self):
         m = relax(build_krt(KrtSpec(4, 3)).to_matroid(), mask_of([2, 3, 4, 5]))
-        assert is_vamos_like(m) is None
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            is_vamos_like(uniform_matroid(2, 4))
+        assert scan_vamos_like_minors(m) == []
 
     def test_scan_k54_empty(self):
         assert scan_vamos_like_minors(build_krt(KrtSpec(5, 4))) == []
@@ -472,7 +469,6 @@ def _assert_oracle_agrees(sp: SparsePaving, m: Matroid, rng: random.Random) -> N
     assert (sp.n, sp.full_rank) == (m.n, m.full_rank)
     for mask in _probe_masks(rng, sp):
         assert sp.rank(mask) == m.rank(mask), mask
-        assert sp.is_basis(mask) == m.is_basis(mask), mask
 
 
 # every in-range (r, t) with ground set 2t+2 <= 16
@@ -480,7 +476,7 @@ ORACLE_DIFF_SPECS = [(r, t) for t in range(3, 8) for r in range(4, 2 * t - 1)]
 
 
 class TestSparsePavingAgainstCircuitFamily:
-    """``SparsePaving.rank`` and ``is_basis`` against ``Matroid.rank`` of the
+    """``SparsePaving.rank`` against ``Matroid.rank`` of the
     circuit family that ``sparse_paving_from`` builds by its own subset loop."""
 
     @pytest.mark.parametrize("r,t", ORACLE_DIFF_SPECS)
@@ -507,7 +503,7 @@ class TestSparsePavingAgainstCircuitFamily:
         matroids = [m for name, m in zoo() if name.startswith("random sparse paving")]
         matroids += [random_sparse_paving(rng, max_elems=10) for _ in range(40)]
         for m in matroids:
-            chs = [c for c in m.circuits if m.is_circuit_hyperplane(c)]
+            chs = [c for c in m.circuits if is_circuit_hyperplane(m, c)]
             sp = SparsePaving(m.n, m.full_rank, chs)
             assert SparsePaving.of(m).circuit_hyperplanes == sp.circuit_hyperplanes
             _assert_oracle_agrees(sp, m, rng)

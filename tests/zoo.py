@@ -1,6 +1,7 @@
-"""Shared test fixtures: brute-force oracles, seeded random generators, and
-the curated zoo of every matroid the suite constructs (used by the axiom
-acceptance criterion)."""
+"""Shared test fixtures: brute-force oracles, reference constructions that
+no command runs (minors, duality, flats, relaxation, switching), seeded
+random generators, and the curated zoo of every matroid the suite
+constructs (used by the axiom acceptance criterion)."""
 
 from __future__ import annotations
 
@@ -16,16 +17,17 @@ from matlift.core import (
     ValidationReport,
     _check_members,
     _CircuitIndex,
-    _relabel_map,
     canonical_circuits,
+    circuits_from_rank_oracle,
     elements_of,
     find_isomorphism,
     is_sparse_paving,
     mask_of,
+    one_based,
     subsets_of_size,
     uniform_matroid,
 )
-from matlift.gain import full_gain_graph, graphic_matroid, rank2_lift_k3, zaslavsky_lift
+from matlift.gain import GainEdge, GainGraph, graphic_matroid, rank2_lift_k3, zaslavsky_lift
 from matlift.gf import GfMatrix, WitnessProblem, column_matroid, lift_witness
 from matlift.groups import builtin_group
 from matlift.krt import IngletonWitness, KrtSpec, VamosLikeMinor, build_krt
@@ -33,11 +35,15 @@ from matlift.lifts import (
     LiftSpec,
     StarWitness,
     _first_escape,
+    _modular_pairs,
     build_lift,
     elementary_lift,
+    is_linear_class,
     lift_rank,
-    rank_one_overlay,
 )
+
+# The Cayley table of S3 as a .grp file.
+S3_GRP = "group 6\ne r r2 s sr sr2\ne r r2 s sr sr2\nr r2 e sr2 s sr\nr2 e r sr sr2 s\ns sr sr2 e r r2\nsr sr2 s r2 e r\nsr2 s sr r r2 e\n"
 
 # ---------------------------------------------------------------------------
 # independent oracles (deliberately dumb)
@@ -158,11 +164,7 @@ def gf_circuits_from_kernel(a: GfMatrix) -> list[Mask]:
         v = [sum(c * b[j] for c, b in zip(coeffs, basis)) % a.p for j in range(a.cols)]
         supports.add(mask_of(j for j, x in enumerate(v) if x))
     supports.discard(0)
-    minimal: list[Mask] = []
-    for s in sorted(supports, key=lambda m: (m.bit_count(), m)):
-        if not any(c & ~s == 0 for c in minimal):
-            minimal.append(s)
-    return minimal
+    return _minimal_sets(supports)
 
 
 def parallel_classes_bruteforce(rank_fn: Callable[[Mask], int], n: int) -> list[Mask]:
@@ -420,7 +422,7 @@ def is_sparse_paving_bruteforce(m: Matroid) -> bool:
         if m.is_circuit(mask):
             if m.closure(mask) != mask:
                 return False
-        elif m.contains_circuit(mask):
+        elif any(c & ~mask == 0 for c in m.circuits):
             return False
     return True
 
@@ -441,16 +443,16 @@ def minors_with_shape(
     if c_size < 0 or d_size < 0:
         return
     for cmask in subsets_of_size(m.full_mask, c_size):
-        if not m.is_independent(cmask):
+        if m.rank(cmask) != c_size:
             continue
-        contracted = m.contract(cmask)
+        contracted = contract(m, cmask)
         kept, _ = _relabel_map(m.n, cmask)
         r = contracted.full_rank
         for dmask_small in subsets_of_size(contracted.full_mask, d_size):
             if contracted.rank(contracted.full_mask & ~dmask_small) != r:
                 continue
             dmask = mask_of(kept[e] for e in elements_of(dmask_small))
-            yield cmask, dmask, contracted.delete(dmask_small)
+            yield cmask, dmask, delete(contracted, dmask_small)
 
 
 def has_minor_isomorphic_to(m: Matroid, target: Matroid, *, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
@@ -506,7 +508,7 @@ def ingleton_bruteforce(m: Matroid) -> tuple[bool, Optional[IngletonWitness]]:
             for pairs in pairings_bruteforce(elements_of(eight)):
                 unions = {(i, j): core | pairs[i] | pairs[j] for i, j in combinations(range(4), 2)}
                 missing = [key for key, u in unions.items() if u not in ch_set]
-                if len(missing) != 1 or not m.is_basis(unions[missing[0]]):
+                if len(missing) != 1 or m.rank(unions[missing[0]]) != r:
                     continue
                 i, j = missing[0]
                 others = [k for k in range(4) if k not in (i, j)]
@@ -529,6 +531,140 @@ def vamos_scan_bruteforce(m: Matroid) -> list[VamosLikeMinor]:
             if len(quads & six) == 5:
                 out.append(VamosLikeMinor(cmask, dmask, tuple(sorted(pairs))))
                 break
+    return out
+
+
+# ---------------------------------------------------------------------------
+# reference constructions: minors, duality, flats, relaxation, switching
+
+
+def _relabel_map(n: int, removed: Mask) -> tuple[list[int], dict[int, int]]:
+    kept = [e for e in range(n) if not (removed >> e) & 1]
+    return kept, {e: i for i, e in enumerate(kept)}
+
+
+def _compress(mask: Mask, relabel: dict[int, int]) -> Mask:
+    return mask_of(relabel[e] for e in elements_of(mask))
+
+
+def _minimal_sets(sets: Iterable[Mask]) -> list[Mask]:
+    """Subset-minimal members of a family of masks."""
+    minimal: list[Mask] = []
+    for cand in sorted(set(sets), key=lambda m: (m.bit_count(), m)):
+        if not any(c & ~cand == 0 for c in minimal):
+            minimal.append(cand)
+    return minimal
+
+
+def delete(m: Matroid, removed: Mask) -> Matroid:
+    """M \\ removed, with survivors relabeled to 0..n'-1 preserving order."""
+    kept, relabel = _relabel_map(m.n, removed)
+    return Matroid(len(kept), [_compress(c, relabel) for c in m.circuits if c & removed == 0], validate=False)
+
+
+def contract(m: Matroid, removed: Mask) -> Matroid:
+    """M / removed, with survivors relabeled to 0..n'-1 preserving order."""
+    kept, relabel = _relabel_map(m.n, removed)
+    reduced = {c & ~removed for c in m.circuits} - {0}
+    return Matroid(len(kept), [_compress(c, relabel) for c in _minimal_sets(reduced)], validate=False)
+
+
+def dual(m: Matroid) -> Matroid:
+    full, r = m.full_mask, m.full_rank
+    return Matroid(m.n, circuits_from_rank_oracle(lambda x: x.bit_count() + m.rank(full & ~x) - r, m.n), validate=False)
+
+
+def flats(m: Matroid) -> list[Mask]:
+    """All flats (closure-fixed sets), by lattice walk from cl(empty),
+    ordered by size, then value."""
+    bottom = m.closure(0)
+    seen = {bottom}
+    frontier = [bottom]
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for e in elements_of(m.full_mask & ~f):
+                g = m.closure(f | 1 << e)
+                if g not in seen:
+                    seen.add(g)
+                    nxt.append(g)
+        frontier = nxt
+    return sorted(seen, key=lambda x: (x.bit_count(), x))
+
+
+def hyperplanes(m: Matroid) -> list[Mask]:
+    return [f for f in flats(m) if m.rank(f) == m.full_rank - 1]
+
+
+def is_circuit_hyperplane(m: Matroid, mask: Mask) -> bool:
+    return m.is_circuit(mask) and m.rank(mask) == m.full_rank - 1 and m.is_flat(mask)
+
+
+def is_quotient(quotient: Matroid, lift: Matroid) -> bool:
+    """True iff every flat of ``quotient`` is a flat of ``lift``: ``lift``
+    is a lift of ``quotient`` exactly when this holds."""
+    if quotient.n != lift.n:
+        raise ValueError("is_quotient needs a common ground set")
+    return all(lift.is_flat(f) for f in flats(quotient))
+
+
+def relax(m: Matroid, hyperplane: Mask) -> Matroid:
+    """Relax a circuit-hyperplane into a basis: the circuit family of the
+    relaxed rank function, re-validated."""
+    if not is_circuit_hyperplane(m, hyperplane):
+        raise ValueError(f"{one_based(hyperplane)} is not a circuit-hyperplane")
+    r = m.full_rank
+    return Matroid(m.n, circuits_from_rank_oracle(lambda x: r if x == hyperplane else m.rank(x), m.n))
+
+
+def rank_one_overlay(count: int, loop_indices: Iterable[int]) -> Matroid:
+    """Rank-1 matroid on ``count`` circuit indices: given indices are loops,
+    the rest are parallel non-loops (rank 0 when everything is a loop)."""
+    loops = set(loop_indices)
+    fam: list[Mask] = [1 << i for i in sorted(loops)]
+    nonloops = [i for i in range(count) if i not in loops]
+    fam.extend((1 << i) | (1 << j) for i, j in combinations(nonloops, 2))
+    return Matroid(count, fam, validate=False)
+
+
+def lift_agrees_with_elementary(m: Matroid, members: Iterable[int]) -> bool:
+    """The M^N lift with the rank-1 overlay whose loops are a linear class
+    equals the elementary lift from that class."""
+    s = frozenset(members)
+    if not is_linear_class(m, s):
+        raise ValueError("circuit set is not a linear class")
+    return build_lift(LiftSpec(m, rank_one_overlay(len(m.circuits), s))) == elementary_lift(m, s)
+
+
+def linear_class_closure(m: Matroid, seed: Iterable[int]) -> frozenset[int]:
+    """Smallest linear class containing the given circuit indices."""
+    smask = mask_of(seed)
+    changed = True
+    while changed:
+        changed = False
+        for _, _, inside in _modular_pairs(m, elements_of(smask)):
+            if inside & ~smask:
+                smask |= inside
+                changed = True
+    return frozenset(elements_of(smask))
+
+
+def switch_edge(gg: GainGraph, edge: GainEdge, k: int, beta: int) -> GainEdge:
+    """Switching at vertex k with value beta: label alpha becomes
+    beta^-1 * alpha when i = k, alpha * beta when j = k."""
+    g = gg.group
+    if edge.i == k:
+        return GainEdge(edge.i, edge.j, g.mul(g.inv(beta), edge.label))
+    if edge.j == k:
+        return GainEdge(edge.i, edge.j, g.mul(edge.label, beta))
+    return edge
+
+
+def switch_mask(gg: GainGraph, mask: Mask, k: int, beta: int) -> Mask:
+    out = 0
+    for idx in elements_of(mask):
+        e = switch_edge(gg, gg.edges[idx], k, beta)
+        out |= 1 << gg.edge_index(e.i, e.j, e.label)
     return out
 
 
@@ -656,8 +792,6 @@ def random_overlay(rng: random.Random, count: int):
 
 
 def random_linear_class(rng: random.Random, m: Matroid) -> frozenset[int]:
-    from matlift.lifts import linear_class_closure
-
     count = len(m.circuits)
     seed = [i for i in range(count) if rng.random() < 0.3]
     return linear_class_closure(m, seed)
@@ -702,13 +836,10 @@ def zoo() -> tuple[tuple[str, Matroid], ...]:
 
     k43 = krt[(4, 3)]
     x = KrtSpec(4, 3).x_mask
-    add("K(4,3)/X", k43.contract(x))
-    add("K(4,3)\\X", k43.delete(x))
-    add("dual(U_{2,4})", u24.dual())
-    add("dual(K(4,3))", k43.dual())
-
-    from matlift.core import relax
-
+    add("K(4,3)/X", contract(k43, x))
+    add("K(4,3)\\X", delete(k43, x))
+    add("dual(U_{2,4})", dual(u24))
+    add("dual(K(4,3))", dual(k43))
     add("relax(K(4,3),1234)", relax(k43, mask_of([0, 1, 2, 3])))
     add("relax(K(4,3),3456)", relax(k43, mask_of([2, 3, 4, 5])))
 
@@ -724,9 +855,9 @@ def zoo() -> tuple[tuple[str, Matroid], ...]:
 
     z2 = builtin_group("z2")
     z3 = builtin_group("z3")
-    gg_z2 = full_gain_graph(z2, 3)
-    gg_z3 = full_gain_graph(z3, 3)
-    gg_z2_4 = full_gain_graph(z2, 4)
+    gg_z2 = GainGraph(z2, 3)
+    gg_z3 = GainGraph(z3, 3)
+    gg_z2_4 = GainGraph(z2, 4)
     add("M(K_3^{Z2})", graphic_matroid(gg_z2))
     add("M(K_3^{Z3})", graphic_matroid(gg_z3))
     add("M(K_4^{Z2})", graphic_matroid(gg_z2_4))
