@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from matlift.core import Mask, Matroid, elements_of, mask_of, matroid_from_hyperplanes
 from matlift.groups import FinGroup, GroupPartition, primitive_partition
@@ -89,22 +89,33 @@ class GainGraph:
 
 @dataclass(frozen=True)
 class Cycle:
-    """A cycle of the underlying multigraph, as a closed edge walk."""
+    """A cycle of the underlying multigraph, as a closed edge walk, and
+    whether it is balanced: the oriented label product along the walk is
+    the identity."""
 
     edges: tuple[int, ...]
     mask: Mask
+    balanced: bool
 
 
 def cycles(gg: GainGraph) -> list[Cycle]:
     """All cycles: parallel pairs on 2 vertex sets and, on k >= 3 vertices,
-    one label choice per consecutive pair along each cyclic vertex order."""
+    one label choice per consecutive pair along each cyclic vertex order.
+
+    A 2-cycle carries two distinct labels, so it is never balanced.  A
+    longer one is balanced when the product along its walk is the identity,
+    an edge traversed against its i -> j orientation giving the inverse of
+    its label; reversing the walk inverts the product and rotating it
+    conjugates it, so the verdict does not depend on where the walk starts.
+    """
     out: list[Cycle] = []
-    order = gg.group.order
+    g = gg.group
+    order = g.order
     for i, j in combinations(range(gg.n), 2):
         for a, b in combinations(range(order), 2):
             e1 = gg.edge_index(i, j, a)
             e2 = gg.edge_index(i, j, b)
-            out.append(Cycle((e1, e2), (1 << e1) | (1 << e2)))
+            out.append(Cycle((e1, e2), (1 << e1) | (1 << e2), False))
     for k in range(3, gg.n + 1):
         for verts in combinations(range(gg.n), k):
             v0 = verts[0]
@@ -113,65 +124,14 @@ def cycles(gg: GainGraph) -> list[Cycle]:
                     continue  # each cyclic order once, up to direction
                 walk = (v0, *middle, v0)
                 pairs = [tuple(sorted((walk[s], walk[s + 1]))) for s in range(k)]
+                forward = [walk[s] < walk[s + 1] for s in range(k)]
                 for labels in product(range(order), repeat=k):
-                    idxs = tuple(
-                        gg.edge_index(p[0], p[1], lab) for p, lab in zip(pairs, labels)
-                    )
-                    out.append(Cycle(idxs, mask_of(idxs)))
+                    idxs = tuple(gg.edge_index(*p, lab) for p, lab in zip(pairs, labels))
+                    value = g.identity
+                    for lab, fwd in zip(labels, forward):
+                        value = g.mul(value, lab if fwd else g.inv(lab))
+                    out.append(Cycle(idxs, mask_of(idxs), value == g.identity))
     return out
-
-
-def _cycle_walk(gg: GainGraph, edge_indices: Sequence[int]) -> list[tuple[GainEdge, bool]]:
-    """Order the edges of a cycle into a closed walk from its smallest vertex.
-
-    Returns (edge, forward) pairs, forward meaning traversal i -> j.  The
-    walk starts at the smallest vertex and leaves along the lowest-indexed
-    incident edge, which fixes the traversal for balance evaluation.
-    """
-    edges = [gg.edges[k] for k in edge_indices]
-    if len(edges) != len(set(edge_indices)):
-        raise ValueError("repeated edges do not form a cycle")
-    incidence: dict[int, list[int]] = {}
-    for pos, e in enumerate(edges):
-        incidence.setdefault(e.i, []).append(pos)
-        incidence.setdefault(e.j, []).append(pos)
-    if any(len(v) != 2 for v in incidence.values()):
-        raise ValueError("edge set is not a single cycle (vertex degree != 2)")
-    start = min(incidence)
-    walk: list[tuple[GainEdge, bool]] = []
-    used = [False] * len(edges)
-    at = start
-    pos = min(incidence[start])
-    for _ in range(len(edges)):
-        used[pos] = True
-        e = edges[pos]
-        forward = e.i == at
-        walk.append((e, forward))
-        at = e.j if forward else e.i
-        nxt = [q for q in incidence[at] if not used[q]]
-        if not nxt:
-            break
-        pos = nxt[0]
-    if len(walk) != len(edges) or at != start:
-        raise ValueError("edge set is not a single closed cycle")
-    return walk
-
-
-def is_balanced(gg: GainGraph, edge_indices: Sequence[int] | Mask) -> bool:
-    """True iff the oriented label product along the cycle is the identity.
-
-    An edge traversed against its i -> j orientation contributes the inverse
-    of its label.  The outcome does not depend on the traversal choice
-    (reversal inverts the product, rotation conjugates it).
-    """
-    if isinstance(edge_indices, int):
-        edge_indices = elements_of(edge_indices)
-    g = gg.group
-    prod_val = g.identity
-    for e, forward in _cycle_walk(gg, edge_indices):
-        contrib = e.label if forward else g.inv(e.label)
-        prod_val = g.mul(prod_val, contrib)
-    return prod_val == g.identity
 
 
 def switching_orbit(gg: GainGraph, mask: Mask) -> tuple[Mask, list[Mask]]:
@@ -212,79 +172,42 @@ def graphic_matroid(gg: GainGraph) -> Matroid:
 def balanced_class_indices(gg: GainGraph, m: Matroid) -> frozenset[int]:
     """Indices (in m's canonical circuit order) of the balanced cycles: the
     linear class of ``zaslavsky_lift``."""
-    return frozenset(
-        k for k, c in enumerate(m.circuits) if is_balanced(gg, elements_of(c))
-    )
+    balanced = {c.mask for c in cycles(gg) if c.balanced}
+    return frozenset(k for k, c in enumerate(m.circuits) if c in balanced)
 
 
 def zaslavsky_lift(gg: GainGraph) -> Matroid:
     """The elementary lift of the graphic matroid along the balanced cycles.
 
     Kept, with no command, as Zaslavsky's lift matroid of a gain graph, the
-    construction that the paper's gain-graph lifts generalise.
-
-    Balanced cycles always form a linear class; a failure here would be an
-    internal error, not bad input.  In the lift a cycle is a circuit iff it
-    is balanced.
+    construction that the paper's gain-graph lifts generalise.  Balanced
+    cycles always form a linear class, and in the lift a cycle is a circuit
+    iff it is balanced.
     """
-    from matlift.lifts import elementary_lift, is_linear_class
+    from matlift.lifts import elementary_lift
 
     base = graphic_matroid(gg)
-    balanced = balanced_class_indices(gg, base)
-    if not is_linear_class(base, balanced):
-        raise AssertionError("balanced cycles failed the linear class check")
-    return elementary_lift(base, balanced)
+    return elementary_lift(base, balanced_class_indices(gg, base))
 
 
-@dataclass(frozen=True)
-class CycleAuditRow:
-    edges: tuple[int, ...]
-    balanced: bool
-    is_circuit: bool
-
-
-@dataclass(frozen=True)
-class CycleAuditReport:
-    """Per-cycle comparison of balance against circuit membership."""
-
-    rows: tuple[CycleAuditRow, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.balanced == r.is_circuit for r in self.rows)
-
-    @property
-    def first_mismatch(self) -> Optional[CycleAuditRow]:
-        return next((r for r in self.rows if r.balanced != r.is_circuit), None)
-
-
-def balanced_circuit_audit(m: Matroid, gg: GainGraph) -> CycleAuditReport:
-    """Check that a matroid on the edges of ``gg`` has exactly the balanced
-    cycles among its circuits (the membership test per cycle)."""
+def balanced_circuit_audit(m: Matroid, gg: GainGraph) -> Optional[Cycle]:
+    """The first cycle of ``gg`` whose balance disagrees with its being a
+    circuit of ``m``, a matroid on the edges of ``gg``, or None when the
+    circuits among the cycles are exactly the balanced ones."""
     if m.n != len(gg.edges):
         raise ValueError("matroid is not on the edge set of the gain graph")
-    rows = []
-    for cyc in cycles(gg):
-        rows.append(
-            CycleAuditRow(
-                edges=cyc.edges,
-                balanced=is_balanced(gg, cyc.edges),
-                is_circuit=m.is_circuit(cyc.mask),
-            )
-        )
-    return CycleAuditReport(tuple(rows))
+    return next((c for c in cycles(gg) if c.balanced != m.is_circuit(c.mask)), None)
 
 
 @dataclass(frozen=True)
 class Rank2LiftResult:
-    """The rank-2 lift of the 3-vertex gain graph plus its certificate data."""
+    """The rank-2 lift of the 3-vertex gain graph and the data it is built
+    from; ``rank2_lift_k3`` certifies it before returning."""
 
     matroid: Matroid
     gain_graph: GainGraph
     partition: GroupPartition
     hyperplanes: tuple[Mask, ...]
-    audit: CycleAuditReport
-    quotient_ok: bool
 
 
 def rank2_lift_k3(group: FinGroup) -> Rank2LiftResult:
@@ -298,7 +221,8 @@ def rank2_lift_k3(group: FinGroup) -> Rank2LiftResult:
     certified by the balance audit and the quotient test against the graphic
     matroid, which checks that each of the graphic flats
     (``GainGraph.graphic_flats``, one per vertex partition) is a flat of the
-    lift.  No cycle family is built or validated.
+    lift, and either failure raises ``AssertionError``.  No cycle family is
+    built or validated.
     """
     if group.order > 8:
         raise ValueError("rank-2 lift construction is capped at group order 8")
@@ -320,10 +244,9 @@ def rank2_lift_k3(group: FinGroup) -> Rank2LiftResult:
     lift = matroid_from_hyperplanes(fam, len(gg.edges), 4)  # raises HyperplaneAxiomError
     if lift.full_rank != 4:
         raise AssertionError("lift rank is not 4")
-    audit = balanced_circuit_audit(lift, gg)
-    if not audit.ok:
-        raise AssertionError(f"balance audit failed at {audit.first_mismatch}")
-    quotient_ok = all(lift.is_flat(f) for f in gg.graphic_flats())
-    if not quotient_ok:
+    mismatch = balanced_circuit_audit(lift, gg)
+    if mismatch is not None:
+        raise AssertionError(f"balance audit failed at {mismatch}")
+    if not all(lift.is_flat(f) for f in gg.graphic_flats()):
         raise AssertionError("graphic matroid is not a quotient of the lift")
-    return Rank2LiftResult(lift, gg, partition, fam, audit, quotient_ok)
+    return Rank2LiftResult(lift, gg, partition, fam)

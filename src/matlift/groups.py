@@ -96,24 +96,20 @@ class FinGroup:
         return f"FinGroup({self.name}, order={self.order})"
 
     def subgroup_closure(self, gens: Iterable[int]) -> frozenset[int]:
+        """The subgroup generated by ``gens``: the identity closed under right
+        multiplication by the generators.  In a finite group each inverse is
+        a power (g^-1 = g^(ord g - 1)), so that monoid is the subgroup."""
+        gen_list = list(set(gens))
         members = {self.identity}
         frontier = [self.identity]
-        gen_list = list(set(gens) | {self.identity})
         while frontier:
             nxt = []
             for a in frontier:
                 for g in gen_list:
-                    for prod in (self.mul(a, g), self.mul(g, a)):
-                        if prod not in members:
-                            members.add(prod)
-                            nxt.append(prod)
-            # products of new members with existing members
-            for a in list(nxt):
-                for b in list(members):
-                    for prod in (self.mul(a, b), self.mul(b, a)):
-                        if prod not in members:
-                            members.add(prod)
-                            nxt.append(prod)
+                    prod = self.mul(a, g)
+                    if prod not in members:
+                        members.add(prod)
+                        nxt.append(prod)
             frontier = nxt
         return frozenset(members)
 

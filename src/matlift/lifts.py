@@ -1,4 +1,5 @@
-"""Lift constructions: elementary lifts from linear classes and the M^N lift.
+"""Lift constructions: the M^N lift, and the elementary lift from a linear
+class as the M^N of a rank-1 overlay (``ClassOverlay``).
 
 The overlay matroid N lives on the circuit list of a base matroid M, indexed
 in M's canonical circuit order.  N only has to provide a rank oracle, so both
@@ -148,34 +149,46 @@ def is_perfect(m: Matroid, circuits: Iterable[Mask]) -> bool:
     return union.bit_count() - m.rank(union) == len(col)
 
 
+class ClassOverlay(RankMatroid):
+    """The overlay of Crapo's elementary lift along a class of M's circuits:
+    rank at most 1 on M's circuit list, the class its loops and every other
+    circuit in one parallel class.  M^N for this N is the elementary lift,
+    whose rank goes up by one on exactly the sets with a circuit outside the
+    class, and (*') for it says that the class is linear: a modular pair
+    inside the class has rank 0, so every circuit inside its union must be
+    a loop too."""
+
+    __slots__ = ("loops",)
+
+    def __init__(self, count: int, members: Iterable[int]) -> None:
+        s = set(members)
+        for i in s:
+            if not 0 <= i < count:
+                raise ValueError(f"circuit index {i} out of range")
+        self.n = count
+        self.loops = mask_of(s)
+        self._full_rank = None
+
+    def rank(self, mask: Mask) -> int:
+        return int(mask & ~self.loops != 0)
+
+    def parallel_classes(self) -> list[Mask]:
+        rest = self.full_mask & ~self.loops
+        return [rest] if rest else []
+
+
 def is_linear_class(m: Matroid, members: Iterable[int]) -> bool:
     """True iff the circuit-index set is closed under modular pairs: for any
-    modular pair inside it, every circuit of M within the union is inside."""
-    s = set(members)
-    for i in s:
-        if not 0 <= i < len(m.circuits):
-            raise ValueError(f"circuit index {i} out of range")
-    smask = mask_of(s)
-    return all(inside & ~smask == 0 for _, _, inside in _modular_pairs(m, sorted(s)))
+    modular pair inside it, every circuit of M within the union is inside.
+    That is (*') for its ``ClassOverlay``."""
+    return check_star_prime(LiftSpec(m, ClassOverlay(len(m.circuits), members)))[0]
 
 
 def elementary_lift(m: Matroid, members: Iterable[int]) -> Matroid:
-    """The elementary lift of M given a linear class of circuits.
-
-    Rank goes up by one on exactly the sets whose restriction has a circuit
-    outside the class.  The result is materialized as a circuit family and
-    axiom-validated.
-    """
-    s = frozenset(members)
-    if not is_linear_class(m, s):
-        raise ValueError("circuit set is not a linear class")
-    class_mask = mask_of(s)
-
-    def lifted_rank(mask: Mask) -> int:
-        r, inside = m.rank_and_circuits(mask)
-        return r + (1 if inside & ~class_mask else 0)
-
-    return Matroid(m.n, circuits_from_rank_oracle(lifted_rank, m.n))
+    """The elementary lift of M along a linear class of circuits: the lift
+    M^N of its ``ClassOverlay``.  Raises ``LiftConditionError`` when the
+    class is not linear."""
+    return build_lift(LiftSpec(m, ClassOverlay(len(m.circuits), members)))
 
 
 def lift_rank(spec: LiftSpec, mask: Mask) -> int:
@@ -207,10 +220,14 @@ def check_star_prime(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:
     inside C1 | C2 lies in cl_N({C1, C2}).  Returns a witness on failure.
 
     Each pair costs two overlay rank queries (``_first_escape``), which
-    keeps overlays given only by rank oracles cheap.
+    keeps overlays given only by rank oracles cheap.  A circuit that spans
+    N alone spans it with any partner, so only the others are paired: for
+    a ``ClassOverlay`` that is the class.
     """
     m = spec.base
-    for i, j, inside in _modular_pairs(m, range(len(m.circuits))):
+    full = spec.overlay.full_rank
+    pairable = [i for i in range(len(m.circuits)) if spec.overlay_rank(1 << i) < full]
+    for i, j, inside in _modular_pairs(m, pairable):
         pair_mask = (1 << i) | (1 << j)
         k = _first_escape(spec.overlay_rank, pair_mask, inside & ~pair_mask)
         if k is not None:
@@ -306,11 +323,13 @@ def require_sweepable(n: int) -> None:
 def evaluate_lift_formula(spec: LiftSpec) -> tuple[Optional[Matroid], ValidationReport]:
     """Diagnostic mode: evaluate the lift rank formula without requiring (*').
 
-    Checks the rank axioms (normalization, unit increase, local
-    submodularity) over all subsets and reports the first violation; when
-    none is found the materialized matroid is returned alongside an ok
-    report.  Exhaustive over 2^n subsets, so ``lift_ranks`` refuses ground
-    sets above ``MAX_SWEEP_GROUND``.
+    Checks unit increase and local submodularity over all subsets and
+    reports the first violation; when none is found the materialized
+    matroid is returned alongside an ok report.  Normalization and
+    monotonicity need no check: r(empty) = r_M(empty) + r_N(empty) = 0, and
+    both terms of the formula are monotone, since the circuits inside X
+    only grow with X.  Exhaustive over 2^n subsets, so ``lift_ranks``
+    refuses ground sets above ``MAX_SWEEP_GROUND``.
     """
     n = spec.base.n
     swept = lift_ranks(spec)  # refuses a large n before the table is made
@@ -318,15 +337,13 @@ def evaluate_lift_formula(spec: LiftSpec) -> tuple[Optional[Matroid], Validation
     ranks = [0] * (full + 1)
     for mask, r in swept:
         ranks[mask] = r
-    if ranks[0] != 0:
-        return None, ValidationReport(False, "normalization", (0, ranks[0]))
     for mask in range(full + 1):
         rest = full & ~mask
         while rest:
             low = rest & -rest
             rest ^= low
             gain = ranks[mask | low] - ranks[mask]
-            if gain < 0 or gain > 1:
+            if gain > 1:
                 return None, ValidationReport(
                     False, "unit-increase", (mask, low.bit_length() - 1, gain)
                 )

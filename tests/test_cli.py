@@ -305,6 +305,32 @@ class TestLiftCommands:
         assert code == 1
         assert "not a linear class" in out
 
+    @pytest.mark.parametrize(
+        "circuits, cls, code",
+        [("1 2\n1 3\n2 3\n", "1", 0), ("1 2\n1 3\n2 3\n", "1,2", 1), ("", "", 0)],
+        ids=["u13-linear", "u13-not-linear", "circuit-free"],
+    )
+    def test_elementary_checks_star_prime_once(self, capsys, tmp_path, monkeypatch, circuits, cls, code):
+        # the class is linear exactly when its rank-1 overlay, one element
+        # per circuit, passes (*'), checked once, inside build_lift
+        import matlift.lifts as lifts
+
+        calls = []
+        check = lifts.check_star_prime
+        monkeypatch.setattr(lifts, "check_star_prime", lambda spec: calls.append(spec) or check(spec))
+        m_path = tmp_path / "m.ckt"
+        m_path.write_text("matroid 3 circuits\n" + circuits)
+        path = tmp_path / "r.json"
+        assert run(["--json", str(path), "lift", "elementary", str(m_path), "--class", cls], capsys)[0] == code
+        assert len(calls) == 1
+        assert isinstance(calls[0].overlay, lifts.ClassOverlay)
+        assert calls[0].overlay.n == circuits.count("\n")
+        report = load_report(path)
+        checks = [(c["name"], c["pass"]) for c in report["checks"]]
+        assert checks == ([("linear_class", True), ("rank_increase", True)] if code == 0 else [("linear_class", False)])
+        if not circuits:
+            assert report["lift"] == {"rank": 3, "circuits": []}
+
     def test_general_lift(self, capsys, tmp_path):
         spec = tmp_path / "s.lift"
         spec.write_text(

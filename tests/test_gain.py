@@ -16,7 +16,6 @@ from matlift.gain import (
     balanced_circuit_audit,
     cycles,
     graphic_matroid,
-    is_balanced,
     rank2_lift_k3,
     switching_orbit,
     zaslavsky_lift,
@@ -55,45 +54,67 @@ class TestEnumeration:
         assert len(cycles(gg)) == 3 * 15 + 216
 
 
+def _balance(gg):
+    """Cycle.balanced from ``cycles(gg)``, by cycle mask."""
+    return {c.mask: c.balanced for c in cycles(gg)}
+
+
 class TestBalance:
     def test_identity_triangle(self):
         gg = GainGraph(builtin_group("z3"), 3)
         eps = [gg.edge_index(0, 1, 0), gg.edge_index(1, 2, 0), gg.edge_index(0, 2, 0)]
-        assert is_balanced(gg, eps)
+        assert _balance(gg)[mask_of(eps)]
 
     def test_two_cycles_unbalanced(self):
         gg = GainGraph(builtin_group("z3"), 3)
+        balance = _balance(gg)
         for a, b in combinations(range(3), 2):
             pair = [gg.edge_index(0, 1, a), gg.edge_index(0, 1, b)]
-            assert not is_balanced(gg, pair)
+            assert not balance[mask_of(pair)]
 
     def test_z3_triangle_sum(self):
         gg = GainGraph(builtin_group("z3"), 3)
+        balance = _balance(gg)
         # labels 1 (1->2), 1 (2->3), 2 (1->3): 1 + 1 - 2 = 0
         tri = [gg.edge_index(0, 1, 1), gg.edge_index(1, 2, 1), gg.edge_index(0, 2, 2)]
-        assert is_balanced(gg, tri)
+        assert balance[mask_of(tri)]
         tri_bad = [gg.edge_index(0, 1, 1), gg.edge_index(1, 2, 1), gg.edge_index(0, 2, 1)]
-        assert not is_balanced(gg, tri_bad)
-
-    def test_rejects_non_cycles(self):
-        gg = GainGraph(builtin_group("z2"), 3)
-        with pytest.raises(ValueError):
-            is_balanced(gg, [gg.edge_index(0, 1, 0), gg.edge_index(1, 2, 0)])
+        assert not balance[mask_of(tri_bad)]
 
     def test_nonabelian_traversal_invariance(self):
-        # balance is invariant under the traversal choice; check by brute
-        # force over all rotations/reflections for S3-labeled triangles
+        # balance does not depend on the traversal cycles() walks; check
+        # against the direct product around 0 -> 1 -> 2 -> 0 for every
+        # S3-labeled triangle
         g = builtin_group("s3")
         gg = GainGraph(g, 3)
+        balance = _balance(gg)
         for labels in product(range(6), repeat=3):
             tri = [
                 gg.edge_index(0, 1, labels[0]),
                 gg.edge_index(1, 2, labels[1]),
                 gg.edge_index(0, 2, labels[2]),
             ]
-            # direct product around the walk 0 -> 1 -> 2 -> 0
             direct = g.mul(g.mul(labels[0], labels[1]), g.inv(labels[2]))
-            assert is_balanced(gg, tri) == (direct == g.identity)
+            assert balance[mask_of(tri)] == (direct == g.identity)
+
+    def test_nonabelian_four_cycles_on_another_walk(self):
+        # balance does not depend on the walk: walk each S3-labeled 4-cycle
+        # of K_4 backwards from another vertex and compare
+        g = builtin_group("s3")
+        gg = GainGraph(g, 4)
+        fours = [c for c in cycles(gg) if len(c.edges) == 4]
+        assert len(fours) == 3 * 6**4
+        for cyc in fours:
+            edges = [gg.edges[k] for k in reversed(cyc.edges)]
+            edges = edges[1:] + edges[:1]
+            first, second = edges[0], edges[1]
+            at = first.j if first.i in (second.i, second.j) else first.i
+            value = g.identity
+            for e in edges:
+                forward = e.i == at
+                value = g.mul(value, e.label if forward else g.inv(e.label))
+                at = e.j if forward else e.i
+            assert (value == g.identity) == cyc.balanced
 
     def test_four_cycle_balance(self):
         g = builtin_group("z2")
@@ -104,7 +125,7 @@ class TestBalance:
             gg.edge_index(2, 3, 0),
             gg.edge_index(0, 3, 0),
         ]
-        assert is_balanced(gg, quad)
+        assert _balance(gg)[mask_of(quad)]
 
 
 class TestSwitching:
@@ -126,12 +147,12 @@ class TestSwitching:
         for name in ["z2", "z3", "z2^2", "s3"]:
             g = builtin_group(name)
             gg = GainGraph(g, 3)
+            balance = _balance(gg)
             for cyc in cycles(gg):
-                bal = is_balanced(gg, cyc.edges)
                 for k in range(3):
                     for beta in range(g.order):
                         image = switch_mask(gg, cyc.mask, k, beta)
-                        assert is_balanced(gg, image) == bal
+                        assert balance[image] == cyc.balanced
 
     def test_bijective_on_edges(self):
         g = builtin_group("s3")
@@ -248,13 +269,13 @@ class TestZaslavsky:
         gg = GainGraph(builtin_group("z2"), 3)
         lift = zaslavsky_lift(gg)
         assert lift.full_rank == 3 and lift.n == 6
-        assert balanced_circuit_audit(lift, gg).ok
+        assert balanced_circuit_audit(lift, gg) is None
 
     def test_z3_rank3(self):
         gg = GainGraph(builtin_group("z3"), 3)
         lift = zaslavsky_lift(gg)
         assert lift.full_rank == 3 and lift.n == 9
-        assert balanced_circuit_audit(lift, gg).ok
+        assert balanced_circuit_audit(lift, gg) is None
 
     def test_lift_is_simple(self):
         # unbalanced 2-cycles independent: no loops, no parallel pairs
@@ -264,15 +285,13 @@ class TestZaslavsky:
 
     def test_audit_fails_on_graphic(self):
         gg = GainGraph(builtin_group("z2"), 3)
-        report = balanced_circuit_audit(graphic_matroid(gg), gg)
-        assert not report.ok
-        assert report.first_mismatch is not None
+        assert balanced_circuit_audit(graphic_matroid(gg), gg) is not None
 
     def test_z2_four_vertices(self):
         gg = GainGraph(builtin_group("z2"), 4)
         lift = zaslavsky_lift(gg)
         assert lift.full_rank == 4
-        assert balanced_circuit_audit(lift, gg).ok
+        assert balanced_circuit_audit(lift, gg) is None
         assert is_quotient(graphic_matroid(gg), lift)
 
     def test_agrees_with_general_lift_route(self):
@@ -288,12 +307,14 @@ class TestRank2Lift:
     def test_s3_certificates(self):
         res = rank2_lift_k3(builtin_group("s3"))
         assert res.matroid.n == 18 and res.matroid.full_rank == 4
-        assert res.audit.ok and res.quotient_ok
+        assert balanced_circuit_audit(res.matroid, res.gain_graph) is None
+        assert is_quotient(graphic_matroid(res.gain_graph), res.matroid)
 
     def test_z2sq_certificates(self):
         res = rank2_lift_k3(builtin_group("z2^2"))
         assert res.matroid.n == 12 and res.matroid.full_rank == 4
-        assert res.audit.ok and res.quotient_ok
+        assert balanced_circuit_audit(res.matroid, res.gain_graph) is None
+        assert is_quotient(graphic_matroid(res.gain_graph), res.matroid)
 
     @pytest.mark.parametrize("name", ["z4", "z6", "q8"])
     def test_refusals(self, name):
@@ -319,7 +340,7 @@ class TestRank2Lift:
             mask = mask_of(edges)
             assert any(mask & ~h == 0 for h in hyps)
         for cyc in cycles(gg):
-            if not is_balanced(gg, cyc.edges):
+            if not cyc.balanced:
                 continue
             for extra in range(18):
                 if (cyc.mask >> extra) & 1:
@@ -366,7 +387,6 @@ class TestRank2Lift:
         monkeypatch.setattr(_CircuitIndex, "first_violation", counting)
         res = rank2_lift_k3(builtin_group(name))
         assert passes == [len(res.hyperplanes)]
-        assert res.quotient_ok
         assert is_quotient(graphic_matroid(res.gain_graph), res.matroid)
 
     def test_group_order_cap(self):
@@ -378,5 +398,5 @@ class TestRank2Lift:
         gg = res.gain_graph
         m = res.matroid
         for cyc in cycles(gg):
-            if not is_balanced(gg, cyc.edges):
+            if not cyc.balanced:
                 assert m.rank(cyc.mask) == cyc.mask.bit_count()

@@ -83,6 +83,38 @@ class TestSubgroups:
         subs = elementary_abelian_group(2, 2).subgroups()
         assert sum(1 for h in subs if len(h) == 2) == 3
 
+    @pytest.mark.parametrize("name", ["z2", "z3", "z4", "z5", "z6", "z7", "z8", "z2^2", "z2^3", "s3", "d4", "q8"])
+    def test_matches_closed_subsets_bruteforce(self, name):
+        # In a finite group the nonempty subsets closed under the product
+        # are the subgroups; each generated subgroup is the least of them
+        # holding its generators.
+        g = builtin_group(name)
+        others = [x for x in range(g.order) if x != g.identity]
+        closed = []
+        for bits in range(1 << len(others)):
+            h = {g.identity} | {x for k, x in enumerate(others) if bits >> k & 1}
+            if all(g.mul(a, b) in h for a in h for b in h):
+                closed.append(frozenset(h))
+        assert sorted(g.subgroups(), key=sorted) == sorted(closed, key=sorted)
+        for a in range(g.order):
+            for b in range(g.order):
+                least = min((h for h in closed if {a, b} <= h), key=len)
+                assert g.subgroup_closure([a, b]) == least
+
+    @pytest.mark.parametrize("j, total", [(4, 67), (5, 374)])
+    def test_z2j_subgroup_total_is_gaussian_binomial_sum(self, j, total):
+        # Subgroups of Z_2^j are the subspaces of GF(2)^j: the sum over k of
+        # the Gaussian binomials [j choose k]_2.
+        def gaussian(n, k):
+            num = den = 1
+            for i in range(k):
+                num *= 2 ** (n - i) - 1
+                den *= 2 ** (i + 1) - 1
+            return num // den
+
+        assert sum(gaussian(j, k) for k in range(j + 1)) == total
+        assert len(builtin_group(f"z2^{j}").subgroups()) == total
+
 
 class TestPartitions:
     def test_z4_empty(self):

@@ -161,6 +161,25 @@ class TestLinearClass:
             cls = random_linear_class(rng, m)
             assert is_linear_class(m, cls)
 
+    def test_agrees_with_closure_fixpoint(self):
+        # a set of circuits is linear exactly when the modular-pair closure
+        # leaves it unchanged; random sets are mostly not linear
+        rng = random.Random(19)
+        verdicts = set()
+        for _ in range(40):
+            m = random_base_matroid(rng)
+            cls = frozenset(k for k in range(len(m.circuits)) if rng.random() < 0.5)
+            linear = is_linear_class(m, cls)
+            assert linear == (linear_class_closure(m, cls) == cls)
+            verdicts.add(linear)
+        assert verdicts == {True, False}
+
+    def test_rejects_index_out_of_range(self):
+        m = uniform_matroid(1, 3)
+        for bad in ([3], [-1]):
+            with pytest.raises(ValueError, match="out of range"):
+                is_linear_class(m, bad)
+
     def test_closure_is_minimal_fixpoint(self):
         u13 = uniform_matroid(1, 3)
         assert linear_class_closure(u13, [0, 1]) == frozenset({0, 1, 2})

@@ -32,8 +32,6 @@ ALLOWED = {
     "gain.zaslavsky_lift": "Zaslavsky's lift matroid, which the gain-graph lifts generalise",
     "gain.graphic_matroid": "the base of zaslavsky_lift",
     "gain.balanced_class_indices": "the linear class of zaslavsky_lift",
-    # failure-only paths
-    "gain.CycleAuditReport.first_mismatch": "names the cycle of a failed balance audit",
     # base methods that every oracle the CLI builds overrides
     "core.RankMatroid.rank": "abstract; each subclass defines its oracle",
     "core.RankMatroid.parallel_classes": "the singleton default for oracles without their own",
@@ -41,6 +39,7 @@ ALLOWED = {
     "core.uniform_matroid": "public constructor",
     "core.is_sparse_paving": "public predicate; the CLI's K(r,t) are SparsePaving already",
     "core.validate_circuits": "public validator; check validates through Matroid(...)",
+    "lifts.is_linear_class": "public predicate; lift elementary reads it from elementary_lift",
     "lifts.is_modular_pair": "public predicate",
     "lifts.is_perfect": "public predicate",
 }
