@@ -7,11 +7,11 @@ the call, maps an exception to its exit code and writes the report once.
 Exit codes: 0 every check in the report passes, 1 a check failed (the
 report carries its witness), 2 usage or parse error, 3 inconclusive (a
 search ran out of its budget, and the report says which).  A handler
-returns its own code only where the checks cannot express it: ``iso`` out
-of budget exits 3, and ``krt certify`` follows facts a-d.  An exception
-ends the run with exit 1 for a ``core.CheckFailedError`` (stderr ``check
-failed``), 2 for any other ``ValueError`` or an ``OSError`` (``error``)
-and 3 for a broken internal invariant (``internal error``); with
+returns its own code only where the checks cannot express it: ``iso`` and
+``gain partitions`` out of budget exit 3, and ``krt certify`` follows facts
+a-d.  An exception ends the run with exit 1 for a ``core.CheckFailedError``
+(stderr ``check failed``), 2 for any other ``ValueError`` or an ``OSError``
+(``error``) and 3 for a broken internal invariant (``internal error``); with
 ``--json`` the report as filled so far is still written, with that stderr
 line under ``error``.  A report that cannot be written (a missing
 directory, say) prints ``error: cannot write the report: ...`` and exits 2.
@@ -323,13 +323,18 @@ def cmd_gain_build(args: argparse.Namespace, rep: Report) -> None:
         print(e.i + 1, e.j + 1, group.names[e.label])
 
 
-def cmd_gain_partitions(args: argparse.Namespace, rep: Report) -> None:
-    from matlift.groups import group_partitions
+def cmd_gain_partitions(args: argparse.Namespace, rep: Report) -> Optional[int]:
+    """Exit 3 when the cover search runs out of its budget."""
+    from matlift.groups import PARTITION_SEARCH_BUDGET, group_partitions
     rep["inputs"] = {"group": args.group}
     group = _load_group(args.group)
-    partitions = rep["partitions"] = [
-        [sorted(group.names[x] for x in part) for part in p.parts] for p in group_partitions(group)
-    ]
+    try:
+        found = group_partitions(group)
+    except SearchBudgetExceeded as exc:
+        rep.check("has_nontrivial_partition", False, {"search_budget": PARTITION_SEARCH_BUDGET, "detail": str(exc)})
+        rep.conclude("inconclusive: the partition search ran out of its budget")
+        return EXIT_INCONCLUSIVE
+    partitions = rep["partitions"] = [[sorted(group.names[x] for x in part) for part in p.parts] for p in found]
     rep.check("has_nontrivial_partition", bool(partitions))
     rep.conclude(f"{group.name} has {len(partitions)} nontrivial partition(s)")
     for p in partitions:

@@ -406,13 +406,13 @@ class Matroid(RankMatroid):
         return r
 
     def rank_and_circuits(self, mask: Mask) -> tuple[int, Mask]:
-        """r(mask) and ``circuit_indices_within(mask)`` from one index query,
-        for callers that need both; the rank memo is neither read nor filled."""
+        """r(mask) and the circuits inside mask, as a bit mask of circuit
+        indices, from one index query; the rank memo is neither read nor filled."""
         inside = self._index.within(mask)
         return self._rank_inside(mask, inside), inside
 
     def _rank_inside(self, mask: Mask, alive: Mask) -> int:
-        """r(mask) from ``alive = circuit_indices_within(mask)``."""
+        """r(mask) from ``alive``, the circuits inside mask."""
         avoid = self._index.avoid
         r = mask.bit_count()
         while alive:
@@ -422,7 +422,7 @@ class Matroid(RankMatroid):
         return r
 
     def rank_sweep(self) -> Iterator[tuple[Mask, int, Mask]]:
-        """(X, r(X), ``circuit_indices_within(X)``) for every X, in an order
+        """(X, r(X), the circuits inside X) for every X, in an order
         fixed by n.  X's parent is X + m, m the least element missing from
         X: X keeps the parent's circuits that miss m, and one rank less
         when that is all of them."""
@@ -453,11 +453,6 @@ class Matroid(RankMatroid):
         for e in elements_of(self.full_mask & ~loops):
             classes[head[e]] = classes.get(head[e], 0) | 1 << e
         return list(classes.values())
-
-    def circuit_indices_within(self, mask: Mask) -> Mask:
-        """The circuits of the restriction M|mask (exactly those inside
-        mask), as a bit mask of circuit indices."""
-        return self._index.within(mask)
 
 
 class SparsePaving(RankMatroid):
@@ -746,7 +741,8 @@ def matroid_from_hyperplanes(hyperplanes: Sequence[Mask], n: int, claimed_rank: 
     complements, so the one ``validate_hyperplanes`` pass (raising
     ``HyperplaneAxiomError``) certifies them; the dual matroid is built
     from them unchecked, and the primal is materialized through
-    r(X) = r*(E-X) - |E-X| + r(E).
+    r(X) = r*(E-X) - |E-X| + r(E), with r* from ``rank_and_circuits``:
+    nearly every set is asked once, so a memo would hold no reused rank.
     """
     report = validate_hyperplanes(hyperplanes, n)
     if not report.ok:
@@ -759,7 +755,7 @@ def matroid_from_hyperplanes(hyperplanes: Sequence[Mask], n: int, claimed_rank: 
 
     def primal_rank(mask: Mask) -> int:
         co = full & ~mask
-        return dual.rank(co) - co.bit_count() + rank
+        return dual.rank_and_circuits(co)[0] - co.bit_count() + rank
 
     fam = circuits_from_rank_oracle(primal_rank, n)
     made = Matroid(n, fam, validate=False)

@@ -12,9 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import count
 from typing import Iterable, Optional, Sequence
 
-MAX_GROUP_ORDER = 64  # partition enumeration, the largest order any command takes
+from matlift.core import SearchBudgetExceeded
+
+MAX_GROUP_ORDER = 64  # the largest order any command takes; z2^5 already exhausts the budget below
+# Cover search calls of group_partitions before SearchBudgetExceeded: z2^4
+# needs about 6,200, the most of any builtin that finishes.
+PARTITION_SEARCH_BUDGET = 10**6
 
 
 class GroupAxiomError(ValueError):
@@ -149,7 +155,9 @@ class GroupPartition:
 
 def group_partitions(group: FinGroup) -> list[GroupPartition]:
     """All nontrivial partitions, by exact cover of the non-identity elements
-    with candidate parts {H - identity : H a proper nontrivial subgroup}."""
+    with candidate parts {H - identity : H a proper nontrivial subgroup}.
+    Raises SearchBudgetExceeded past ``PARTITION_SEARCH_BUDGET`` calls of
+    the cover search."""
     if group.order > MAX_GROUP_ORDER:
         raise ValueError(f"partition enumeration supports order <= {MAX_GROUP_ORDER}")
     eps = group.identity
@@ -166,8 +174,11 @@ def group_partitions(group: FinGroup) -> list[GroupPartition]:
             by_element[e].append(part)
 
     covers: list[tuple[frozenset[int], ...]] = []
+    calls = count(1)
 
     def search(uncovered: frozenset[int], chosen: list[frozenset[int]]) -> None:
+        if next(calls) > PARTITION_SEARCH_BUDGET:
+            raise SearchBudgetExceeded(f"partition search exceeded {PARTITION_SEARCH_BUDGET} calls")
         if not uncovered:
             covers.append(tuple(chosen))
             return

@@ -9,7 +9,6 @@ circuit-family matroids and matrix-backed linear matroids work as overlays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional
 
 from matlift.core import (
@@ -101,20 +100,6 @@ def is_modular_pair(m: Matroid, c1: Mask, c2: Mask) -> bool:
         raise ValueError("modular pair arguments must be circuits")
     union = c1 | c2
     return union.bit_count() - m.rank(union) == 2
-
-
-def _modular_pairs(m: Matroid, members: Iterable[int]) -> Iterator[tuple[int, int, Mask]]:
-    """For each modular pair i < j among the circuit indices ``members``
-    (|C_i | C_j| - r(C_i | C_j) = 2), yield i, j and the bit mask of the
-    indices of every circuit of M inside C_i | C_j.  A union U has nullity
-    at least |U| - r(M), so a pair whose union has more than r(M) + 2
-    elements is skipped without a rank query."""
-    bound = m.full_rank + 2
-    for i, j in combinations(members, 2):
-        union = m.circuits[i] | m.circuits[j]
-        size = union.bit_count()
-        if size <= bound and size - m.rank(union) == 2:
-            yield i, j, m.circuit_indices_within(union)
 
 
 def _with_member(parts: list[Mask], union: Mask, c: Mask) -> Optional[list[Mask]]:
@@ -215,49 +200,34 @@ def _first_escape(rank: Callable[[Mask], int], members: Mask, targets: Mask) -> 
     return next((k for k in elements_of(targets) if rank(members | (1 << k)) != base_rank), None)
 
 
-def check_star_prime(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:
-    """Condition (*'): for every modular pair {C1, C2} every circuit of M
-    inside C1 | C2 lies in cl_N({C1, C2}).  Returns a witness on failure.
+def _perfect_walk(spec: LiftSpec, max_size: int) -> tuple[bool, Optional[StarWitness]]:
+    """The closure requirement over every perfect collection of two to
+    ``max_size`` circuits; returns a witness on failure.
 
-    Each pair costs two overlay rank queries (``_first_escape``), which
-    keeps overlays given only by rank oracles cheap.  A circuit that spans
-    N alone spans it with any partner, so only the others are paired: for
-    a ``ClassOverlay`` that is the class.
-    """
-    m = spec.base
-    full = spec.overlay.full_rank
-    pairable = [i for i in range(len(m.circuits)) if spec.overlay_rank(1 << i) < full]
-    for i, j, inside in _modular_pairs(m, pairable):
-        pair_mask = (1 << i) | (1 << j)
-        k = _first_escape(spec.overlay_rank, pair_mask, inside & ~pair_mask)
-        if k is not None:
-            return False, StarWitness((i, j), k)
-    return True, None
-
-
-def check_star(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:
-    """Condition (*): the closure requirement over every perfect collection.
-
-    Perfect collections are enumerated depth-first by size; every subset of
-    a perfect collection is perfect, so branches rooted at a non-perfect
-    collection are skipped.  Collection size is bounded by the corank of M.
-    A collection carries its union, the circuits inside it and its
-    members' private parts, so circuit c extends a perfect collection of k
-    members exactly when the new union has at most r(M) + k + 1 elements
-    (its nullity is at least its size less r(M)), ``_with_member`` leaves
-    every part nonempty (c is not inside the union, and no member lies
-    inside the others and c) and the new union has nullity k + 1.  Each
-    distinct union is indexed once (``rank_and_circuits``), which gives
-    both its rank and the circuits inside it, and each collection costs
-    two overlay rank queries (``_first_escape``).
+    Collections are walked depth-first by size, in index order; every
+    subset of a perfect collection is perfect, so branches rooted at a
+    non-perfect collection are skipped.  Collection size is bounded by the
+    corank of M.  A circuit that spans N alone spans every collection that
+    holds it, so no circuit escapes there and only the other circuits join
+    collections: for a ``ClassOverlay`` that is the class.  A collection
+    carries its union, the circuits inside it and its members' private
+    parts, so circuit c extends a perfect collection of k members exactly
+    when the new union has at most r(M) + k + 1 elements (its nullity is
+    at least its size less r(M)), ``_with_member`` leaves every part
+    nonempty (c is not inside the union, and no member lies inside the
+    others and c) and the new union has nullity k + 1.  Each distinct
+    union is indexed once (``rank_and_circuits``), which gives both its
+    rank and the circuits inside it, and each collection costs two overlay
+    rank queries (``_first_escape``).
     """
     m = spec.base
     circuits = m.circuits
-    count = len(circuits)
-    max_size = min(count, m.n - m.full_rank)
+    full = spec.overlay.full_rank
+    joinable = [i for i in range(len(circuits)) if spec.overlay_rank(1 << i) < full]
+    max_size = min(max_size, m.n - m.full_rank)
     indexed: dict[Mask, tuple[int, Mask]] = {}
 
-    def extend(chosen: list[int], union: Mask, inside: Mask, parts: list[Mask]) -> Optional[StarWitness]:
+    def extend(start: int, chosen: list[int], union: Mask, inside: Mask, parts: list[Mask]) -> Optional[StarWitness]:
         if len(chosen) >= 2:
             members = mask_of(chosen)
             k = _first_escape(spec.overlay_rank, members, inside & ~members)
@@ -267,7 +237,8 @@ def check_star(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:
             return None
         nullity = len(chosen) + 1
         bound = m.full_rank + nullity
-        for nxt in range(chosen[-1] + 1 if chosen else 0, count):
+        for at in range(start, len(joinable)):
+            nxt = joinable[at]
             nunion = union | circuits[nxt]
             size = nunion.bit_count()
             if size > bound:
@@ -280,14 +251,29 @@ def check_star(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:
                 got = indexed[nunion] = m.rank_and_circuits(nunion)
             if size - got[0] == nullity:
                 chosen.append(nxt)
-                bad = extend(chosen, nunion, got[1], grown)
+                bad = extend(at + 1, chosen, nunion, got[1], grown)
                 if bad is not None:
                     return bad
                 chosen.pop()
         return None
 
-    witness = extend([], 0, 0, [])
+    witness = extend(0, [], 0, 0, [])
     return (witness is None), witness
+
+
+def check_star_prime(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:
+    """Condition (*'): for every modular pair {C1, C2} every circuit of M
+    inside C1 | C2 lies in cl_N({C1, C2}).  Returns a witness on failure.
+    Two distinct circuits are a perfect collection exactly when they are a
+    modular pair, so this is (*) stopped at collections of two, with pairs
+    in ``combinations`` order."""
+    return _perfect_walk(spec, 2)
+
+
+def check_star(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:
+    """Condition (*): the closure requirement over every perfect
+    collection.  Returns a witness on failure."""
+    return _perfect_walk(spec, len(spec.base.circuits))
 
 
 def build_lift(spec: LiftSpec) -> Matroid:

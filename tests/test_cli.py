@@ -278,6 +278,19 @@ class TestGain:
         code, out = run(["gain", "partitions", "builtin:z6"], capsys)
         assert code == 1
 
+    def test_partitions_budget_exhausted_is_inconclusive(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr("matlift.groups.PARTITION_SEARCH_BUDGET", 1000)
+        json_path = tmp_path / "partitions.json"
+        code, out = run(["--json", str(json_path), "gain", "partitions", "builtin:z2^4"], capsys)
+        assert code == 3
+        assert "inconclusive" in out
+        report = load_report(json_path)
+        (check,) = report["checks"]
+        assert check["name"] == "has_nontrivial_partition" and check["pass"] is False
+        assert check["witness"]["search_budget"] == 1000
+        assert report["conclusion"].startswith("inconclusive:") and "partitions" not in report
+        assert "error" not in report
+
     def test_build_lists_edges(self, capsys):
         code, out = run(["gain", "build", "builtin:z2", "3"], capsys)
         assert code == 0

@@ -65,8 +65,8 @@ def k43() -> Matroid:
 
 
 def _circuits_within(m: Matroid, mask: int) -> list[int]:
-    """The circuits inside ``mask``, read off ``circuit_indices_within``."""
-    return [m.circuits[k] for k in elements_of(m.circuit_indices_within(mask))]
+    """The circuits inside ``mask``, read off ``rank_and_circuits``."""
+    return [m.circuits[k] for k in elements_of(m.rank_and_circuits(mask)[1])]
 
 
 class TestValidateCircuits:
@@ -128,7 +128,8 @@ class TestRank:
     def test_rank_and_circuits_from_one_query(self):
         m = k43()
         for mask in range(1 << m.n):
-            assert m.rank_and_circuits(mask) == (m.rank(mask), m.circuit_indices_within(mask))
+            inside = mask_of(k for k, c in enumerate(m.circuits) if c & ~mask == 0)
+            assert m.rank_and_circuits(mask) == (m.rank(mask), inside)
         # it leaves the memo alone, so a cold matroid stays cold
         cold = k43()
         cold.rank_and_circuits(cold.full_mask)
@@ -482,7 +483,7 @@ class TestRankSweep:
             for x, r, inside in m.rank_sweep():
                 assert x not in seen, name
                 seen.add(x)
-                assert inside == m.circuit_indices_within(x), (name, x)
+                assert inside == m.rank_and_circuits(x)[1], (name, x)
                 assert r == m.rank(x), (name, x)
             assert len(seen) == 1 << m.n, name
 
@@ -591,7 +592,7 @@ class TestCircuitIndexAgainstBruteForce:
             for mask in masks:
                 inside = [c for c in m.circuits if c & ~mask == 0]
                 assert _circuits_within(fresh, mask) == inside, name
-                assert fresh.circuit_indices_within(mask) == mask_of(m.circuits.index(c) for c in inside)
+                assert fresh.rank_and_circuits(mask)[1] == mask_of(m.circuits.index(c) for c in inside)
                 assert fresh.rank(mask) == rank_bruteforce(m, mask), (name, mask)
 
     def test_queries_match_subset_scan_on_k88(self):
@@ -601,7 +602,7 @@ class TestCircuitIndexAgainstBruteForce:
             mask = mask_of(rng.sample(range(m.n), rng.randint(0, 10)))
             inside = [c for c in m.circuits if c & ~mask == 0]
             assert _circuits_within(m, mask) == inside
-            assert m.circuit_indices_within(mask) == mask_of(k for k, c in enumerate(m.circuits) if c & ~mask == 0)
+            assert m.rank_and_circuits(mask)[1] == mask_of(k for k, c in enumerate(m.circuits) if c & ~mask == 0)
             assert m.rank(mask) == rank_bruteforce(m, mask)
 
     def test_sparse_paving_matches_rset_walk(self):
@@ -822,7 +823,7 @@ class TestRankEdgeCases:
     def test_empty_ground_set(self):
         m = Matroid(0, [])
         assert m.rank(0) == 0 and m.full_rank == 0
-        assert _circuits_within(m, 0) == [] and m.circuit_indices_within(0) == 0
+        assert _circuits_within(m, 0) == [] and m.rank_and_circuits(0)[1] == 0
 
     def test_all_loops(self):
         for n in range(1, 6):
@@ -830,7 +831,7 @@ class TestRankEdgeCases:
             assert explicit == uniform_matroid(0, n)
             for mask in range(1 << n):
                 assert explicit.rank(mask) == 0
-                assert bool(explicit.circuit_indices_within(mask)) == (mask != 0)
+                assert bool(explicit.rank_and_circuits(mask)[1]) == (mask != 0)
             assert explicit.closure(0) == explicit.full_mask
 
     def test_parallel_classes(self):

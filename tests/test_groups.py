@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import pytest
 
+import matlift.groups as groups
+from matlift.core import SearchBudgetExceeded
 from matlift.groups import (
     FinGroup,
     GroupAxiomError,
@@ -145,6 +147,15 @@ class TestPartitions:
             for partition in group_partitions(g):
                 for part in partition.parts:
                     assert frozenset(part | {g.identity}) in subgroups
+
+    def test_cover_search_budget(self, monkeypatch):
+        # z2^4 needs about 6,200 cover search calls: it finishes within the
+        # module budget and raises past a smaller one
+        g = builtin_group("z2^4")
+        assert len(group_partitions(g)) > 1
+        monkeypatch.setattr(groups, "PARTITION_SEARCH_BUDGET", 1000)
+        with pytest.raises(SearchBudgetExceeded, match="exceeded 1000 calls"):
+            group_partitions(g)
 
     def test_parts_cover_and_disjoint(self):
         for name in ["z2^2", "z3^2", "s3", "d4"]:

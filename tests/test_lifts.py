@@ -12,8 +12,10 @@ from matlift.core import Matroid, RankMatroid, elements_of, mask_of, uniform_mat
 from matlift.gf import GfMatrix, LinearMatroid, column_matroid
 from matlift.krt import KrtSpec, build_krt
 from matlift.lifts import (
+    ClassOverlay,
     LiftConditionError,
     LiftSpec,
+    StarWitness,
     build_lift,
     check_star,
     check_star_prime,
@@ -391,6 +393,38 @@ class TestIncrementalPerfectTest:
                     assert is_perfect(m, col) == want
                     seen[want] += 1
         assert seen[True] and seen[False]
+
+
+class TestSpanningCircuitsPruned:
+    """A circuit that spans N alone spans every collection holding it, and
+    no circuit escapes the closure of such a collection, so only the other
+    circuits join the collections of (*) and (*').  The walk then indexes
+    (``rank_and_circuits``) only unions of those circuits, and the first
+    witness stays the one ``zoo.check_star_rebuild`` finds over every
+    perfect collection."""
+
+    # Rank 2 on 6 elements with the loop 4; the class {4}, {1 2 5},
+    # {1 2 6} holds the perfect triple whose union holds {1 5 6}.
+    BASE = Matroid(6, [mask_of(e - 1 for e in c) for c in [
+        [4], [1, 3], [1, 2, 5], [2, 3, 5], [1, 2, 6], [2, 3, 6], [1, 5, 6], [2, 5, 6], [3, 5, 6],
+    ]])
+    CLASS = [0, 2, 4]
+
+    @pytest.mark.parametrize("make", [ClassOverlay, rank_one_overlay], ids=["class-overlay", "rank-one-family"])
+    def test_star_fails_on_the_class_alone(self, monkeypatch, make):
+        m = self.BASE
+        spec = LiftSpec(m, make(len(m.circuits), self.CLASS))
+        want = check_star_rebuild(spec)
+        indexed = []
+        rank_and_circuits = Matroid.rank_and_circuits
+        monkeypatch.setattr(Matroid, "rank_and_circuits", lambda self, mask: indexed.append(mask) or rank_and_circuits(self, mask))
+        got = check_star(spec)
+        assert got == want == (False, StarWitness((0, 2, 4), 6))
+        assert indexed
+        for union in indexed:
+            inside = [m.circuits[i] for i in self.CLASS if m.circuits[i] & ~union == 0]
+            assert union == mask_of(e for c in inside for e in elements_of(c)), union
+        assert check_star_prime(spec) == (False, StarWitness((2, 4), 6))
 
 
 def _matrices_with_parallels() -> list[GfMatrix]:

@@ -35,7 +35,6 @@ from matlift.lifts import (
     LiftSpec,
     StarWitness,
     _first_escape,
-    _modular_pairs,
     build_lift,
     elementary_lift,
     is_linear_class,
@@ -282,7 +281,7 @@ def modular_pairs_unbounded(m: Matroid) -> Iterator[tuple[int, int, Mask]]:
     for i, j in combinations(range(len(m.circuits)), 2):
         union = m.circuits[i] | m.circuits[j]
         if union.bit_count() - m.rank(union) == 2:
-            yield i, j, m.circuit_indices_within(union)
+            yield i, j, m.rank_and_circuits(union)[1]
 
 
 def check_star_prime_per_member(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:
@@ -326,7 +325,7 @@ def check_star_rebuild(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:
     def extend(chosen: list[int], union: Mask) -> Optional[StarWitness]:
         if len(chosen) >= 2:
             members = mask_of(chosen)
-            k = _first_escape(spec.overlay.rank, members, m.circuit_indices_within(union) & ~members)
+            k = _first_escape(spec.overlay.rank, members, m.rank_and_circuits(union)[1] & ~members)
             if k is not None:
                 return StarWitness(tuple(chosen), k)
         if len(chosen) == max_size:
@@ -363,7 +362,7 @@ def check_star_per_member(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:
         if len(chosen) >= 2:
             members = mask_of(chosen)
             members_rank = n.rank(members)
-            for k in elements_of(m.circuit_indices_within(union) & ~members):
+            for k in elements_of(m.rank_and_circuits(union)[1] & ~members):
                 if n.rank(members | (1 << k)) != members_rank:
                     return StarWitness(tuple(chosen), k)
         if len(chosen) == max_size:
@@ -637,15 +636,20 @@ def lift_agrees_with_elementary(m: Matroid, members: Iterable[int]) -> bool:
 
 
 def linear_class_closure(m: Matroid, seed: Iterable[int]) -> frozenset[int]:
-    """Smallest linear class containing the given circuit indices."""
+    """Smallest linear class containing the given circuit indices: each
+    modular pair inside the class adds the circuits inside its union, with
+    every pair's union ranked, until no pair adds one."""
     smask = mask_of(seed)
     changed = True
     while changed:
         changed = False
-        for _, _, inside in _modular_pairs(m, elements_of(smask)):
-            if inside & ~smask:
-                smask |= inside
-                changed = True
+        for i, j in combinations(elements_of(smask), 2):
+            union = m.circuits[i] | m.circuits[j]
+            if union.bit_count() - m.rank(union) == 2:
+                inside = m.rank_and_circuits(union)[1]
+                if inside & ~smask:
+                    smask |= inside
+                    changed = True
     return frozenset(elements_of(smask))
 
 
