@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, repeat
-from math import comb
+from math import comb, isqrt
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 Mask = int
@@ -88,6 +88,11 @@ def subsets_of_size(universe: Mask, k: int) -> Iterator[Mask]:
         for e in combo:
             m |= 1 << e
         yield m
+
+
+def is_prime(p: int) -> bool:
+    """Trial division; shared by GF(p) matrices and the groups Z_p^j."""
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 def canonical_circuits(circuits: Iterable[Mask]) -> tuple[Mask, ...]:

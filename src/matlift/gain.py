@@ -241,9 +241,7 @@ def rank2_lift_k3(group: FinGroup) -> Rank2LiftResult:
         hyperplanes.add(gg.pair_mask(i, j))
     fam = tuple(sorted(hyperplanes))
 
-    lift = matroid_from_hyperplanes(fam, len(gg.edges), 4)  # raises HyperplaneAxiomError
-    if lift.full_rank != 4:
-        raise AssertionError("lift rank is not 4")
+    lift = matroid_from_hyperplanes(fam, len(gg.edges), 4)  # raises on any other rank
     mismatch = balanced_circuit_audit(lift, gg)
     if mismatch is not None:
         raise AssertionError(f"balance audit failed at {mismatch}")

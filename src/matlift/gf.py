@@ -23,6 +23,7 @@ from matlift.core import (
     Mask,
     Matroid,
     RankMatroid,
+    is_prime,
 )
 from matlift.lifts import LiftSpec, check_star_prime, lift_ranks
 
@@ -38,17 +39,6 @@ class DependentColumnsError(CheckFailedError):
         super().__init__(f"columns {cols} are dependent (kernel vector {list(combo)})")
         self.columns = tuple(columns)
         self.combination = tuple(combo)
-
-
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 class GfMatrix:

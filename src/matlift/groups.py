@@ -2,10 +2,10 @@
 
 A group partition splits the non-identity elements into parts A_i such that
 each A_i together with the identity is a subgroup; it is nontrivial when
-there are at least two parts.  The primitive partition is the canonical one
-refining every other; it is found here by filtering all nontrivial
-partitions for the refinement-universal one and verifying it is closed
-under conjugation.
+there are at least two parts.  ``group_partitions`` lists them all by exact
+cover.  The primitive partition, the nontrivial one refining every other, is
+a closure instead: blocks of non-identity elements merged until they are
+disjoint subgroups less the identity (``primitive_partition``).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from functools import partial
 from itertools import count
 from typing import Iterable, Optional, Sequence
 
-from matlift.core import SearchBudgetExceeded
+from matlift.core import SearchBudgetExceeded, is_prime
 
 MAX_GROUP_ORDER = 64  # the largest order any command takes; z2^5 already exhausts the budget below
 # Cover search calls of group_partitions before SearchBudgetExceeded: z2^4
@@ -194,44 +194,40 @@ def group_partitions(group: FinGroup) -> list[GroupPartition]:
     return sorted(set(partitions), key=lambda p: (len(p), [sorted(x) for x in p.parts]))
 
 
-def refines(fine: GroupPartition, coarse: GroupPartition) -> bool:
-    """True iff every part of ``coarse`` is a union of parts of ``fine``."""
-    for big in coarse.parts:
-        covered: set[int] = set()
-        for small in fine.parts:
-            if small <= big:
-                covered |= small
-        if covered != set(big):
-            return False
-    return True
-
-
 def primitive_partition(group: FinGroup) -> Optional[GroupPartition]:
-    """The canonical nontrivial partition refining every other, or None when
-    no nontrivial partition exists.
+    """The primitive partition, the nontrivial one refining every other, or
+    None when the group has no nontrivial partition.
 
-    Verified to be conjugation-closed (gamma * A * gamma^-1 is again a part
-    for every group element); a group with partitions but no
-    refinement-universal one would contradict the theory, so that case
-    raises instead of returning a wrong answer.
+    Found by forced merges.  Each non-identity element starts a block; a
+    block is replaced by the subgroup closure of itself and every block it
+    meets, less the identity, until no two blocks meet.  Every merge is
+    forced in every partition: a part plus the identity is a subgroup and
+    parts are disjoint, so each block lies inside one part, together with
+    every block it meets and their closure.  The fixed point is a partition
+    refining every other; with one block no nontrivial partition exists.
+    It is checked to be closed under conjugation (gamma * A * gamma^-1 is
+    again a part), as the theory guarantees; a failure raises.
     """
-    partitions = group_partitions(group)
-    if not partitions:
+    eps = group.identity
+    blocks: list[frozenset[int]] = []
+    for g in range(group.order):
+        if g == eps or any(g in b for b in blocks):
+            continue
+        block = group.subgroup_closure([g]) - {eps}
+        met = [b for b in blocks if b & block]
+        while met:
+            blocks = [b for b in blocks if not b & block]
+            block = group.subgroup_closure(block.union(*met)) - {eps}
+            met = [b for b in blocks if b & block]
+        blocks.append(block)
+    if len(blocks) < 2:
         return None
-    universal = [p for p in partitions if all(refines(p, q) for q in partitions)]
-    if len(universal) != 1:
-        raise RuntimeError(
-            f"expected exactly one refinement-universal partition, found {len(universal)}"
-        )
-    prim = universal[0]
+    prim = GroupPartition.from_parts(blocks)
     part_set = set(prim.parts)
     for g in range(group.order):
         for part in prim.parts:
-            conj = frozenset(group.conjugate(g, a) for a in part)
-            if conj not in part_set:
-                raise RuntimeError(
-                    f"primitive partition not conjugation-closed at g={group.names[g]}"
-                )
+            if frozenset(group.conjugate(g, a) for a in part) not in part_set:
+                raise RuntimeError(f"primitive partition not conjugation-closed at g={group.names[g]}")
     return prim
 
 
@@ -248,8 +244,6 @@ def cyclic_group(m: int) -> FinGroup:
 
 def elementary_abelian_group(p: int, j: int) -> FinGroup:
     """Z_p^j: the direct sum of j copies of the cyclic group of order p."""
-    from matlift.gf import is_prime
-
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if j < 1:

@@ -218,7 +218,8 @@ def _perfect_walk(spec: LiftSpec, max_size: int) -> tuple[bool, Optional[StarWit
     others and c) and the new union has nullity k + 1.  Each distinct
     union is indexed once (``rank_and_circuits``), which gives both its
     rank and the circuits inside it, and each collection costs two overlay
-    rank queries (``_first_escape``).
+    rank queries (``_first_escape``).  The walk starts from each joinable
+    circuit alone, with no query: it is the only circuit inside its union.
     """
     m = spec.base
     circuits = m.circuits
@@ -228,11 +229,10 @@ def _perfect_walk(spec: LiftSpec, max_size: int) -> tuple[bool, Optional[StarWit
     indexed: dict[Mask, tuple[int, Mask]] = {}
 
     def extend(start: int, chosen: list[int], union: Mask, inside: Mask, parts: list[Mask]) -> Optional[StarWitness]:
-        if len(chosen) >= 2:
-            members = mask_of(chosen)
-            k = _first_escape(spec.overlay_rank, members, inside & ~members)
-            if k is not None:
-                return StarWitness(tuple(chosen), k)
+        members = mask_of(chosen)
+        k = _first_escape(spec.overlay_rank, members, inside & ~members)
+        if k is not None:
+            return StarWitness(tuple(chosen), k)
         if len(chosen) == max_size:
             return None
         nullity = len(chosen) + 1
@@ -257,8 +257,11 @@ def _perfect_walk(spec: LiftSpec, max_size: int) -> tuple[bool, Optional[StarWit
                 chosen.pop()
         return None
 
-    witness = extend(0, [], 0, 0, [])
-    return (witness is None), witness
+    for at, i in enumerate(joinable):
+        witness = extend(at + 1, [i], circuits[i], 1 << i, [circuits[i]])
+        if witness is not None:
+            return False, witness
+    return True, None
 
 
 def check_star_prime(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:

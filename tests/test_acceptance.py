@@ -18,7 +18,7 @@ from matlift.cli import main
 from matlift.core import mask_of, validate_circuits
 from matlift.gain import GainGraph, balanced_circuit_audit, zaslavsky_lift
 from matlift.gf import WitnessProblem, lift_witness, verify_witness
-from matlift.groups import builtin_group, elementary_abelian_group, group_partitions, primitive_partition, refines, symmetric_group_3
+from matlift.groups import builtin_group, elementary_abelian_group, group_partitions, primitive_partition, symmetric_group_3
 from matlift.krt import (
     KrtSpec,
     antichain_check,
@@ -35,6 +35,7 @@ from zoo import (
     random_linear_class,
     random_overlay,
     random_witness_instance,
+    refines,
     zoo,
 )
 

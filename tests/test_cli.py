@@ -602,8 +602,10 @@ LAYER_CASES = [
     (["rep", "witness", "{tmp}/u24.gfm", "--x", "1"], {"gf", "io", "lifts"}),
     (["gain", "lift3", "builtin:s3"], {"gain", "groups"}),
     (["gain", "lift3", "builtin:s3", "--out", "{tmp}/s3.ckt"], {"gain", "groups", "io"}),
+    (["gain", "lift3", "builtin:z2^3"], {"gain", "groups"}),
     (["gain", "build", "builtin:z2", "3"], {"gain", "groups"}),
     (["gain", "partitions", "builtin:s3"], {"groups"}),
+    (["gain", "partitions", "builtin:z2^2"], {"groups"}),
     (["gain", "partitions", "{tmp}/s3.grp"], {"groups", "io"}),
 ]
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matlift.core as core
-from matlift.core import Matroid, canonical_circuits, elements_of, mask_of, uniform_matroid
+from matlift.core import Matroid, canonical_circuits, elements_of, is_prime, mask_of, uniform_matroid
 from matlift.gf import (
     DependentColumnsError,
     GfMatrix,
@@ -19,7 +19,6 @@ from matlift.gf import (
     WitnessProblem,
     column_circuits,
     column_matroid,
-    is_prime,
     lift_witness,
     verify_witness,
 )

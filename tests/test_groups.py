@@ -1,5 +1,8 @@
 """Finite groups: axiom validation, subgroup enumeration, partitions, and
-the primitive partition with its conjugation and universality properties."""
+the primitive partition: its forced merges against the partition filtered
+from every nontrivial one (``zoo.primitive_partition_filtered``), with no
+subgroup or partition listed, and its conjugation and universality
+properties."""
 
 from __future__ import annotations
 
@@ -17,9 +20,15 @@ from matlift.groups import (
     group_partitions,
     primitive_partition,
     quaternion_group,
-    refines,
     symmetric_group_3,
 )
+
+from zoo import primitive_partition_filtered, refines
+
+# Builtin groups on which group_partitions finishes in under 0.1 s, with and
+# without a nontrivial partition.
+PARTITIONED = ["z2^2", "z2^3", "z2^4", "z3^2", "z5^2", "z7^2", "z3^3", "s3"] + [f"d{m}" for m in (3, 4, 5, 6, 7, 8, 16)]
+UNPARTITIONED = [f"z{m}" for m in range(2, 10)] + ["q8"]
 
 
 class TestAxioms:
@@ -181,7 +190,30 @@ class TestPrimitivePartition:
     def test_absent_for_z6(self):
         assert primitive_partition(cyclic_group(6)) is None
 
-    @pytest.mark.parametrize("name", ["z2^2", "z3^2", "s3", "d4", "d5", "z2^3"])
+    @pytest.mark.parametrize("name", PARTITIONED + UNPARTITIONED)
+    def test_matches_filtered_partitions(self, name):
+        g = builtin_group(name)
+        assert primitive_partition(g) == primitive_partition_filtered(g)
+
+    @pytest.mark.parametrize("j", [5, 6])
+    def test_z2j_singleton_parts_past_the_cover_budget(self, j):
+        # group_partitions exhausts its budget here; every non-identity
+        # element of Z_2^j is a subgroup less the identity on its own
+        prim = primitive_partition(builtin_group(f"z2^{j}"))
+        assert prim is not None and len(prim) == 2**j - 1
+        assert all(len(part) == 1 for part in prim.parts)
+
+    @pytest.mark.parametrize("name", PARTITIONED + UNPARTITIONED + ["d32", "z2^5", "z2^6"])
+    def test_lists_no_subgroup_or_partition(self, monkeypatch, name):
+        def refuse(*args):
+            raise AssertionError("listed")
+
+        g = builtin_group(name)
+        monkeypatch.setattr(groups, "group_partitions", refuse)
+        monkeypatch.setattr(FinGroup, "subgroups", refuse)
+        assert (primitive_partition(g) is None) == (name in UNPARTITIONED)
+
+    @pytest.mark.parametrize("name", PARTITIONED)
     def test_conjugation_closed(self, name):
         g = builtin_group(name)
         prim = primitive_partition(g)

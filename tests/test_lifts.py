@@ -427,6 +427,33 @@ class TestSpanningCircuitsPruned:
         assert check_star_prime(spec) == (False, StarWitness((2, 4), 6))
 
 
+class TestSingleCircuitsUnindexed:
+    """The walk of (*) and (*') starts from each joinable circuit as a
+    collection of one, whose union holds no circuit but itself, so it
+    indexes (``rank_and_circuits``) only unions of two or more circuits,
+    never a circuit of M."""
+
+    def test_no_circuit_is_indexed(self, monkeypatch):
+        rng = random.Random(46)
+        base = TestSpanningCircuitsPruned.BASE
+        specs = [LiftSpec(base, ClassOverlay(len(base.circuits), TestSpanningCircuitsPruned.CLASS))]
+        for _ in range(30):
+            m = random_base_matroid(rng)
+            specs.append(LiftSpec(m, random_overlay(rng, len(m.circuits))))
+            specs.append(LiftSpec(m, ClassOverlay(len(m.circuits), random_linear_class(rng, m))))
+        indexed = []
+        rank_and_circuits = Matroid.rank_and_circuits
+        monkeypatch.setattr(Matroid, "rank_and_circuits", lambda self, mask: indexed.append(mask) or rank_and_circuits(self, mask))
+        queried = 0
+        for spec in specs:
+            indexed.clear()
+            check_star_prime(spec)
+            check_star(spec)
+            queried += len(indexed)
+            assert not set(indexed) & set(spec.base.circuits)
+        assert queried
+
+
 def _matrices_with_parallels() -> list[GfMatrix]:
     rng = random.Random(113)
     return [random_gf_matrix_with_parallels(rng, rng.choice([2, 3, 5, 7, 251])) for _ in range(40)]

@@ -29,7 +29,7 @@ from matlift.core import (
 )
 from matlift.gain import GainEdge, GainGraph, graphic_matroid, rank2_lift_k3, zaslavsky_lift
 from matlift.gf import GfMatrix, WitnessProblem, column_matroid, lift_witness
-from matlift.groups import builtin_group
+from matlift.groups import FinGroup, GroupPartition, builtin_group, group_partitions
 from matlift.krt import IngletonWitness, KrtSpec, VamosLikeMinor, build_krt
 from matlift.lifts import (
     LiftSpec,
@@ -531,6 +531,27 @@ def vamos_scan_bruteforce(m: Matroid) -> list[VamosLikeMinor]:
                 out.append(VamosLikeMinor(cmask, dmask, tuple(sorted(pairs))))
                 break
     return out
+
+
+def refines(fine: GroupPartition, coarse: GroupPartition) -> bool:
+    """True iff every part of ``coarse`` is a union of parts of ``fine``."""
+    for big in coarse.parts:
+        covered: set[int] = set()
+        for small in fine.parts:
+            if small <= big:
+                covered |= small
+        if covered != set(big):
+            return False
+    return True
+
+
+def primitive_partition_filtered(group: FinGroup) -> Optional[GroupPartition]:
+    """The nontrivial partition refining every other, filtered from all of
+    them (``group_partitions``), or None when there is none to filter."""
+    partitions = group_partitions(group)
+    universal = [p for p in partitions if all(refines(p, q) for q in partitions)]
+    assert len(universal) == (1 if partitions else 0), universal
+    return universal[0] if universal else None
 
 
 # ---------------------------------------------------------------------------
