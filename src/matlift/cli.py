@@ -389,8 +389,16 @@ def cmd_iso(args: argparse.Namespace, rep: Report) -> Optional[int]:
         rep.conclude("not isomorphic")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses abbreviated long options, which ``_strip_json_flag`` would
+    miss; subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="matlift",
         description="Matroid lift constructions, K(r,t) certificates, and gain-graph lifts.",
     )

@@ -5,10 +5,9 @@ a ground set {0, ..., n-1} with n <= 64.  Subsets are plain Python ints used
 as bit masks; element i corresponds to bit ``1 << i``.  File formats and CLI
 surfaces are 1-based, the conversion happens at the I/O boundary.
 
-All operations are pure functions of their inputs.  A ``Matroid`` is
-immutable after construction except for its rank memo table, which is a
-grow-only dict (atomic under the GIL, idempotent inserts), so values can be
-shared freely across threads.
+All operations are pure functions of their inputs.  Every matroid is
+immutable after construction and keeps no memo, so values can be shared
+freely across threads.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 Mask = int
 
 MAX_GROUND = 64
-
-RANK_CACHE_LIMIT = 1 << 20
 
 DEFAULT_NODE_BUDGET = 10**7  # isomorphism search nodes before SearchBudgetExceeded
 
@@ -312,12 +309,12 @@ def validate_circuits(circuits: Sequence[Mask], n: int) -> ValidationReport:
 class RankMatroid:
     """A matroid on ground set {0, ..., n-1} known through its rank oracle.
 
-    Subclasses set ``n`` and ``_full_rank`` (None until first asked) and
-    implement ``rank``, memoized in ``_rank_cache`` (seeded with {0: 0}) when
-    it is costly; everything else here is derived from ``rank``.
+    Subclasses set ``n`` and ``full_rank`` in their constructor, write
+    nothing after it, and implement ``rank``; everything else here is
+    derived from ``rank``.
     """
 
-    __slots__ = ("n", "_rank_cache", "_full_rank")
+    __slots__ = ("n", "full_rank")
 
     def rank(self, mask: Mask) -> int:
         raise NotImplementedError
@@ -325,12 +322,6 @@ class RankMatroid:
     @property
     def full_mask(self) -> Mask:
         return (1 << self.n) - 1
-
-    @property
-    def full_rank(self) -> int:
-        if self._full_rank is None:
-            self._full_rank = self.rank(self.full_mask)
-        return self._full_rank
 
     def closure(self, mask: Mask) -> Mask:
         r = self.rank(mask)
@@ -362,9 +353,8 @@ class Matroid(RankMatroid):
     and, while it is nonzero, removes the largest element of the first of
     them.  An element of a circuit lies in the closure of the rest, so each
     removal keeps the rank, and what is left at the end is independent:
-    r(X) is |X| minus the removals.  Ranks are memoized up to
-    ``RANK_CACHE_LIMIT`` entries; past the cap new results are computed but
-    not cached.  Query masks must lie inside the ground set.
+    r(X) is |X| minus the removals.  Query masks must lie inside the
+    ground set.
     """
 
     __slots__ = ("circuits", "_index")
@@ -384,8 +374,7 @@ class Matroid(RankMatroid):
         self.n = n
         self.circuits = fam
         self._index = index
-        self._rank_cache: dict[Mask, int] = {0: 0}
-        self._full_rank: Optional[int] = None
+        self.full_rank = self.rank(self.full_mask)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matroid):
@@ -402,29 +391,19 @@ class Matroid(RankMatroid):
         return mask in self._index.members
 
     def rank(self, mask: Mask) -> int:
-        cached = self._rank_cache.get(mask)
-        if cached is not None:
-            return cached
-        r = self._rank_inside(mask, self._index.within(mask))
-        if len(self._rank_cache) < RANK_CACHE_LIMIT:
-            self._rank_cache[mask] = r
-        return r
+        return self.rank_and_circuits(mask)[0]
 
     def rank_and_circuits(self, mask: Mask) -> tuple[int, Mask]:
         """r(mask) and the circuits inside mask, as a bit mask of circuit
-        indices, from one index query; the rank memo is neither read nor filled."""
-        inside = self._index.within(mask)
-        return self._rank_inside(mask, inside), inside
-
-    def _rank_inside(self, mask: Mask, alive: Mask) -> int:
-        """r(mask) from ``alive``, the circuits inside mask."""
+        indices, from one index query."""
         avoid = self._index.avoid
+        inside = alive = self._index.within(mask)
         r = mask.bit_count()
         while alive:
             first = self.circuits[(alive & -alive).bit_length() - 1]
             alive &= avoid[first.bit_length() - 1]
             r -= 1
-        return r
+        return r, inside
 
     def rank_sweep(self) -> Iterator[tuple[Mask, int, Mask]]:
         """(X, r(X), the circuits inside X) for every X, in an order
@@ -466,7 +445,7 @@ class SparsePaving(RankMatroid):
     elements (Oxley, *Matroid Theory*; Pendavingh and van der Pol 2015).
 
     Its rank is |X| when |X| < r, r-1 when X is a circuit-hyperplane and r
-    otherwise: O(1), with no memo.  Construction raises ``ValueError`` on a
+    otherwise: O(1).  Construction raises ``ValueError`` on a
     bad ground size, member or shared face.
     """
 
@@ -489,7 +468,7 @@ class SparsePaving(RankMatroid):
         self.r = r
         self.circuit_hyperplanes = chs
         self._ch_set = frozenset(chs)
-        self._full_rank = r
+        self.full_rank = r
 
     @classmethod
     def of(cls, m: "Matroid | SparsePaving") -> "SparsePaving":
@@ -746,8 +725,7 @@ def matroid_from_hyperplanes(hyperplanes: Sequence[Mask], n: int, claimed_rank: 
     complements, so the one ``validate_hyperplanes`` pass (raising
     ``HyperplaneAxiomError``) certifies them; the dual matroid is built
     from them unchecked, and the primal is materialized through
-    r(X) = r*(E-X) - |E-X| + r(E), with r* from ``rank_and_circuits``:
-    nearly every set is asked once, so a memo would hold no reused rank.
+    r(X) = r*(E-X) - |E-X| + r(E).
     """
     report = validate_hyperplanes(hyperplanes, n)
     if not report.ok:
@@ -760,7 +738,7 @@ def matroid_from_hyperplanes(hyperplanes: Sequence[Mask], n: int, claimed_rank: 
 
     def primal_rank(mask: Mask) -> int:
         co = full & ~mask
-        return dual.rank_and_circuits(co)[0] - co.bit_count() + rank
+        return dual.rank(co) - co.bit_count() + rank
 
     fam = circuits_from_rank_oracle(primal_rank, n)
     made = Matroid(n, fam, validate=False)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from matlift import core
 from matlift.core import (
     CheckFailedError,
     Mask,
@@ -164,7 +163,7 @@ class LinearMatroid(RankMatroid):
     are ever needed.  The matrix is row-reduced once to r(N) rows, which
     keeps every column dependence; a rank query walks the mask's elements
     lazily, inserting their columns into a fresh echelon basis, and stops
-    when it holds r(N) rows.  The rank memo is capped like ``Matroid``'s.
+    when it holds r(N) rows.
     """
 
     __slots__ = ("matrix", "_columns")
@@ -176,23 +175,17 @@ class LinearMatroid(RankMatroid):
         for row in matrix.data:
             _reduce_into(matrix.p, row_basis, row, matrix.cols)
         self._columns = [tuple(row[j] for _, row in row_basis) for j in range(matrix.cols)]
-        self._rank_cache: dict[Mask, int] = {0: 0}
-        self._full_rank: Optional[int] = len(row_basis)
+        self.full_rank = len(row_basis)
 
     def rank(self, mask: Mask) -> int:
-        got = self._rank_cache.get(mask)
-        if got is None:
-            p, columns, full = self.matrix.p, self._columns, self._full_rank
-            basis: list[Row] = []
-            rest = mask
-            while rest and len(basis) < full:
-                low = rest & -rest
-                rest ^= low
-                _reduce_into(p, basis, columns[low.bit_length() - 1], full)
-            got = len(basis)
-            if len(self._rank_cache) < core.RANK_CACHE_LIMIT:
-                self._rank_cache[mask] = got
-        return got
+        p, columns, full = self.matrix.p, self._columns, self.full_rank
+        basis: list[Row] = []
+        rest = mask
+        while rest and len(basis) < full:
+            low = rest & -rest
+            rest ^= low
+            _reduce_into(p, basis, columns[low.bit_length() - 1], full)
+        return len(basis)
 
     def parallel_classes(self) -> list[Mask]:
         """The nonzero reduced columns grouped by their multiple with

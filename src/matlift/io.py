@@ -113,6 +113,8 @@ def parse_group_text(text: str, *, path: str = "<string>") -> FinGroup:
         raise ParseError(path, lineno, "group order must be positive")
     if len(lines) < 2 + k:
         raise ParseError(path, lines[-1][0], f"expected {k} table rows after the name line")
+    if len(lines) > 2 + k:
+        raise ParseError(path, lines[2 + k][0], f"unexpected line after the {k} table rows")
     name_lineno, name_line = lines[1]
     names = name_line.split()
     if len(names) != k:

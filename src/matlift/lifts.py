@@ -27,6 +27,10 @@ from matlift.core import (
 # (``lift_ranks``: ``verify_witness`` and ``evaluate_lift_formula``).
 MAX_SWEEP_GROUND = 16
 
+# Entries of one ``LiftSpec``'s overlay rank memo; past the cap new ranks
+# are computed but not stored.
+RANK_CACHE_LIMIT = 1 << 20
+
 
 class LiftConditionError(CheckFailedError):
     """The overlay fails the modular-pair closure condition (*')."""
@@ -53,14 +57,17 @@ class LiftSpec:
 
     Every overlay query goes through ``overlay_rank``, which asks N for the
     rank of one representative per parallel class met: the least element
-    of each class (its head).  r_N(S) equals r_N(reps(S)), and N's memo
-    then holds at most one key per set of classes.  The class table is
-    built once, from ``overlay.parallel_classes()``.
+    of each class (its head).  r_N(S) equals r_N(reps(S)), so the spec
+    memoizes N's ranks by reps(S): at most one key per set of classes, and
+    ``RANK_CACHE_LIMIT`` keys in all.  This grow-only dict is the only rank
+    memo, as N's ranks are the only ones asked again and again.  The class
+    table is built once, from ``overlay.parallel_classes()``.
     """
 
     base: Matroid
     overlay: RankMatroid
     _table: tuple = field(init=False, repr=False, compare=False)
+    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.overlay.n != len(self.base.circuits):
@@ -74,9 +81,10 @@ class LiftSpec:
         object.__setattr__(self, "_table", (heads, mask_of(head_of), head_of, classes))
 
     def overlay_rank(self, mask: Mask) -> int:
-        """r_N(mask) as r_N(reps(mask)).  reps keeps mask's heads, drops
-        its loops and replaces its other elements by their heads, found
-        element by element or class by class, whichever is fewer."""
+        """r_N(mask) as r_N(reps(mask)), memoized by reps(mask).  reps
+        keeps mask's heads, drops its loops and replaces its other elements
+        by their heads, found element by element or class by class,
+        whichever is fewer."""
         heads, others, head_of, classes = self._table
         reps = mask & heads
         rest = mask & others
@@ -89,7 +97,13 @@ class LiftSpec:
             for c, head in classes:
                 if mask & c:
                     reps |= head
-        return self.overlay.rank(reps)
+        memo = self._memo
+        r = memo.get(reps)
+        if r is None:
+            r = self.overlay.rank(reps)
+            if len(memo) < RANK_CACHE_LIMIT:
+                memo[reps] = r
+        return r
 
 
 def is_modular_pair(m: Matroid, c1: Mask, c2: Mask) -> bool:
@@ -152,7 +166,7 @@ class ClassOverlay(RankMatroid):
                 raise ValueError(f"circuit index {i} out of range")
         self.n = count
         self.loops = mask_of(s)
-        self._full_rank = None
+        self.full_rank = int(count > len(s))
 
     def rank(self, mask: Mask) -> int:
         return int(mask & ~self.loops != 0)

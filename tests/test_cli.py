@@ -225,6 +225,17 @@ class TestJsonFlag:
                 texts.append("".join(ln for ln in lines if '"wall_time_s"' not in ln))
             assert texts[0] == texts[1] == texts[2]
 
+    def test_abbreviations_are_refused(self, capsys, tmp_path):
+        # an abbreviation the command echo would keep, so no spelling
+        # other than --json (or --json=PATH) may select the option
+        v8 = str(TESTDATA / "v8.ckt")
+        json_path = tmp_path / "r.json"
+        for argv in [["--js", str(json_path), "check", v8], ["check", v8, f"--jso={json_path}"],
+                     ["lift", "general", str(TESTDATA / "u13.lift"), "--check", "--json", str(json_path)]]:
+            assert main(argv) == 2, argv
+            assert not json_path.exists()
+        capsys.readouterr()
+
 
 class TestGain:
     def test_lift3_s3(self, capsys, tmp_path):
@@ -301,6 +312,12 @@ class TestGain:
         path.write_text(S3_GRP)
         code, out = run(["gain", "partitions", str(path)], capsys)
         assert code == 0 and "1 nontrivial partition" in out
+
+    def test_group_file_with_an_extra_line_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "z2.grp"
+        path.write_text("group 2\ne a\ne a\na e\njunk row here\n")
+        assert main(["gain", "partitions", str(path)]) == 2
+        assert f"{path}:5:" in capsys.readouterr().err
 
 
 class TestLiftCommands:

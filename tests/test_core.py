@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matlift.core as core
+import matlift.lifts as lifts
 from matlift.core import (
     CircuitAxiomError,
     Matroid,
@@ -33,6 +34,7 @@ from matlift.core import (
 from matlift.gain import GainGraph, graphic_matroid
 from matlift.groups import builtin_group
 from matlift.krt import KrtSpec, build_krt
+from matlift.lifts import LiftSpec
 
 from zoo import (
     circuits_bruteforce,
@@ -130,10 +132,6 @@ class TestRank:
         for mask in range(1 << m.n):
             inside = mask_of(k for k, c in enumerate(m.circuits) if c & ~mask == 0)
             assert m.rank_and_circuits(mask) == (m.rank(mask), inside)
-        # it leaves the memo alone, so a cold matroid stays cold
-        cold = k43()
-        cold.rank_and_circuits(cold.full_mask)
-        assert cold._rank_cache == {0: 0}
 
 
 class TestClosure:
@@ -846,15 +844,18 @@ class TestRankEdgeCases:
             assert m.rank(mask) == rank_bruteforce(m, mask)
 
     def test_past_the_memo_cap(self, monkeypatch):
-        monkeypatch.setattr(core, "RANK_CACHE_LIMIT", 5)
+        # the one rank memo is the overlay's, in LiftSpec; a Matroid as the
+        # overlay on the n loops of U(0, n), whose circuit i is {i}
+        monkeypatch.setattr(lifts, "RANK_CACHE_LIMIT", 5)
         rng = random.Random(89)
         for _ in range(4):
-            base = random_base_matroid(rng, max_elems=7)
-            m = Matroid(base.n, base.circuits)
+            m = random_base_matroid(rng, max_elems=7)
+            spec = LiftSpec(uniform_matroid(0, m.n), m)
             for _ in range(2):
                 for mask in range(1 << m.n):
-                    assert m.rank(mask) == rank_bruteforce(m, mask)
-            assert len(m._rank_cache) == 5
+                    assert spec.overlay_rank(mask) == rank_bruteforce(m, mask)
+            # one key per set of parallel classes, up to the cap
+            assert len(spec._memo) == min(5, 1 << len(m.parallel_classes()))
 
 
 class TestDegenerateGrounds:
@@ -878,30 +879,41 @@ class TestDegenerateGrounds:
 
 
 def test_rank_cache_safe_under_concurrent_use():
-    # The memo table allows concurrent reads and idempotent inserts; hammer
-    # one matroid from several threads and check every answer.
+    # The overlay memo of a LiftSpec is a dict with idempotent inserts, so
+    # threads that miss one key at once store the same rank.  Hammer one
+    # spec from more threads than cores, switching often, each walking every
+    # mask from its own offset, and check every answer and stored rank.
+    import sys
     import threading
 
     m = build_krt(KrtSpec(5, 4)).to_matroid()
+    spec = LiftSpec(uniform_matroid(0, m.n), m)
     masks = [random.Random(s).getrandbits(m.n) for s in range(200)]
     expected = {x: rank_bruteforce(m, x) for x in masks[:40]}
     errors: list[str] = []
 
     def worker(offset: int) -> None:
-        for x in masks[offset::4]:
-            got = m.rank(x)
+        for x in masks[offset:] + masks[:offset]:
+            got = spec.overlay_rank(x)
             want = expected.get(x)
             if want is not None and got != want:
                 errors.append(f"rank({x}) = {got}, expected {want}")
 
-    threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    threads = [threading.Thread(target=worker, args=(50 * k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert not errors
+    assert spec._memo and all(r == m.rank(x) for x, r in spec._memo.items())
     for x, want in expected.items():
-        assert m.rank(x) == want
+        assert spec.overlay_rank(x) == want
 
 
 @settings(max_examples=120, deadline=None)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import matlift.core as core
+import matlift.lifts as lifts
 from matlift.core import Matroid, canonical_circuits, elements_of, is_prime, mask_of, uniform_matroid
 from matlift.gf import (
     DependentColumnsError,
@@ -439,15 +439,17 @@ class TestLinearMatroidOverlay:
                 assert oracle.closure(mask) == materialized.closure(mask)
 
     def test_memo_respects_the_cap(self, monkeypatch):
-        monkeypatch.setattr(core, "RANK_CACHE_LIMIT", 5)
+        # the overlay memo of a LiftSpec on the loops of U(0, n)
+        monkeypatch.setattr(lifts, "RANK_CACHE_LIMIT", 5)
         rng = random.Random(23)
         for _ in range(4):
             a = random_gf_matrix(rng, max_rows=3, max_cols=7)
             oracle = LinearMatroid(a)
+            spec = LiftSpec(uniform_matroid(0, a.cols), oracle)
             for _ in range(2):
                 for mask in range(1 << a.cols):
-                    assert oracle.rank(mask) == gf_rank_bruteforce(a, elements_of(mask))
-            assert len(oracle._rank_cache) <= 5
+                    assert spec.overlay_rank(mask) == gf_rank_bruteforce(a, elements_of(mask))
+            assert len(spec._memo) == min(5, 1 << len(oracle.parallel_classes()))
 
 
 def _bruteforce_circuits(a: GfMatrix) -> tuple[int, ...]:

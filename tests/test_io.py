@@ -82,6 +82,12 @@ class TestGroupFormat:
         with pytest.raises(ParseError):
             parse_group_text("group 3\na b c\na b c\n")
 
+    def test_extra_line_after_table(self):
+        text = "group 2\ne a\ne a\na e\n# comment\njunk row here\ne a\n"
+        with pytest.raises(ParseError, match="after the 2 table rows") as err:
+            parse_group_text(text)
+        assert err.value.line == 6
+
 
 class TestMatrixFormat:
     def test_roundtrip(self):

@@ -4,12 +4,15 @@ elementary lift, the star conditions and their equivalence, and M^N."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from matlift.core import Matroid, RankMatroid, elements_of, mask_of, uniform_matroid
 from matlift.gf import GfMatrix, LinearMatroid, column_matroid
+from matlift.io import emit_matroid_text, parse_lift, parse_lift_text
 from matlift.krt import KrtSpec, build_krt
 from matlift.lifts import (
     ClassOverlay,
@@ -417,11 +420,13 @@ class TestSpanningCircuitsPruned:
         want = check_star_rebuild(spec)
         indexed = []
         rank_and_circuits = Matroid.rank_and_circuits
-        monkeypatch.setattr(Matroid, "rank_and_circuits", lambda self, mask: indexed.append(mask) or rank_and_circuits(self, mask))
+        # M's index queries only: a circuit-family overlay ranks through its own
+        monkeypatch.setattr(Matroid, "rank_and_circuits", lambda self, mask: indexed.append((self, mask)) or rank_and_circuits(self, mask))
         got = check_star(spec)
         assert got == want == (False, StarWitness((0, 2, 4), 6))
-        assert indexed
-        for union in indexed:
+        unions = [mask for obj, mask in indexed if obj is m]
+        assert unions
+        for union in unions:
             inside = [m.circuits[i] for i in self.CLASS if m.circuits[i] & ~union == 0]
             assert union == mask_of(e for c in inside for e in elements_of(c)), union
         assert check_star_prime(spec) == (False, StarWitness((2, 4), 6))
@@ -443,14 +448,16 @@ class TestSingleCircuitsUnindexed:
             specs.append(LiftSpec(m, ClassOverlay(len(m.circuits), random_linear_class(rng, m))))
         indexed = []
         rank_and_circuits = Matroid.rank_and_circuits
-        monkeypatch.setattr(Matroid, "rank_and_circuits", lambda self, mask: indexed.append(mask) or rank_and_circuits(self, mask))
+        monkeypatch.setattr(Matroid, "rank_and_circuits", lambda self, mask: indexed.append((self, mask)) or rank_and_circuits(self, mask))
         queried = 0
         for spec in specs:
             indexed.clear()
             check_star_prime(spec)
             check_star(spec)
-            queried += len(indexed)
-            assert not set(indexed) & set(spec.base.circuits)
+            # M's index queries only: a circuit-family overlay ranks through its own
+            unions = {mask for obj, mask in indexed if obj is spec.base}
+            queried += len(unions)
+            assert not unions & set(spec.base.circuits)
         assert queried
 
 
@@ -545,6 +552,48 @@ class TestOverlayRank:
                 routes[(mask & others).bit_count() <= len(classes)] += 1
                 assert spec.overlay_rank(mask) == spec.overlay.rank(mask)
             assert routes[True] >= 50 and routes[False] >= 50, routes
+
+
+class TestOverlayMemo:
+    """``LiftSpec.overlay_rank`` is the one rank memo: over the checks, the
+    lift and the subset sweep of a spec, N is asked at most once per reps
+    key (the set of class heads it is asked about)."""
+
+    def _lift_specs(self) -> list[LiftSpec]:
+        """``u13.lift`` and a ``.lift`` text in the benchmark's shape: a
+        linear class of V8's circuits as the loops of a rank-1 overlay."""
+        v8 = build_krt(KrtSpec(4, 3)).to_matroid()
+        linear = linear_class_closure(v8, {0, 7})
+        assert 2 < len(linear) < len(v8.circuits)
+        overlay = rank_one_overlay(len(v8.circuits), linear)
+        text = "base\n" + emit_matroid_text(v8) + "overlay\n" + emit_matroid_text(overlay)
+        return [parse_lift(Path(__file__).parent / "testdata" / "u13.lift"), parse_lift_text(text)]
+
+    def test_overlay_asked_once_per_reps_key(self, monkeypatch):
+        built = [(spec, False) for spec in rep_witness_specs()] + [(spec, True) for spec in self._lift_specs()]
+        overlays = {id(spec.overlay) for spec, _ in built}  # kept alive by ``built``
+        asked: Counter = Counter()
+
+        def wrap(rank):
+            def counted(self, mask):
+                if id(self) in overlays:
+                    asked[id(self), mask] += 1
+                return rank(self, mask)
+            return counted
+
+        for cls in {type(spec.overlay) for spec, _ in built}:
+            monkeypatch.setattr(cls, "rank", wrap(cls.rank))
+        for spec, lift_job in built:
+            # a fresh spec, so its memo starts empty under the wrapper
+            spec = LiftSpec(spec.base, spec.overlay)
+            assert check_star_prime(spec)[0]
+            if lift_job:
+                assert check_star(spec)[0]
+                build_lift(spec)
+            assert sum(1 for _ in lift_ranks(spec)) == 1 << spec.base.n
+            counts = [count for (obj, _), count in asked.items() if obj == id(spec.overlay)]
+            assert counts and max(counts) == 1, (spec, max(counts))
+            assert len(counts) <= 1 << len(spec.overlay.parallel_classes())
 
 
 class TestLiftRanks:
