@@ -13,6 +13,7 @@ freely across threads.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, repeat
 from math import comb, isqrt
@@ -571,20 +572,23 @@ def is_sparse_paving(m: Matroid) -> bool:
 # isomorphism
 
 
-def _element_signatures(fam: Sequence[Mask], n: int) -> list[tuple]:
-    by_size: list[dict[int, int]] = [dict() for _ in range(n)]
+def _members_at(fam: Sequence[Mask], n: int) -> list[list[Mask]]:
+    """For each element, the members of ``fam`` that contain it, in family order."""
+    at: list[list[Mask]] = [[] for _ in range(n)]
     for c in fam:
-        size = c.bit_count()
         for e in elements_of(c):
-            by_size[e][size] = by_size[e].get(size, 0) + 1
-    sig1 = [tuple(sorted(d.items())) for d in by_size]
-    # One refinement round: multiset of co-circuit neighbours' base signatures.
-    neigh: list[list[tuple]] = [[] for _ in range(n)]
-    for c in fam:
-        elems = elements_of(c)
-        for e in elems:
-            neigh[e].extend(sig1[f] for f in elems if f != e)
-    return [(sig1[e], tuple(sorted(neigh[e]))) for e in range(n)]
+            at[e].append(c)
+    return at
+
+
+def _element_signatures(at: Sequence[Sequence[Mask]]) -> list[tuple]:
+    """Per element: the sorted member sizes through it, then one refinement
+    round, the multiset of its co-members' first-round signatures."""
+    sig1 = [tuple(sorted(Counter(c.bit_count() for c in cs).items())) for cs in at]
+    return [
+        (sig1[e], tuple(sorted(sig1[f] for c in cs for f in elements_of(c) if f != e)))
+        for e, cs in enumerate(at)
+    ]
 
 
 def find_isomorphism(
@@ -615,8 +619,8 @@ def find_family_isomorphism(
     images ordered by member-degree signatures."""
     if len(fam1) != len(fam2):
         return None
-    sig1 = _element_signatures(fam1, n)
-    sig2 = _element_signatures(fam2, n)
+    at1, at2 = _members_at(fam1, n), _members_at(fam2, n)
+    sig1, sig2 = _element_signatures(at1), _element_signatures(at2)
     if sorted(sig1) != sorted(sig2):
         return None
 
@@ -626,17 +630,7 @@ def find_family_isomorphism(
     # Most constrained first: small signature classes early.
     order = sorted(range(n), key=lambda e: (len(classes2.get(sig1[e], ())), sig1[e], e))
 
-    circ1_set = frozenset(fam1)
-    circ2_set = frozenset(fam2)
-    circs1_at: list[list[Mask]] = [[] for _ in range(n)]
-    for c in fam1:
-        for e in elements_of(c):
-            circs1_at[e].append(c)
-    circs2_at: list[list[Mask]] = [[] for _ in range(n)]
-    for c in fam2:
-        for e in elements_of(c):
-            circs2_at[e].append(c)
-
+    circ1_set, circ2_set = frozenset(fam1), frozenset(fam2)
     image = [-1] * n
     preimage = [-1] * n
     nodes = 0
@@ -646,6 +640,10 @@ def find_family_isomorphism(
         for e in elements_of(mask):
             out |= 1 << mapping[e]
         return out
+
+    def maps_into(members: list[Mask], dom: Mask, mapping: list[int], target: frozenset[Mask]) -> bool:
+        # every member inside the domain maps onto a member of the target
+        return all(apply(c, mapping) in target for c in members if c & ~dom == 0)
 
     def extend(pos: int, dom_mask: Mask, img_mask: Mask) -> bool:
         nonlocal nodes
@@ -662,17 +660,11 @@ def find_family_isomorphism(
             preimage[f] = e
             ndom = dom_mask | (1 << e)
             nimg = img_mask | (1 << f)
-            ok = True
-            for c in circs1_at[e]:
-                if c & ~ndom == 0 and apply(c, image) not in circ2_set:
-                    ok = False
-                    break
-            if ok:
-                for c in circs2_at[f]:
-                    if c & ~nimg == 0 and apply(c, preimage) not in circ1_set:
-                        ok = False
-                        break
-            if ok and extend(pos + 1, ndom, nimg):
+            if (
+                maps_into(at1[e], ndom, image, circ2_set)
+                and maps_into(at2[f], nimg, preimage, circ1_set)
+                and extend(pos + 1, ndom, nimg)
+            ):
                 return True
             image[e] = -1
             preimage[f] = -1

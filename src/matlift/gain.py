@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from typing import Iterable, Optional
 
-from matlift.core import Mask, Matroid, elements_of, mask_of, matroid_from_hyperplanes
+from matlift.core import MAX_GROUND, Mask, Matroid, elements_of, mask_of, matroid_from_hyperplanes
 from matlift.groups import FinGroup, GroupPartition, primitive_partition
 
 
@@ -43,8 +43,8 @@ class GainGraph:
         if n < 3:
             raise ValueError("gain graphs here have at least 3 vertices")
         count = n * (n - 1) // 2 * group.order
-        if count > 64:
-            raise ValueError(f"edge count {count} exceeds the 64-element cap")
+        if count > MAX_GROUND:
+            raise ValueError(f"edge count {count} exceeds the {MAX_GROUND}-element cap")
         self.group = group
         self.n = n
         self.edges = tuple(

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from matlift.core import (
+    MAX_GROUND,
     CheckFailedError,
     Mask,
     Matroid,
@@ -123,8 +124,8 @@ def column_circuits(a: GfMatrix) -> dict[Mask, tuple[int, ...]]:
     I = C - max(C).  A column in the span of I leaves I's subtree, as it
     makes no circuit with an independent proper superset of I.
     """
-    if a.cols > 64:
-        raise ValueError("column matroid supports at most 64 columns")
+    if a.cols > MAX_GROUND:
+        raise ValueError(f"column matroid supports at most {MAX_GROUND} columns")
     p, rows, n = a.p, a.rows, a.cols
     found: dict[Mask, tuple[int, ...]] = {}
 

@@ -3,17 +3,19 @@
 All formats are line-oriented and 1-based; .ckt files are emitted
 canonically (sorted families, LF endings), so they round-trip
 byte-stably.  ``#`` starts a comment anywhere; blank lines are ignored.
-Parse errors carry the offending line number.  Only ``core`` is imported at load time; each
-parser imports the layer whose type it builds, so parsing a .ckt loads no
-other layer.
+Every parser reads the ``(lineno, body)`` list of ``_content_lines``, and a
+.lift section is a slice of that list read by the .ckt body reader, so a
+parse error names the line of the file, inside a section too.  Only
+``core`` is imported at load time; each parser imports the layer whose
+type it builds, so parsing a .ckt loads no other layer.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
-from matlift.core import Matroid, mask_of, one_based
+from matlift.core import MAX_GROUND, Matroid, mask_of, one_based
 
 if TYPE_CHECKING:
     from matlift.gf import GfMatrix
@@ -44,9 +46,14 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 
 def parse_matroid_text(text: str, *, path: str = "<string>", validate: bool = True) -> Matroid:
-    lines = _content_lines(text)
+    return _read_ckt(_content_lines(text), path, 1, validate=validate)
+
+
+def _read_ckt(lines: list[tuple[int, str]], path: str, at: int, *, validate: bool = True) -> Matroid:
+    """A .ckt body from its ``(lineno, body)`` content lines; ``at`` is the
+    line an empty body is reported at."""
     if not lines:
-        raise ParseError(path, 1, "empty matroid file")
+        raise ParseError(path, at, "empty matroid file")
     lineno, header = lines[0]
     parts = header.split()
     if len(parts) != 3 or parts[0] != "matroid" or parts[2] != "circuits":
@@ -55,8 +62,8 @@ def parse_matroid_text(text: str, *, path: str = "<string>", validate: bool = Tr
         n = int(parts[1])
     except ValueError:
         raise ParseError(path, lineno, f"bad ground set size {parts[1]!r}") from None
-    if not 1 <= n <= 64:
-        raise ParseError(path, lineno, f"ground set size {n} outside [1, 64]")
+    if not 1 <= n <= MAX_GROUND:
+        raise ParseError(path, lineno, f"ground set size {n} outside [1, {MAX_GROUND}]")
     bit = {str(e): 1 << (e - 1) for e in range(1, n + 1)}.__getitem__
     circuits = []
     for lineno, body in lines[1:]:
@@ -163,7 +170,9 @@ def parse_matrix_text(text: str, *, path: str = "<string>") -> GfMatrix:
     except ValueError:
         raise ParseError(path, lineno, f"bad header numbers in {header!r}") from None
     if len(lines) != 1 + rows:
-        raise ParseError(path, lines[-1][0], f"expected {rows} matrix rows, got {len(lines) - 1}")
+        # named at the first extra row, or at the last line when rows are missing
+        at = lines[1 + rows] if 0 <= rows < len(lines) - 1 else lines[-1]
+        raise ParseError(path, at[0], f"expected {rows} matrix rows, got {len(lines) - 1}")
     data = []
     for lineno, body in lines[1:]:
         try:
@@ -193,32 +202,25 @@ def parse_matrix(path: str | Path) -> GfMatrix:
 def parse_lift_text(text: str, *, path: str = "<string>") -> LiftSpec:
     """A ``base`` section holding a .ckt body and an ``overlay`` section whose
     1-based elements index the base circuits in canonical order."""
-    sections: dict[str, list[str]] = {}
-    current: Optional[str] = None
-    section_line = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
+    lines = _content_lines(text)
+    marks: dict[str, int] = {}  # section name -> index of its marker line
+    for i, (lineno, body) in enumerate(lines):
         if body in ("base", "overlay"):
-            if body in sections:
+            if body in marks:
                 raise ParseError(path, lineno, f"duplicate section {body!r}")
-            current = body
-            sections[body] = []
-            section_line[body] = lineno
-            continue
-        if current is None:
+            marks[body] = i
+        elif not marks:
             raise ParseError(path, lineno, f"content before any section: {body!r}")
-        sections[current].append(raw)
     for required in ("base", "overlay"):
-        if required not in sections:
+        if required not in marks:
             raise ParseError(path, 1, f"missing section {required!r}")
-    base = parse_matroid_text("\n".join(sections["base"]), path=f"{path}[base]")
-    overlay = parse_matroid_text("\n".join(sections["overlay"]), path=f"{path}[overlay]")
+    b, o = marks["base"], marks["overlay"]
+    base = _read_ckt(lines[b + 1 : o if o > b else None], path, lines[b][0])
+    overlay = _read_ckt(lines[o + 1 : b if b > o else None], path, lines[o][0])
     if overlay.n != len(base.circuits):
         raise ParseError(
             path,
-            section_line["overlay"],
+            lines[o][0],
             f"overlay ground set {overlay.n} != number of base circuits {len(base.circuits)}",
         )
     from matlift.lifts import LiftSpec

@@ -42,6 +42,7 @@ from zoo import (
     contract,
     delete,
     dual,
+    find_family_isomorphism_per_direction,
     has_minor_isomorphic_to,
     gf_rank_bruteforce,
     hyperplanes,
@@ -53,6 +54,7 @@ from zoo import (
     random_sparse_paving,
     rank_bruteforce,
     rank_one_overlay,
+    relabel,
     relax,
     sparse_paving_from,
     validate_circuits_bruteforce,
@@ -288,6 +290,65 @@ class TestIsomorphism:
         m = k43()
         with pytest.raises(SearchBudgetExceeded):
             find_isomorphism(m, m, node_budget=3)
+
+
+def _search_outcome(search, m1: Matroid, m2: Matroid, **budget):
+    try:
+        return search(m1.n, m1.circuits, m2.circuits, **budget)
+    except core.SearchBudgetExceeded as exc:
+        return f"budget: {exc}"
+
+
+def _iso_pairs():
+    """The pairs of test_iso_vf2.py: each zoo member against a seeded
+    relabelling and against relaxations of up to three circuit-hyperplanes,
+    relaxations against each other's relabellings, and the zoo members of
+    equal size."""
+    members = [m for _, m in zoo() if len(m.circuits) <= 200]
+    for name, m in zoo():
+        if len(m.circuits) > 200:
+            continue
+        rng = random.Random(f"vf2:{name}")
+        yield m, relabel(m, rng)
+        chs = [c for c in m.circuits if is_circuit_hyperplane(m, c)]
+        relaxed = [relax(m, h) for h in rng.sample(chs, min(3, len(chs)))]
+        yield from ((m, r) for r in relaxed)
+        yield from ((r1, relabel(r2, rng)) for r1, r2 in combinations(relaxed, 2))
+    for m1, m2 in combinations(members, 2):
+        if m1.n == m2.n and len(m1.circuits) == len(m2.circuits):
+            yield m1, m2
+
+
+def test_iso_search_matches_per_direction_reference():
+    """One member index per family and one check for both directions: the
+    same permutation or None as the search with a loop per direction."""
+    for m1, m2 in _iso_pairs():
+        got = _search_outcome(core.find_family_isomorphism, m1, m2)
+        assert got == _search_outcome(find_family_isomorphism_per_direction, m1, m2)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_iso_search_matches_reference_on_relabellings(seed):
+    rng = random.Random(seed)
+    m = random_sparse_paving(rng)
+    m2 = relabel(m, rng)
+    got = _search_outcome(core.find_family_isomorphism, m, m2)
+    assert got is not None
+    assert got == _search_outcome(find_family_isomorphism_per_direction, m, m2)
+
+
+def test_iso_search_budget_matches_per_direction_reference():
+    """The budget runs out at the same node as in the reference: K(4,3)
+    against a relabelling backtracks through 83 nodes, and every budget up
+    to past that count gives the same outcome."""
+    m = k43()
+    m2 = relabel(m, random.Random("vf2:K(4,3)"))
+    outcomes = []
+    for budget in range(1, 100):
+        got = _search_outcome(core.find_family_isomorphism, m, m2, node_budget=budget)
+        assert got == _search_outcome(find_family_isomorphism_per_direction, m, m2, node_budget=budget)
+        outcomes.append(isinstance(got, str))
+    assert outcomes.index(False) == 83 - 1
 
 
 class TestSparsePaving:

@@ -27,8 +27,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from matlift.cli import main
+from matlift.core import Matroid, uniform_matroid
 from matlift.groups import builtin_group
-from matlift.io import parse_group_text, parse_lift_text, parse_matrix_text, parse_matroid_text
+from matlift.io import ParseError, emit_matroid_text, parse_group_text, parse_lift_text, parse_matrix_text, parse_matroid_text
 
 from zoo import S3_GRP, parse_matroid_text_per_element
 
@@ -72,6 +73,31 @@ def lift_text(draw) -> str:
     base = draw(ckt_text(max_n=5))
     overlay = draw(ckt_text(max_n=6))
     return f"base\n{base}overlay\n{overlay}"
+
+
+# valid bodies: U(1,3) and U(2,4) have 3 and 6 circuits, U(2,3) has one
+_uniform_ckt = st.sampled_from([emit_matroid_text(uniform_matroid(r, n)) for r, n in [(1, 3), (2, 3), (2, 4), (1, 6)]])
+_filler = st.sampled_from(["", "  ", "# note", "# base", "\t# overlay"])
+
+
+@st.composite
+def spaced_lift_text(draw) -> str:
+    """Both sections in either order, either one possibly empty, with comment
+    and blank lines between any two lines and trailing comments."""
+    def body(max_n: int) -> str:
+        if draw(st.integers(0, 7)) == 7:
+            return ""
+        return draw(st.one_of(ckt_text(max_n=max_n), _uniform_ckt))
+
+    sections = [("base", body(5)), ("overlay", body(6))]
+    if draw(st.booleans()):
+        sections.reverse()
+    out = []
+    for name, body in sections:
+        for line in [name, *body.splitlines()]:
+            out.extend(draw(st.lists(_filler, max_size=2)))
+            out.append(line + draw(st.sampled_from(["", "  # c"])))
+    return "\n".join(out) + "\n"
 
 
 def returns_or_value_error(parse, text: str) -> None:
@@ -133,6 +159,43 @@ def test_parse_matrix_text(text):
 @given(st.one_of(soup, lift_text()))
 def test_parse_lift_text(text):
     returns_or_value_error(parse_lift_text, text)
+
+
+def section_outcome(text: str, name: str):
+    """The .ckt parse of the file with every line outside section ``name``
+    blanked, which keeps line numbers; an empty section is named at its
+    marker.  ``text`` holds each marker once and nothing before the first."""
+    raws = text.splitlines()
+    marks = [(k, raw.split("#", 1)[0].strip()) for k, raw in enumerate(raws, start=1)]
+    marks = [(k, body) for k, body in marks if body in ("base", "overlay")]
+    ends = [k for k, _ in marks[1:]] + [len(raws) + 1]
+    marker, end = next((k, end) for (k, body), end in zip(marks, ends) if body == name)
+    kept = "\n".join(raw if marker < k < end else "" for k, raw in enumerate(raws, start=1))
+    got = _outcome(parse_matroid_text, kept)
+    if got == (ParseError, "<string>:1: empty matroid file"):
+        return ParseError, f"<string>:{marker}: empty matroid file"
+    return got
+
+
+@FUZZ
+@given(spaced_lift_text())
+@example("# spec\n\nbase\nmatroid 3 circuits\n1 2\n1 9\noverlay\nmatroid 2 circuits\n")
+def test_parse_lift_text_section_errors_name_file_lines(text):
+    """A section's error is the .ckt error of the file with the other lines
+    blanked: the same type, message and file line."""
+    got = _outcome(parse_lift_text, text)
+    base = section_outcome(text, "base")
+    if not isinstance(base, Matroid):
+        assert got == base
+        return
+    overlay = section_outcome(text, "overlay")
+    if not isinstance(overlay, Matroid):
+        assert got == overlay
+        return
+    if overlay.n == len(base.circuits):
+        assert (got.base, got.overlay) == (base, overlay)
+    else:
+        assert got[0] is ParseError and ": overlay ground set " in got[1]
 
 
 # Report paths relative to the job's directory: plain names, names in a

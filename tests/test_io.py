@@ -100,6 +100,16 @@ class TestMatrixFormat:
             parse_matrix_text("gf 3 2 3\n1 0 2\n2 1\n")
         assert err.value.line == 3
 
+    def test_extra_rows_named_at_the_first(self):
+        with pytest.raises(ParseError, match="expected 1 matrix rows, got 3") as err:
+            parse_matrix_text("gf 3 1 2\n1 2\n0 1\n0 0\n")
+        assert err.value.line == 3
+
+    def test_missing_rows_named_at_the_last_line(self):
+        with pytest.raises(ParseError, match="expected 3 matrix rows, got 2") as err:
+            parse_matrix_text("gf 3 3 2\n1 2\n0 1\n# end\n")
+        assert err.value.line == 3
+
     def test_composite_order_rejected(self):
         with pytest.raises(ParseError):
             parse_matrix_text("gf 6 1 2\n1 2\n")
@@ -123,3 +133,15 @@ class TestLiftFormat:
         text = "base\nmatroid 3 circuits\n1 2\n1 3\n2 3\noverlay\nmatroid 2 circuits\n1 2\n"
         with pytest.raises(ParseError):
             parse_lift_text(text)
+
+    def test_section_error_names_the_file_line(self):
+        text = "# spec\n\nbase\nmatroid 3 circuits\n1 2\n1 9\noverlay\nmatroid 2 circuits\n"
+        with pytest.raises(ParseError, match="element 9 outside") as err:
+            parse_lift_text(text)
+        assert str(err.value).startswith("<string>:6: ")
+
+    def test_empty_section_named_at_its_marker(self):
+        text = "base\nmatroid 3 circuits\n1 2\n\noverlay  # none\n# no body\n"
+        with pytest.raises(ParseError, match="empty matroid file") as err:
+            parse_lift_text(text)
+        assert str(err.value).startswith("<string>:5: ")

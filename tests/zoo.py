@@ -14,6 +14,7 @@ from matlift.core import (
     DEFAULT_NODE_BUDGET,
     Mask,
     Matroid,
+    SearchBudgetExceeded,
     ValidationReport,
     _check_members,
     _CircuitIndex,
@@ -464,6 +465,97 @@ def has_minor_isomorphic_to(m: Matroid, target: Matroid, *, node_budget: int = D
         if find_isomorphism(minor, target, node_budget=node_budget) is not None:
             return True
     return False
+
+
+def element_signatures_by_family(fam: Sequence[Mask], n: int) -> list[tuple]:
+    """``core._element_signatures`` as it was before the per-element member
+    lists: each round walks the family itself."""
+    by_size: list[dict[int, int]] = [dict() for _ in range(n)]
+    for c in fam:
+        size = c.bit_count()
+        for e in elements_of(c):
+            by_size[e][size] = by_size[e].get(size, 0) + 1
+    sig1 = [tuple(sorted(d.items())) for d in by_size]
+    neigh: list[list[tuple]] = [[] for _ in range(n)]
+    for c in fam:
+        elems = elements_of(c)
+        for e in elems:
+            neigh[e].extend(sig1[f] for f in elems if f != e)
+    return [(sig1[e], tuple(sorted(neigh[e]))) for e in range(n)]
+
+
+def find_family_isomorphism_per_direction(
+    n: int,
+    fam1: Sequence[Mask],
+    fam2: Sequence[Mask],
+    *,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> Optional[list[int]]:
+    """``core.find_family_isomorphism`` as it was before the per-element
+    member lists: signatures from the families, one member index per family
+    built apart, and one loop per direction.  The same permutation, None or
+    budget node as the search in core."""
+    if len(fam1) != len(fam2):
+        return None
+    sig1 = element_signatures_by_family(fam1, n)
+    sig2 = element_signatures_by_family(fam2, n)
+    if sorted(sig1) != sorted(sig2):
+        return None
+    classes2: dict[tuple, list[int]] = {}
+    for f, s in enumerate(sig2):
+        classes2.setdefault(s, []).append(f)
+    order = sorted(range(n), key=lambda e: (len(classes2.get(sig1[e], ())), sig1[e], e))
+    circ1_set = frozenset(fam1)
+    circ2_set = frozenset(fam2)
+    circs1_at: list[list[Mask]] = [[] for _ in range(n)]
+    for c in fam1:
+        for e in elements_of(c):
+            circs1_at[e].append(c)
+    circs2_at: list[list[Mask]] = [[] for _ in range(n)]
+    for c in fam2:
+        for e in elements_of(c):
+            circs2_at[e].append(c)
+    image = [-1] * n
+    preimage = [-1] * n
+    nodes = 0
+
+    def apply(mask: Mask, mapping: list[int]) -> Mask:
+        return mask_of(mapping[e] for e in elements_of(mask))
+
+    def extend(pos: int, dom_mask: Mask, img_mask: Mask) -> bool:
+        nonlocal nodes
+        if pos == len(order):
+            return True
+        e = order[pos]
+        for f in classes2[sig1[e]]:
+            if (img_mask >> f) & 1:
+                continue
+            nodes += 1
+            if nodes > node_budget:
+                raise SearchBudgetExceeded(f"isomorphism search exceeded {node_budget} nodes")
+            image[e] = f
+            preimage[f] = e
+            ndom = dom_mask | (1 << e)
+            nimg = img_mask | (1 << f)
+            ok = True
+            for c in circs1_at[e]:
+                if c & ~ndom == 0 and apply(c, image) not in circ2_set:
+                    ok = False
+                    break
+            if ok:
+                for c in circs2_at[f]:
+                    if c & ~nimg == 0 and apply(c, preimage) not in circ1_set:
+                        ok = False
+                        break
+            if ok and extend(pos + 1, ndom, nimg):
+                return True
+            image[e] = -1
+            preimage[f] = -1
+        return False
+
+    if extend(0, 0, 0):
+        return list(image)
+    return None
 
 
 def antichain_bruteforce(big: KrtSpec, small: KrtSpec, *, proper: bool = True) -> bool:
