@@ -169,9 +169,11 @@ def parse_matrix_text(text: str, *, path: str = "<string>") -> GfMatrix:
         p_val, rows, cols = int(parts[1]), int(parts[2]), int(parts[3])
     except ValueError:
         raise ParseError(path, lineno, f"bad header numbers in {header!r}") from None
+    if rows < 1 or cols < 1:
+        raise ParseError(path, lineno, "matrix dimensions must be positive")
     if len(lines) != 1 + rows:
         # named at the first extra row, or at the last line when rows are missing
-        at = lines[1 + rows] if 0 <= rows < len(lines) - 1 else lines[-1]
+        at = lines[1 + rows] if rows < len(lines) - 1 else lines[-1]
         raise ParseError(path, at[0], f"expected {rows} matrix rows, got {len(lines) - 1}")
     data = []
     for lineno, body in lines[1:]:

@@ -14,6 +14,7 @@ from itertools import combinations
 from typing import Callable, Iterator, Optional
 
 from matlift.core import (
+    MAX_GROUND,
     Mask,
     Matroid,
     RankMatroid,
@@ -24,6 +25,9 @@ from matlift.core import (
     one_based,
     subsets_of_size,
 )
+
+# four disjoint pairs of a five-of-six configuration
+Pairing = tuple[Mask, Mask, Mask, Mask]
 
 
 @dataclass(frozen=True)
@@ -42,6 +46,9 @@ class KrtSpec:
             raise ValueError(
                 f"K(r,t) needs r >= 4, t >= 3, r <= 2t-2; got r={self.r}, t={self.t}"
             )
+        if self.ground_size > MAX_GROUND:
+            # refused before any block is listed, as SparsePaving would
+            raise ValueError(f"ground set size {self.ground_size} outside [0, {MAX_GROUND}]")
 
     @property
     def ground_size(self) -> int:
@@ -91,8 +98,8 @@ class KrtSpec:
 def build_krt(spec: KrtSpec) -> SparsePaving:
     """K(r,t): the rank-r sparse paving matroid on 2t+2 elements whose
     circuit-hyperplanes are C'(r,t) and C''(r,t), built without enumerating
-    any subset.  ``SparsePaving`` raises ``ValueError`` above ``MAX_GROUND``
-    elements or when two of them share r-1 elements."""
+    any subset.  ``SparsePaving`` raises ``ValueError`` when two of them
+    share r-1 elements; ``KrtSpec`` refuses more than ``MAX_GROUND``."""
     return SparsePaving(spec.ground_size, spec.r, spec.circuit_hyperplanes)
 
 
@@ -225,7 +232,7 @@ class IngletonWitness:
     as the Ingleton quadruple yields a strict violation."""
 
     core: Mask
-    pairs: tuple[Mask, Mask, Mask, Mask]
+    pairs: Pairing
 
     def as_dict(self) -> dict:
         return {
@@ -247,36 +254,36 @@ def is_ingleton_sparse_paving(m: Matroid | SparsePaving) -> tuple[bool, Optional
     sp = SparsePaving.of(m)
     if sp.r < 4:
         return True, None
-    for core, quads, supports in _configurations(sp, key=None):
+    for core, supports in _configurations(sp, key=None):
         if supports:
-            eight = min(supports, key=elements_of)
-            pairs, (i, j) = next(_five_of_six_pairings(elements_of(eight), quads.__contains__))
-            others = [k for k in range(4) if k not in (i, j)]
-            return False, IngletonWitness(core, (pairs[others[0]], pairs[others[1]], pairs[i], pairs[j]))
+            return False, IngletonWitness(core, supports[min(supports, key=elements_of)])
     return True, None
 
 
-def _configurations(sp: SparsePaving, key: Optional[Callable]) -> Iterator[tuple[Mask, set[Mask], set[Mask]]]:
-    """(C, F_C, supports of F_C) for F_C = {H - C : C ⊆ H circuit-hyperplane}
-    at every core C of a five-of-six configuration, in ``key`` order: the
-    (r-4)-element intersections of two circuit-hyperplanes, such as
-    C | P1 | P3 and C | P2 | P4."""
+def _configurations(sp: SparsePaving, key: Optional[Callable]) -> Iterator[tuple[Mask, dict[Mask, Pairing]]]:
+    """(C, ``_five_of_six_supports`` of F_C) for F_C = {H - C : C ⊆ H
+    circuit-hyperplane} at every core C of a five-of-six configuration, in
+    ``key`` order: the (r-4)-element intersections of two
+    circuit-hyperplanes, such as C | P1 | P3 and C | P2 | P4."""
     chs = sp.circuit_hyperplanes
     cores = {a & b for a, b in combinations(chs, 2) if (a & b).bit_count() == sp.r - 4}
     for core in sorted(cores, key=key):
-        quads = {h & ~core for h in chs if core & ~h == 0}
-        yield core, quads, _five_of_six_supports(quads)
+        yield core, _five_of_six_supports({h & ~core for h in chs if core & ~h == 0})
 
 
-def _five_of_six_supports(quads: set[Mask]) -> set[Mask]:
+def _five_of_six_supports(quads: set[Mask]) -> dict[Mask, Pairing]:
     """Every 8-set P1 | P2 | P3 | P4 of four disjoint pairs whose unions
-    P1P2, P1P3, P1P4, P2P3, P2P4 are in ``quads`` while P3P4 is not.
+    P1P2, P1P3, P1P4, P2P3, P2P4 are in ``quads`` while P3P4 is not, mapped
+    to (P1, P2, P3, P4), each half sorted by least element.
 
     P1 and P2 are the pairs in three of the five unions, so a = P1P2 and
-    b = P1P3 meet in P1, and every third member through P1 gives a P4.
-    O(|quads|^3).
+    b = P1P3 meet in P1, and every third member through P1 gives a P4.  A
+    support may hold several such pairings, met several times each; it
+    keeps the first in matching order, where the pairs, sorted by least
+    element, compare as lists of masks (the partner of the least element
+    varies slowest).  O(|quads|^3).
     """
-    out = set()
+    out: dict[Mask, Pairing] = {}
     for a in quads:
         for b in quads:
             p1 = a & b
@@ -290,33 +297,15 @@ def _five_of_six_supports(quads: set[Mask]) -> set[Mask]:
                 if c & p1 != p1 or p4 & (a | b):
                     continue
                 if p2 | p4 in quads and p3 | p4 not in quads:
-                    out.add(a | b | p4)
+                    found = (*_by_least((p1, p2)), *_by_least((p3, p4)))
+                    s = a | b | p4
+                    out[s] = min(out.get(s, found), found, key=_by_least)
     return out
 
 
-def _five_of_six_pairings(
-    elems: list[int], in_family: Callable[[Mask], bool]
-) -> Iterator[tuple[list[Mask], tuple[int, int]]]:
-    """Pairings of eight elements, in ``_pairings`` order, where exactly five
-    of the six pair unions are in the family; each comes with the positions
-    (i, j) of the one union that is not."""
-    for pairs in _pairings(elems):
-        missing = [(i, j) for i, j in combinations(range(4), 2) if not in_family(pairs[i] | pairs[j])]
-        if len(missing) == 1:
-            yield pairs, missing[0]
-
-
-def _pairings(elems: list[int]) -> Iterator[list[Mask]]:
-    """All perfect matchings of an even element list, as pair masks."""
-    if not elems:
-        yield []
-        return
-    first = elems[0]
-    for k in range(1, len(elems)):
-        mate = elems[k]
-        rest = elems[1:k] + elems[k + 1 :]
-        for sub in _pairings(rest):
-            yield [mask_of([first, mate])] + sub
+def _by_least(pairs: tuple[Mask, ...]) -> list[Mask]:
+    """Disjoint masks sorted by least element."""
+    return sorted(pairs, key=lambda p: p & -p)
 
 
 @dataclass(frozen=True)
@@ -326,7 +315,7 @@ class VamosLikeMinor:
 
     contracted: Mask
     deleted: Mask
-    partition: tuple[Mask, Mask, Mask, Mask]
+    partition: Pairing
 
     def as_dict(self) -> dict:
         return {
@@ -351,11 +340,10 @@ def scan_vamos_like_minors(m: Matroid | SparsePaving) -> list[VamosLikeMinor]:
     if sp.r < 4:
         return []
     out = []
-    for core, quads, supports in _configurations(sp, key=elements_of):
+    for core, supports in _configurations(sp, key=elements_of):
         rest = sp.full_mask & ~core
         for s in sorted(supports, key=lambda s: elements_of(rest & ~s)):
-            pairs, _ = next(_five_of_six_pairings(elements_of(s), quads.__contains__))
-            local = tuple(sorted(_in_labels_of(p, s) for p in pairs))
+            local = tuple(sorted(_in_labels_of(p, s) for p in supports[s]))
             out.append(VamosLikeMinor(core, rest & ~s, local))
     return out
 

@@ -196,14 +196,16 @@ class TestKrt:
             assert parse_matroid(path) == build_krt(KrtSpec(r, t)).to_matroid()
 
     def test_above_max_ground_exits_2_fast(self, capsys):
-        # K(40,40) has 82 elements; every krt command refuses it at once.
-        for command in ["build", "certify", "ingleton", "vamos-scan"]:
-            t0 = time.perf_counter()
-            code = main(["krt", command, "40", "40"])
-            elapsed = time.perf_counter() - t0
-            assert code == 2, command
-            assert "ground set size 82 outside [0, 64]" in capsys.readouterr().err
-            assert elapsed < 0.2, (command, elapsed)
+        # K(40,40) has 82 elements and K(4,30000) 60002; every krt command
+        # refuses both at once, without listing a block.
+        for r, t, n in [("40", "40", 82), ("4", "30000", 60002)]:
+            for command in ["build", "certify", "ingleton", "vamos-scan"]:
+                t0 = time.perf_counter()
+                code = main(["krt", command, r, t])
+                elapsed = time.perf_counter() - t0
+                assert code == 2, (command, t)
+                assert f"ground set size {n} outside [0, 64]" in capsys.readouterr().err
+                assert elapsed < 0.2, (command, t, elapsed)
 
     def test_build_out_above_cap_exits_2(self, capsys, tmp_path):
         out_path = tmp_path / "k10_10.ckt"

@@ -110,6 +110,11 @@ class TestMatrixFormat:
             parse_matrix_text("gf 3 3 2\n1 2\n0 1\n# end\n")
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("text", ["gf 3 -1 2\n1 2\n", "gf 3 1 -2\n1 2\n", "gf 3 0 2\n"])
+    def test_nonpositive_dimension_named_at_the_header(self, text):
+        with pytest.raises(ParseError, match="^<string>:1: matrix dimensions must be positive$"):
+            parse_matrix_text(text)
+
     def test_composite_order_rejected(self):
         with pytest.raises(ParseError):
             parse_matrix_text("gf 6 1 2\n1 2\n")

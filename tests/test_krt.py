@@ -57,6 +57,13 @@ class TestSpec:
             with pytest.raises(ValueError):
                 KrtSpec(r, t)
 
+    def test_refuses_oversize_ground_set_before_listing_blocks(self):
+        # K(4, 10^9) would list 2*10^9 - 1 circuit-hyperplanes; its 2t+2
+        # elements are refused by size alone.
+        with pytest.raises(ValueError, match=r"^ground set size 2000000002 outside \[0, 64\]$"):
+            KrtSpec(4, 10**9)
+        assert KrtSpec(4, 31).ground_size == 64
+
     def test_blocks_43(self):
         s = KrtSpec(4, 3)
         assert [one_based(b) for b in s.blocks] == [[1, 2], [3, 4], [5, 6]]
@@ -414,6 +421,24 @@ class TestStructuralScansAgainstBruteForce:
         assert _assert_matches_bruteforce(12, 6, chs) == (False, True)
         assert [w.contracted for w in scan_vamos_like_minors(SparsePaving(12, 6, chs))] == [0b1001, 0b0110]
         assert is_ingleton_sparse_paving(SparsePaving(12, 6, chs))[1].core == 0b0110
+
+
+    def test_two_pairings_keep_the_first_in_matching_order(self):
+        # An 8-element support with two five-of-six pairings: both searches
+        # report the first one in matching order, 13|24|58|67, whichever
+        # pairing the configuration search meets first.
+        chs = [mask_of(int(c) - 1 for c in q) for q in "1234 2357 1367 1358 2458 1468 3478 5678".split()]
+        quads = set(chs)
+        pairings = [
+            [one_based(p) for p in pairs]
+            for pairs in pairings_bruteforce(list(range(8)))
+            if sum(pairs[i] | pairs[j] not in quads for i, j in combinations(range(4), 2)) == 1
+        ]
+        assert pairings == [[[1, 3], [2, 4], [5, 8], [6, 7]], [[1, 6], [2, 5], [3, 7], [4, 8]]]
+        assert _assert_matches_bruteforce(8, 4, chs) == (False, True)
+        sp = SparsePaving(8, 4, chs)
+        assert is_ingleton_sparse_paving(sp)[1].as_dict()["pairs"] == [[1, 3], [5, 8], [2, 4], [6, 7]]
+        assert [w.as_dict()["partition"] for w in scan_vamos_like_minors(sp)] == [[[1, 3], [2, 4], [6, 7], [5, 8]]]
 
 
 class TestAntichain:
