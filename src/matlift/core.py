@@ -102,7 +102,9 @@ def canonical_circuits(circuits: Iterable[Mask]) -> tuple[Mask, ...]:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of an axiom check: ``ok`` or the first violation found."""
+    """Outcome of an axiom check: ``ok`` or the first violation found.
+    ``witness`` holds bit masks, then the failing element's index for an
+    elimination or exchange failure."""
 
     ok: bool
     kind: str = "ok"
@@ -114,10 +116,8 @@ class ValidationReport:
         if self.kind in ("elimination", "exchange"):
             a, b, e = self.witness
             return f"{self.kind} fails at ({one_based(a)}, {one_based(b)}) with element {e + 1}"
-        if self.witness and all(isinstance(w, int) for w in self.witness):
-            sets = ", ".join(str(one_based(w)) for w in self.witness)
-            return f"{self.kind} witness={sets}"
-        return f"{self.kind} witness={self.witness}"
+        sets = ", ".join(str(one_based(w)) for w in self.witness)
+        return f"{self.kind} witness={sets}"
 
 
 def _check_members(members: Sequence[Mask], n: int) -> Optional[ValidationReport]:
@@ -147,164 +147,6 @@ def _avoid_rows(fam: Sequence[Mask], n: int) -> list[Mask]:
     width = (n + 7) // 8
     data = b"".join(map(int.to_bytes, reversed(fam), repeat(width), repeat("little")))
     return [int(data[x >> 3 :: width].translate(_AVOID_CHARS[x & 7]), 2) for x in range(n)]
-
-
-class _CircuitIndex:
-    """Bit-parallel circuit incidence over a canonical family.
-
-    ``avoid[x]`` has bit k set when circuit k misses element x, and
-    ``upto[s]`` has the bits of the circuits with at most s elements (a
-    prefix, since canonical order sorts by size); ``members`` is the family
-    as a set.
-    """
-
-    __slots__ = ("avoid", "upto", "full", "members")
-
-    def __init__(self, fam: Sequence[Mask], n: int) -> None:
-        self.avoid = _avoid_rows(fam, n)
-        self.members = frozenset(fam)
-        sizes = [c.bit_count() for c in fam]
-        self.upto = [(1 << bisect_right(sizes, s)) - 1 for s in range(n + 1)]
-        self.full = (1 << n) - 1
-
-    def within(self, mask: Mask) -> Mask:
-        """Bit mask of the indices of the circuits inside ``mask``."""
-        bits = self.upto[mask.bit_count()]
-        rest = self.full & ~mask
-        avoid = self.avoid
-        while rest and bits:
-            low = rest & -rest
-            rest ^= low
-            bits &= avoid[low.bit_length() - 1]
-        return bits
-
-    def _flags(self, pivot: Mask, unions: Iterable[Mask]) -> bool:
-        """True when some union U (each containing ``pivot``) is a member,
-        or some element of ``pivot`` lies in every member inside U."""
-        within = self.within
-        members = self.members
-        rows = [self.avoid[e] for e in elements_of(pivot)]
-        for u in unions:
-            if u in members:
-                return True
-            inside = within(u)
-            for row in rows:
-                if not inside & row:
-                    return True
-        return False
-
-    def _pair_violation(self, a: Mask, b: Mask) -> Optional[tuple[str, tuple]]:
-        """Antichain and elimination for one pair of members, reported as
-        (kind, witness): one member inside the other, or the lowest e in
-        a & b that every member inside a | b contains."""
-        union = a | b
-        if union == a or union == b:
-            return "antichain", (a, b)
-        inter = a & b
-        if inter:
-            inside = self.within(union)
-            for e in elements_of(inter):
-                if not inside & self.avoid[e]:
-                    return "elimination", (a, b, e)
-        return None
-
-    def free_size(self) -> int:
-        """Size of a maximal member-free set, grown greedily in element
-        order (n ``within`` queries); the rank, when the family is the
-        circuit family of a matroid."""
-        free = 0
-        for x in range(self.full.bit_length()):
-            if not self.within(free | 1 << x):
-                free |= 1 << x
-        return free.bit_count()
-
-    def certifies(self, order: Sequence[Mask], k: int) -> bool:
-        """The bounded certificate over ``order`` (the indexed family, in
-        any order) with k = ``free_size()``: True exactly when the family
-        satisfies the circuit axioms.
-
-        It checks that no member has more than k+1 elements, then (A) every
-        (k+1)-set contains a member, and a member with k+1 elements contains
-        no smaller one (C(n, k+1) queries), then (C) that ``_flags`` finds no
-        failing pair among the meeting members of at most k elements whose
-        union has at most k+1 (one query per distinct union).
-
-        Sound: a member with at most k elements inside another one meets it
-        with that member as the union, so (A) and (C) give the antichain.
-        For meeting members C1, C2, e in both and U = C1 | C2: when
-        |U| >= k+2, U - e holds a (k+1)-set and so, by (A), a member; when
-        |U| <= k+1 neither has k+1 elements (it would equal U and contain
-        the other), so (C) covered the pair.  Complete: for the circuits of
-        a matroid of rank r, k = r, every (r+1)-set is dependent and no
-        circuit has more than r+1 elements.
-        """
-        if any(c.bit_count() > k + 1 for c in order):
-            return False
-        within = self.within
-        below = self.upto[k]
-        members = self.members
-        for x in subsets_of_size(self.full, k + 1):
-            inside = within(x)
-            if not inside or (inside & below and x in members):
-                return False
-        small = [c for c in order if c.bit_count() <= k]
-        return not any(
-            self._flags(c, {c | d for d in small[i + 1 :] if c & d and (c | d).bit_count() <= k + 1})
-            for i, c in enumerate(small)
-        )
-
-    def report(self, order: Sequence[Mask]) -> ValidationReport:
-        """The axiom check over ``order`` (the indexed family, in any
-        order).  ``certifies`` runs when its C(n, k+1) sets plus the pairs
-        of members of at most k elements are fewer than the m(m-1)/2 pairs
-        of the union pass; the union pass (``first_violation``) runs
-        otherwise, or when the certificate fails, and names the first
-        failing pair."""
-        k = self.free_size()
-        m, s = self.upto[-1].bit_length(), self.upto[k].bit_length()
-        if comb(self.full.bit_length(), k + 1) + s * (s - 1) // 2 < m * (m - 1) // 2 and self.certifies(order, k):
-            return ValidationReport(True)
-        return self.first_violation(order)
-
-    def first_violation(self, order: Sequence[Mask]) -> ValidationReport:
-        """Antichain and elimination over the pairs of ``order`` (the indexed
-        family, in any order), reporting the first failing pair of the walk
-        row by row (pair i < j, by i then j).
-
-        Elimination for (C1, C2, e) depends only on U = C1 | C2: it fails
-        exactly when e lies in every member inside U, and that core lies
-        inside C1.  So each row i first asks ``within(U)`` once per distinct
-        union U of C_i with a later member it meets, testing only C_i's
-        elements, and flags the row when some U fails or is itself a member
-        (one member inside another).  A row with a failing pair is always
-        flagged, and the first flagged row always holds one, so only that
-        row is walked pair by pair.  The cost is one set operation per pair
-        plus one ``within`` query per distinct union of a row, with memory
-        linear in the family.
-        """
-        for i, c in enumerate(order):
-            if self._flags(c, {c | d for d in order[i + 1 :] if c & d}):
-                for d in order[i + 1 :]:
-                    found = self._pair_violation(c, d)
-                    if found is not None:
-                        return ValidationReport(False, *found)
-        return ValidationReport(True)
-
-
-def validate_circuits(circuits: Sequence[Mask], n: int) -> ValidationReport:
-    """Check the circuit axioms: nonempty members, antichain, elimination.
-
-    Elimination: for distinct circuits C1, C2 and e in C1 & C2 there must
-    be a circuit inside (C1 | C2) with e removed.  ``_CircuitIndex.report``
-    proves a valid family with its bounded certificate (48,656 index
-    queries for the 48,485 circuits of K(8,8)), and its union pass names
-    the first failing pair of an invalid one, in canonical pair order.
-    """
-    bad = _check_members(circuits, n)
-    if bad is not None:
-        return bad
-    fam = canonical_circuits(circuits)
-    return _CircuitIndex(fam, n).report(fam)
 
 
 class RankMatroid:
@@ -348,17 +190,19 @@ class Matroid(RankMatroid):
     """A matroid given by its circuit family on ground set {0, ..., n-1}.
 
     Queries go through one bit-parallel circuit index built at
-    construction (``_CircuitIndex``): the circuits inside X are the size
-    prefix for |X| ANDed with ``avoid[x]`` for each x outside X.  The rank
-    oracle keeps one running mask of the circuits inside what is left of X
-    and, while it is nonzero, removes the largest element of the first of
-    them.  An element of a circuit lies in the closure of the rest, so each
-    removal keeps the rank, and what is left at the end is independent:
-    r(X) is |X| minus the removals.  Query masks must lie inside the
-    ground set.
+    construction: ``_avoid[x]`` has bit k set when circuit k misses element
+    x, ``_upto[s]`` has the bits of the circuits with at most s elements (a
+    prefix, since canonical order sorts by size) and ``_members`` is the
+    family as a set.  The circuits inside X are ``_upto[|X|]`` ANDed with
+    ``_avoid[x]`` for each x outside X.  The rank oracle keeps one running
+    mask of the circuits inside what is left of X and, while it is nonzero,
+    removes the largest element of the first of them.  An element of a
+    circuit lies in the closure of the rest, so each removal keeps the
+    rank, and what is left at the end is independent: r(X) is |X| minus
+    the removals.  Query masks must lie inside the ground set.
     """
 
-    __slots__ = ("circuits", "_index")
+    __slots__ = ("circuits", "_avoid", "_upto", "_members")
 
     def __init__(self, n: int, circuits: Iterable[Mask], *, validate: bool = True) -> None:
         if not 0 <= n <= MAX_GROUND:
@@ -367,15 +211,17 @@ class Matroid(RankMatroid):
         bad = _check_members(fam, n)
         if bad is not None:
             raise CircuitAxiomError(bad)
-        index = _CircuitIndex(fam, n)
-        if validate:
-            report = index.report(fam)
-            if not report.ok:
-                raise CircuitAxiomError(report)
+        sizes = [c.bit_count() for c in fam]
         self.n = n
         self.circuits = fam
-        self._index = index
+        self._avoid = _avoid_rows(fam, n)
+        self._upto = [(1 << bisect_right(sizes, s)) - 1 for s in range(n + 1)]
+        self._members = frozenset(fam)
         self.full_rank = self.rank(self.full_mask)
+        if validate:
+            report = self._axiom_report(fam)
+            if not report.ok:
+                raise CircuitAxiomError(report)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matroid):
@@ -389,7 +235,7 @@ class Matroid(RankMatroid):
         return f"Matroid(n={self.n}, circuits={len(self.circuits)}, rank={self.full_rank})"
 
     def is_circuit(self, mask: Mask) -> bool:
-        return mask in self._index.members
+        return mask in self._members
 
     def rank(self, mask: Mask) -> int:
         return self.rank_and_circuits(mask)[0]
@@ -397,8 +243,8 @@ class Matroid(RankMatroid):
     def rank_and_circuits(self, mask: Mask) -> tuple[int, Mask]:
         """r(mask) and the circuits inside mask, as a bit mask of circuit
         indices, from one index query."""
-        avoid = self._index.avoid
-        inside = alive = self._index.within(mask)
+        avoid = self._avoid
+        inside = alive = self._within(mask)
         r = mask.bit_count()
         while alive:
             first = self.circuits[(alive & -alive).bit_length() - 1]
@@ -411,8 +257,8 @@ class Matroid(RankMatroid):
         fixed by n.  X's parent is X + m, m the least element missing from
         X: X keeps the parent's circuits that miss m, and one rank less
         when that is all of them."""
-        avoid = self._index.avoid
-        stack = [(self.full_mask, self.full_rank, self._index.upto[-1], self.n)]
+        avoid = self._avoid
+        stack = [(self.full_mask, self.full_rank, self._upto[-1], self.n)]
         while stack:
             x, r, inside, low = stack.pop()
             yield x, r, inside
@@ -438,6 +284,142 @@ class Matroid(RankMatroid):
         for e in elements_of(self.full_mask & ~loops):
             classes[head[e]] = classes.get(head[e], 0) | 1 << e
         return list(classes.values())
+
+    # The circuit axioms over the index, for ``validate=True``,
+    # ``validate_circuits`` and ``validate_hyperplanes``.  ``order`` is the
+    # indexed family in any order; the union pass names its first failing
+    # pair in that order.
+
+    def _within(self, mask: Mask) -> Mask:
+        """Bit mask of the indices of the circuits inside ``mask``."""
+        bits = self._upto[mask.bit_count()]
+        rest = ((1 << self.n) - 1) & ~mask
+        avoid = self._avoid
+        while rest and bits:
+            low = rest & -rest
+            rest ^= low
+            bits &= avoid[low.bit_length() - 1]
+        return bits
+
+    def _flags(self, pivot: Mask, unions: Iterable[Mask]) -> bool:
+        """True when some union U (each containing ``pivot``) is a member,
+        or some element of ``pivot`` lies in every member inside U."""
+        within = self._within
+        members = self._members
+        rows = [self._avoid[e] for e in elements_of(pivot)]
+        for u in unions:
+            if u in members:
+                return True
+            inside = within(u)
+            for row in rows:
+                if not inside & row:
+                    return True
+        return False
+
+    def _pair_violation(self, a: Mask, b: Mask) -> Optional[tuple[str, tuple]]:
+        """Antichain and elimination for one pair of members, reported as
+        (kind, witness): one member inside the other, or the lowest e in
+        a & b that every member inside a | b contains."""
+        union = a | b
+        if union == a or union == b:
+            return "antichain", (a, b)
+        inter = a & b
+        if inter:
+            inside = self._within(union)
+            for e in elements_of(inter):
+                if not inside & self._avoid[e]:
+                    return "elimination", (a, b, e)
+        return None
+
+    def _certifies(self, order: Sequence[Mask], k: int) -> bool:
+        """The bounded certificate over ``order``: True only when the family
+        satisfies the circuit axioms, and exactly then when k is the rank.
+
+        It checks that no member has more than k+1 elements, then (A) every
+        (k+1)-set contains a member, and a member with k+1 elements contains
+        no smaller one (C(n, k+1) queries), then (C) that ``_flags`` finds no
+        failing pair among the meeting members of at most k elements whose
+        union has at most k+1 (one query per distinct union).
+
+        Sound for any k: a member with at most k elements inside another one
+        meets it with that member as the union, so (A) and (C) give the
+        antichain.  For meeting members C1, C2, e in both and U = C1 | C2:
+        when |U| >= k+2, U - e holds a (k+1)-set and so, by (A), a member;
+        when |U| <= k+1 neither has k+1 elements (it would equal U and
+        contain the other), so (C) covered the pair.  Complete for k = r:
+        for the circuits of a matroid of rank r every (r+1)-set is
+        dependent and no circuit has more than r+1 elements.
+        ``_axiom_report`` passes ``full_rank``, which the removal loop
+        makes r on a valid family; on an invalid one it may be any number,
+        and the certificate fails all the same.
+        """
+        if any(c.bit_count() > k + 1 for c in order):
+            return False
+        within = self._within
+        below = self._upto[k]
+        members = self._members
+        for x in subsets_of_size(self.full_mask, k + 1):
+            inside = within(x)
+            if not inside or (inside & below and x in members):
+                return False
+        small = [c for c in order if c.bit_count() <= k]
+        return not any(
+            self._flags(c, {c | d for d in small[i + 1 :] if c & d and (c | d).bit_count() <= k + 1})
+            for i, c in enumerate(small)
+        )
+
+    def _axiom_report(self, order: Sequence[Mask]) -> ValidationReport:
+        """The axiom check over ``order``.  ``_certifies`` runs, with k =
+        ``full_rank``, when its C(n, k+1) sets plus the pairs of members of
+        at most k elements are fewer than the m(m-1)/2 pairs of the union
+        pass; the union pass (``_first_violation``) runs otherwise, or when
+        the certificate fails, and names the first failing pair."""
+        k = self.full_rank
+        m, s = self._upto[-1].bit_length(), self._upto[k].bit_length()
+        if comb(self.n, k + 1) + s * (s - 1) // 2 < m * (m - 1) // 2 and self._certifies(order, k):
+            return ValidationReport(True)
+        return self._first_violation(order)
+
+    def _first_violation(self, order: Sequence[Mask]) -> ValidationReport:
+        """Antichain and elimination over the pairs of ``order``, reporting
+        the first failing pair of the walk row by row (pair i < j, by i
+        then j).
+
+        Elimination for (C1, C2, e) depends only on U = C1 | C2: it fails
+        exactly when e lies in every member inside U, and that core lies
+        inside C1.  So each row i first asks ``_within(U)`` once per
+        distinct union U of C_i with a later member it meets, testing only
+        C_i's elements, and flags the row when some U fails or is itself a
+        member (one member inside another).  A row with a failing pair is
+        always flagged, and the first flagged row always holds one, so only
+        that row is walked pair by pair.  The cost is one set operation per
+        pair plus one ``_within`` query per distinct union of a row, with
+        memory linear in the family.
+        """
+        for i, c in enumerate(order):
+            if self._flags(c, {c | d for d in order[i + 1 :] if c & d}):
+                for d in order[i + 1 :]:
+                    found = self._pair_violation(c, d)
+                    if found is not None:
+                        return ValidationReport(False, *found)
+        return ValidationReport(True)
+
+
+def validate_circuits(circuits: Sequence[Mask], n: int) -> ValidationReport:
+    """Check the circuit axioms: nonempty members, antichain, elimination.
+
+    Elimination: for distinct circuits C1, C2 and e in C1 & C2 there must
+    be a circuit inside (C1 | C2) with e removed.  ``Matroid._axiom_report``
+    proves a valid family with its bounded certificate (48,621 index
+    queries for the 48,485 circuits of K(8,8)), and its union pass names
+    the first failing pair of an invalid one, in canonical pair order.
+    ``ValueError`` when n is outside [0, 64].
+    """
+    bad = _check_members(circuits, n)
+    if bad is not None:
+        return bad
+    m = Matroid(n, circuits, validate=False)
+    return m._axiom_report(m.circuits)
 
 
 class SparsePaving(RankMatroid):
@@ -565,7 +547,7 @@ def is_sparse_paving(m: Matroid) -> bool:
     r = m.full_rank
     if m.circuits and m.circuits[0].bit_count() < r:
         return False
-    return _shared_face(m.circuits[: m._index.upto[r].bit_length()]) is None
+    return _shared_face(m.circuits[: m._upto[r].bit_length()]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +671,7 @@ def validate_hyperplanes(hyperplanes: Sequence[Mask], n: int) -> ValidationRepor
 
     Exchange is circuit elimination on the complements: it holds for
     (H1, H2, e) iff some complement D inside D1 | D2 misses e.  So the
-    check is ``_CircuitIndex.report`` over the complements listed in
+    check is ``Matroid._axiom_report`` over the complements listed in
     hyperplane canonical order, at the same cost, and the witnesses of
     its union pass are mapped back.
     """
@@ -701,7 +683,7 @@ def validate_hyperplanes(hyperplanes: Sequence[Mask], n: int) -> ValidationRepor
         if h == full:
             return ValidationReport(False, "improper-member", (h,))
     complements = [full ^ h for h in fam]
-    report = _CircuitIndex(canonical_circuits(complements), n).report(complements)
+    report = Matroid(n, complements, validate=False)._axiom_report(complements)
     if report.ok:
         return report
     kind = "exchange" if report.kind == "elimination" else report.kind

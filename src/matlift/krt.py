@@ -252,8 +252,6 @@ def is_ingleton_sparse_paving(m: Matroid | SparsePaving) -> tuple[bool, Optional
     in combinations order.  Raises ``ValueError`` unless m is sparse paving.
     """
     sp = SparsePaving.of(m)
-    if sp.r < 4:
-        return True, None
     for core, supports in _configurations(sp, key=None):
         if supports:
             return False, IngletonWitness(core, supports[min(supports, key=elements_of)])
@@ -337,8 +335,6 @@ def scan_vamos_like_minors(m: Matroid | SparsePaving) -> list[VamosLikeMinor]:
     without materializing any minor, at the cores of ``_configurations``.
     """
     sp = SparsePaving.of(m)
-    if sp.r < 4:
-        return []
     out = []
     for core, supports in _configurations(sp, key=elements_of):
         rest = sp.full_mask & ~core

@@ -327,7 +327,8 @@ def evaluate_lift_formula(spec: LiftSpec) -> tuple[Optional[Matroid], Validation
     """Diagnostic mode: evaluate the lift rank formula without requiring (*').
 
     Checks unit increase and local submodularity over all subsets and
-    reports the first violation; when none is found the materialized
+    reports the first violation, with the masks (X, {e}) or (X, {e}, {f})
+    as its witness; when none is found the materialized
     matroid is returned alongside an ok report.  Normalization and
     monotonicity need no check: r(empty) = r_M(empty) + r_N(empty) = 0, and
     both terms of the formula are monotone, since the circuits inside X
@@ -345,11 +346,8 @@ def evaluate_lift_formula(spec: LiftSpec) -> tuple[Optional[Matroid], Validation
         while rest:
             low = rest & -rest
             rest ^= low
-            gain = ranks[mask | low] - ranks[mask]
-            if gain > 1:
-                return None, ValidationReport(
-                    False, "unit-increase", (mask, low.bit_length() - 1, gain)
-                )
+            if ranks[mask | low] - ranks[mask] > 1:
+                return None, ValidationReport(False, "unit-increase", (mask, low))
     # Local submodularity r(X+e) + r(X+f) >= r(X+e+f) + r(X) is equivalent
     # to the global form given the other axioms.
     for mask in range(full + 1):
@@ -358,9 +356,5 @@ def evaluate_lift_formula(spec: LiftSpec) -> tuple[Optional[Matroid], Validation
             for b in range(a + 1, len(outside)):
                 e, f = outside[a], outside[b]
                 if ranks[mask | e] + ranks[mask | f] < ranks[mask | e | f] + ranks[mask]:
-                    return None, ValidationReport(
-                        False,
-                        "submodularity",
-                        (mask, e.bit_length() - 1, f.bit_length() - 1),
-                    )
+                    return None, ValidationReport(False, "submodularity", (mask, e, f))
     return Matroid(n, circuits_from_rank_oracle(ranks.__getitem__, n)), ValidationReport(True)

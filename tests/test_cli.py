@@ -383,6 +383,40 @@ class TestLiftCommands:
         assert code == 1
         assert "formula" in out.lower() or "axiom" in out.lower()
 
+    @pytest.mark.parametrize(
+        "overlay, witness",
+        [("", "unit-increase witness=[1, 2], [3]"), ("1\n2\n", "submodularity witness=[1], [2], [3]")],
+        ids=["unit-increase", "submodularity"],
+    )
+    def test_force_names_the_failing_sets(self, capsys, tmp_path, overlay, witness):
+        # base U_{1,3}: with the free overlay r(X+e) - r(X) = 2 at X = {1, 2},
+        # e = 3; with elements 1 and 2 loops of the overlay, X = {1},
+        # e = 2, f = 3 break submodularity
+        spec = tmp_path / "s.lift"
+        spec.write_text("base\nmatroid 3 circuits\n1 2\n1 3\n2 3\noverlay\nmatroid 3 circuits\n" + overlay)
+        path = tmp_path / "r.json"
+        code, out = run(["--json", str(path), "lift", "general", str(spec), "--force"], capsys)
+        assert code == 1
+        assert out.strip() == f"condition (*') fails and the formula breaks: {witness}"
+        assert load_report(path)["checks"][-1] == {"name": "formula_rank_axioms", "pass": False, "witness": witness}
+
+    def test_force_when_the_formula_is_a_matroid(self, capsys, tmp_path):
+        spec = tmp_path / "s.lift"
+        spec.write_text(
+            "base\nmatroid 6 circuits\n2 3 4 6\n1 2 5 6\n1 2 3 4 5\n1 3 4 5 6\n"
+            "overlay\nmatroid 4 circuits\n1 4\n1 2 3\n2 3 4\n"
+        )
+        path = tmp_path / "r.json"
+        code, _ = run(["--json", str(path), "lift", "general", str(spec), "--force"], capsys)
+        assert code == 1
+        report = load_report(path)
+        assert report["checks"] == [
+            {"name": "star_prime", "pass": False, "witness": "circuit #2 not in cl_N of {1, 4}"},
+            {"name": "formula_rank_axioms", "pass": True},
+        ]
+        assert report["lift"] == {"rank": 6, "circuits": []}
+        assert report["conclusion"] == "condition (*') fails, yet the formula still gives a matroid"
+
     @pytest.mark.parametrize("overlay, code", [("1 2 3\n", 0), ("", 1)])
     def test_general_checks_star_prime_once(self, capsys, tmp_path, monkeypatch, overlay, code):
         # (*') is checked by build_lift alone; the report keeps its checks
@@ -706,27 +740,25 @@ def test_iso_large_saved_family_with_relabeling(wall_dir, tmp_path):
 
 @pytest.mark.parametrize("name", [w[1] for w in WALL_FAMILIES])
 def test_large_saved_family_takes_the_bounded_certificate(wall_dir, name, monkeypatch):
-    """At most C(n, k+1) + m + n + s(s-1)/2 circuit-index queries, s the
+    """At most C(n, k+1) + m + 1 + s(s-1)/2 circuit-index queries, s the
     members of at most k elements; the union pass makes hundreds of
     thousands on these families."""
     from matlift.io import parse_matroid
 
     m = parse_matroid(wall_dir / name, validate=False)
-    index = core._CircuitIndex(m.circuits, m.n)
-    k = index.free_size()
-    s, count = index.upto[k].bit_length(), len(m.circuits)
+    k = m.full_rank
+    s, count = m._upto[k].bit_length(), len(m.circuits)
     calls = 0
-    within = core._CircuitIndex.within
+    within = core.Matroid._within
 
     def counted(self, mask):
         nonlocal calls
         calls += 1
         return within(self, mask)
 
-    monkeypatch.setattr(core._CircuitIndex, "within", counted)
+    monkeypatch.setattr(core.Matroid, "_within", counted)
     assert validate_circuits(m.circuits, m.n).ok
-    assert k == m.full_rank
-    assert calls <= comb(m.n, k + 1) + count + m.n + s * (s - 1) // 2
+    assert calls <= comb(m.n, k + 1) + count + 1 + s * (s - 1) // 2
 
 
 # The 14 golden reports: GOLDEN_CASES and the four checked above.

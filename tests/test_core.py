@@ -15,12 +15,14 @@ import matlift.core as core
 import matlift.lifts as lifts
 from matlift.core import (
     CircuitAxiomError,
+    HyperplaneAxiomError,
     Matroid,
     SparsePaving,
     ValidationReport,
     canonical_circuits,
     circuits_from_rank_oracle,
     elements_of,
+    find_family_isomorphism,
     find_isomorphism,
     is_sparse_paving,
     mask_of,
@@ -103,6 +105,16 @@ class TestValidateCircuits:
     def test_constructor_raises(self):
         with pytest.raises(CircuitAxiomError):
             Matroid(4, [mask_of([0, 1]), mask_of([0, 1, 2])])
+
+    @pytest.mark.parametrize("member, kind", [(0, "empty-member"), (0b1000, "out-of-range")])
+    def test_constructor_rejects_a_bad_member(self, member, kind):
+        with pytest.raises(CircuitAxiomError) as err:
+            Matroid(3, [member])
+        assert err.value.report == ValidationReport(False, kind, (member,))
+
+    def test_ground_set_above_the_limit_raises(self):
+        with pytest.raises(ValueError, match=r"^ground set size 65 outside \[0, 64\]$"):
+            validate_circuits([0b11], 65)
 
 
 class TestRank:
@@ -284,6 +296,13 @@ class TestIsomorphism:
         m = k43()
         assert find_isomorphism(m, relax(m, mask_of([0, 1, 2, 3]))) is None
 
+    def test_equal_signatures_without_isomorphism(self):
+        # The edges of C6 and of two disjoint triangles: every element lies
+        # on two edges in both, so only the full search answers None.
+        hexagon = [mask_of([i, (i + 1) % 6]) for i in range(6)]
+        triangles = [mask_of(e) for e in ([0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5])]
+        assert find_family_isomorphism(6, hexagon, triangles) is None
+
     def test_budget_exceeded_distinct_from_absent(self):
         from matlift.core import SearchBudgetExceeded
 
@@ -443,6 +462,10 @@ class TestHyperplanes:
         u23 = uniform_matroid(2, 3)
         with pytest.raises(ValueError):
             matroid_from_hyperplanes(hyperplanes(u23), 3, 1)
+
+    def test_non_hyperplane_family_raises(self):
+        with pytest.raises(HyperplaneAxiomError, match=r"exchange fails at \(\[1\], \[2\]\) with element 3$"):
+            matroid_from_hyperplanes([0b001, 0b010], 3, 2)
 
 
 class TestMinorSearch:
@@ -677,10 +700,9 @@ class TestCircuitIndexAgainstBruteForce:
 
 def _certifies(fam, n: int) -> bool:
     """The bounded certificate run directly, whatever path the cost rule
-    in ``_CircuitIndex.report`` would pick."""
-    canon = canonical_circuits(fam)
-    index = core._CircuitIndex(canon, n)
-    return index.certifies(canon, index.free_size())
+    in ``Matroid._axiom_report`` would pick."""
+    m = Matroid(n, fam, validate=False)
+    return m._certifies(m.circuits, m.full_rank)
 
 
 def _random_clutter(rng: random.Random) -> tuple[int, list[int]]:
@@ -695,8 +717,8 @@ def _random_clutter(rng: random.Random) -> tuple[int, list[int]]:
     return n, [c for c in raw if not any(d != c and d & ~c == 0 for d in raw)]
 
 
-# Two non-matroids on {0, 1, 2, 3}.  The greedy member-free set is {0, 1}
-# (k = 2) for the first and {0, 2, 3} (k = 3) for the second.
+# Two non-matroids on {0, 1, 2, 3}.  The removal loop of ``Matroid.rank``
+# gives k = 2 for the first and k = 3 for the second.
 # - {012, 013} fails elimination only at a union of 4 = k+2 elements and has
 #   no member of at most k elements, so only (A), every 3-set holding a
 #   member, rejects it: {0, 2, 3} holds none.
@@ -707,7 +729,7 @@ SMALL_UNION_FAILURE = [0b0011, 0b0110]
 
 
 class TestBoundedCertificate:
-    """``_CircuitIndex.certifies`` against the scanning oracles of
+    """``Matroid._certifies`` against the scanning oracles of
     ``tests/zoo.py``, verdict for verdict, and ``validate_circuits`` (bounded
     certificate, union pass on failure) report for report."""
 
@@ -743,11 +765,11 @@ class TestBoundedCertificate:
         n = 4
         want = validate_circuits_bruteforce(fam, n)
         assert not want.ok and validate_circuits(fam, n) == want
-        index = core._CircuitIndex(canonical_circuits(fam), n)
-        k = index.free_size()
+        m = Matroid(n, fam, validate=False)
+        k = m.full_rank
         a, b, _ = want.witness
         assert ((a | b).bit_count() >= k + 2) == large
-        assert not index.certifies(canonical_circuits(fam), k)
+        assert not m._certifies(m.circuits, k)
 
 
 @lru_cache(maxsize=1)
@@ -807,21 +829,21 @@ class TestUnionPassAtBenchSizes:
 
     def test_within_queries_once_per_distinct_union(self, monkeypatch):
         calls = 0
-        within = core._CircuitIndex.within
+        within = core.Matroid._within
 
         def counted(self, mask):
             nonlocal calls
             calls += 1
             return within(self, mask)
 
-        monkeypatch.setattr(core._CircuitIndex, "within", counted)
+        monkeypatch.setattr(core.Matroid, "_within", counted)
         m = dict(zoo())["K(5,5)"]
         assert validate_circuits(m.circuits, m.n).ok
         assert 0 < calls <= 46_000  # 377,557 pairs of meeting circuits
         # The valid family takes the bounded certificate; the union pass
         # alone keeps the same bound.
         calls = 0
-        assert core._CircuitIndex(m.circuits, m.n).first_violation(m.circuits).ok
+        assert Matroid(m.n, m.circuits, validate=False)._first_violation(m.circuits).ok
         assert 0 < calls <= 46_000
         # The first violation lies in row 370 of 869; only that row is
         # walked pair by pair.

@@ -375,16 +375,16 @@ class TestRank2Lift:
     def test_one_axiom_pass(self, name, monkeypatch):
         # Only the hyperplane family is validated: the quotient test reads
         # the graphic flats and builds no cycle family.
-        from matlift.core import _CircuitIndex
+        from matlift.core import Matroid
 
         passes = []
-        first_violation = _CircuitIndex.first_violation
+        first_violation = Matroid._first_violation
 
         def counting(index, order):
             passes.append(len(order))
             return first_violation(index, order)
 
-        monkeypatch.setattr(_CircuitIndex, "first_violation", counting)
+        monkeypatch.setattr(Matroid, "_first_violation", counting)
         res = rank2_lift_k3(builtin_group(name))
         assert passes == [len(res.hyperplanes)]
         assert is_quotient(graphic_matroid(res.gain_graph), res.matroid)

@@ -82,6 +82,20 @@ class TestGroupFormat:
         with pytest.raises(ParseError):
             parse_group_text("group 3\na b c\na b c\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("group x\n", "<string>:1: bad group order 'x'"),
+            ("group 2\ne\ne a\na e\n", "<string>:2: expected 2 element names, got 1"),
+            ("group 2\ne e\ne e\ne e\n", "<string>:2: element names must be distinct"),
+        ],
+        ids=["order", "too-few-names", "repeated-names"],
+    )
+    def test_header_and_name_line_errors(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_group_text(text)
+        assert str(err.value) == message
+
     def test_extra_line_after_table(self):
         text = "group 2\ne a\ne a\na e\n# comment\njunk row here\ne a\n"
         with pytest.raises(ParseError, match="after the 2 table rows") as err:
@@ -115,6 +129,19 @@ class TestMatrixFormat:
         with pytest.raises(ParseError, match="^<string>:1: matrix dimensions must be positive$"):
             parse_matrix_text(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("gf 3 a 2\n1 2\n", "<string>:1: bad header numbers in 'gf 3 a 2'"),
+            ("gf 3 1 2\n1 x\n", "<string>:2: non-integer entry in '1 x'"),
+        ],
+        ids=["header", "entry"],
+    )
+    def test_non_integer_errors(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_matrix_text(text)
+        assert str(err.value) == message
+
     def test_composite_order_rejected(self):
         with pytest.raises(ParseError):
             parse_matrix_text("gf 6 1 2\n1 2\n")
@@ -129,6 +156,12 @@ class TestLiftFormat:
         back = parse_lift_text(text + emit_matroid_text(spec.overlay))
         assert back.base == spec.base
         assert back.overlay == spec.overlay
+
+    def test_duplicate_section(self):
+        text = "base\nmatroid 3 circuits\n1 2\n1 3\n2 3\nbase\noverlay\nmatroid 3 circuits\n"
+        with pytest.raises(ParseError) as err:
+            parse_lift_text(text)
+        assert str(err.value) == "<string>:6: duplicate section 'base'"
 
     def test_missing_section(self):
         with pytest.raises(ParseError):

@@ -349,6 +349,14 @@ class TestVamosLike:
         with pytest.raises(ValueError):
             scan_vamos_like_minors(m)
 
+    def test_below_rank_four_no_configuration(self):
+        # A configuration's core has r - 4 elements, so the Fano plane, as
+        # the sparse paving matroid of its lines, holds none.
+        lines = [[0, 1, 2], [0, 3, 4], [0, 5, 6], [1, 3, 5], [1, 4, 6], [2, 3, 6], [2, 4, 5]]
+        f7 = SparsePaving(7, 3, map(mask_of, lines))
+        assert is_ingleton_sparse_paving(f7) == (True, None)
+        assert scan_vamos_like_minors(f7) == []
+
 
 def _assert_matches_bruteforce(n: int, r: int, chs: list) -> tuple[bool, bool]:
     """The structural searches on the ``SparsePaving`` with these

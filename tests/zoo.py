@@ -17,7 +17,6 @@ from matlift.core import (
     SearchBudgetExceeded,
     ValidationReport,
     _check_members,
-    _CircuitIndex,
     canonical_circuits,
     circuits_from_rank_oracle,
     elements_of,
@@ -255,8 +254,8 @@ def validate_circuits_pairwise(circuits: Sequence[Mask], n: int) -> ValidationRe
     if bad is not None:
         return bad
     fam = canonical_circuits(circuits)
-    index = _CircuitIndex(fam, n)
-    avoid = index.avoid
+    index = Matroid(n, fam, validate=False)
+    avoid = index._avoid
     for ci, cj in combinations(fam, 2):
         # Canonical order makes ci the smaller set, so one test covers
         # both containment directions.
@@ -265,7 +264,7 @@ def validate_circuits_pairwise(circuits: Sequence[Mask], n: int) -> ValidationRe
         inter = ci & cj
         if inter == 0:
             continue
-        inside = index.within(ci | cj)
+        inside = index._within(ci | cj)
         while inter:
             low = inter & -inter
             inter ^= low
