@@ -187,7 +187,7 @@ def cmd_lift_general(args: argparse.Namespace, rep: Report) -> None:
         ok_star, witness_star = check_star(spec)
         rep.check("star", ok_star, None if ok_star else str(witness_star))
     if lifted is not None:
-        rep.check("lift_rank", lifted.full_rank == spec.base.full_rank + spec.overlay.full_rank)
+        rep.check("lift_rank", lifted.full_rank == spec.full_rank)
         rep["lift"] = _lift_dict(lifted)
         rep["conclusion"] = f"lift built, rank {lifted.full_rank}"
         _write_matroid(lifted, args.out)
@@ -204,24 +204,24 @@ def cmd_lift_general(args: argparse.Namespace, rep: Report) -> None:
 
 
 def cmd_rep_witness(args: argparse.Namespace, rep: Report) -> None:
-    from matlift.gf import WitnessProblem, lift_witness, verify_witness
+    from matlift.gf import lift_witness, verify_witness
     from matlift.io import parse_matrix
     from matlift.lifts import require_sweepable
     a = parse_matrix(args.matrix)
     x_columns = _parse_indices(args.x, a.cols, "column")
     rep["inputs"] = {"matrix": args.matrix, "x_columns": x_columns}
     require_sweepable(a.cols - len(x_columns))  # refuse before building K/X, slow on wide matrices
-    witness = lift_witness(WitnessProblem(a, tuple(c - 1 for c in x_columns)))
+    witness = lift_witness(a, [c - 1 for c in x_columns])
     rep.check("star_prime", True)  # lift_witness raised otherwise
     rep.check("witness_verifies", verify_witness(witness.spec, witness.l))
     rep["witness"] = {
-        "quotient_rank": witness.m.full_rank,
+        "quotient_rank": witness.spec.base.full_rank,
         "deletion_rank": witness.l.full_rank,
         "overlay_rank": witness.spec.overlay.full_rank,
-        "circuits_of_quotient": [one_based(c) for c in witness.m.circuits],
+        "circuits_of_quotient": [one_based(c) for c in witness.spec.base.circuits],
     }
     rep.conclude(
-        f"(K/X)^N = K\\X verified: r(M)={witness.m.full_rank}, "
+        f"(K/X)^N = K\\X verified: r(M)={witness.spec.base.full_rank}, "
         f"r(N)={witness.spec.overlay.full_rank}, r(L)={witness.l.full_rank}"
     )
 

@@ -6,8 +6,9 @@ as bit masks; element i corresponds to bit ``1 << i``.  File formats and CLI
 surfaces are 1-based, the conversion happens at the I/O boundary.
 
 All operations are pure functions of their inputs.  Every matroid is
-immutable after construction and keeps no memo, so values can be shared
-freely across threads.
+immutable after construction and keeps no memo (``lifts.LiftSpec``'s
+grow-only overlay memo aside), so values can be shared freely across
+threads.
 """
 
 from __future__ import annotations
@@ -153,8 +154,8 @@ class RankMatroid:
     """A matroid on ground set {0, ..., n-1} known through its rank oracle.
 
     Subclasses set ``n`` and ``full_rank`` in their constructor, write
-    nothing after it, and implement ``rank``; everything else here is
-    derived from ``rank``.
+    nothing after it but ``lifts.LiftSpec``'s grow-only overlay memo dict,
+    and implement ``rank``; everything else here is derived from ``rank``.
     """
 
     __slots__ = ("n", "full_rank")
@@ -696,16 +697,16 @@ def matroid_from_hyperplanes(hyperplanes: Sequence[Mask], n: int, claimed_rank: 
 
     Route: complements of hyperplanes are the cocircuits, i.e. the circuits
     of the dual.  Hyperplane exchange is circuit elimination on the
-    complements, so the one ``validate_hyperplanes`` pass (raising
-    ``HyperplaneAxiomError``) certifies them; the dual matroid is built
-    from them unchecked, and the primal is materialized through
-    r(X) = r*(E-X) - |E-X| + r(E).
+    complements, so the dual matroid is built from them with its one
+    circuit-axiom check; only when that fails is ``validate_hyperplanes``
+    run, for the hyperplane-side witness of the ``HyperplaneAxiomError``.
+    The primal is materialized through r(X) = r*(E-X) - |E-X| + r(E).
     """
-    report = validate_hyperplanes(hyperplanes, n)
-    if not report.ok:
-        raise HyperplaneAxiomError(report)
     full = (1 << n) - 1
-    dual = Matroid(n, [full ^ h for h in hyperplanes], validate=False)
+    try:
+        dual = Matroid(n, [full ^ h for h in hyperplanes])
+    except CircuitAxiomError:
+        raise HyperplaneAxiomError(validate_hyperplanes(hyperplanes, n)) from None
     rank = n - dual.full_rank
     if rank != claimed_rank:
         raise ValueError(f"hyperplane family has rank {rank}, expected {claimed_rank}")

@@ -203,34 +203,19 @@ class LinearMatroid(RankMatroid):
 
 
 @dataclass(frozen=True)
-class WitnessProblem:
-    """A represented matroid K (columns of ``a``) and a column subset X."""
-
-    a: GfMatrix
-    x_columns: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for c in self.x_columns:
-            if not 0 <= c < self.a.cols:
-                raise ValueError(f"column {c} out of range")
-        if len(set(self.x_columns)) != len(self.x_columns):
-            raise ValueError("repeated columns in X")
-
-
-@dataclass(frozen=True)
 class LiftWitness:
-    """Output of the witness construction: M = K/X, L = K\\X, and the lift
-    spec (M, N) with the overlay N on M's circuits."""
+    """Output of the witness construction: L = K\\X, and the lift spec
+    (M, N) with M = K/X its base and the overlay N on M's circuits."""
 
-    m: Matroid
     l: Matroid
     spec: LiftSpec
     b_matrix: Optional[GfMatrix]
     circuit_vectors: tuple[tuple[int, ...], ...]
 
 
-def lift_witness(problem: WitnessProblem) -> LiftWitness:
-    """The representable-witness construction.
+def lift_witness(a: GfMatrix, x_columns: Sequence[int]) -> LiftWitness:
+    """The representable-witness construction for the represented matroid
+    K (columns of ``a``) and the distinct 0-based columns ``x_columns``.
 
     Inserts the X columns into one echelon basis, each followed by its unit
     vector so that a column that does not grow the basis reports the
@@ -241,17 +226,21 @@ def lift_witness(problem: WitnessProblem) -> LiftWitness:
     search, and N is the column matroid of B = [A_L x_C].  The returned
     spec always satisfies (*').
     """
-    a, x_cols = problem.a, problem.x_columns
-    p, rows, k = a.p, a.rows, len(x_cols)
+    for c in x_columns:
+        if not 0 <= c < a.cols:
+            raise ValueError(f"column {c} out of range")
+    if len(set(x_columns)) != len(x_columns):
+        raise ValueError("repeated columns in X")
+    p, rows, k = a.p, a.rows, len(x_columns)
     basis: list[Row] = []
-    for i, c in enumerate(x_cols):
+    for i, c in enumerate(x_columns):
         residue = _reduce_into(p, basis, a.column(c) + tuple(int(j == i) for j in range(k)), rows)
         if len(basis) == i:
-            raise DependentColumnsError(x_cols, residue[rows:])
+            raise DependentColumnsError(x_columns, residue[rows:])
     if k == a.cols:
         empty = Matroid(0, [])
-        return LiftWitness(empty, empty, LiftSpec(empty, empty), None, ())
-    rest = [c for c in range(a.cols) if c not in x_cols]
+        return LiftWitness(empty, LiftSpec(empty, empty), None, ())
+    rest = [c for c in range(a.cols) if c not in x_columns]
     a_l = GfMatrix(p, [[row[c] for c in rest] for row in a.data])
     # width 0: reduce against X's rows, appending and rescaling nothing
     projected = [_reduce_into(p, basis, a.column(c), 0) for c in rest]
@@ -274,7 +263,7 @@ def lift_witness(problem: WitnessProblem) -> LiftWitness:
     ok, witness = check_star_prime(spec)
     if not ok:
         raise AssertionError(f"witness construction violated (*'): {witness}")
-    return LiftWitness(m, l, spec, b, vectors)
+    return LiftWitness(l, spec, b, vectors)
 
 
 def verify_witness(spec: LiftSpec, l: Matroid) -> bool:

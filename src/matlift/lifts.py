@@ -1,5 +1,6 @@
-"""Lift constructions: the M^N lift, and the elementary lift from a linear
-class as the M^N of a rank-1 overlay (``ClassOverlay``).
+"""Lift constructions: the M^N lift as a rank oracle (``LiftSpec``), and
+the elementary lift from a linear class as the M^N of a rank-1 overlay
+(``ClassOverlay``).
 
 The overlay matroid N lives on the circuit list of a base matroid M, indexed
 in M's canonical circuit order.  N only has to provide a rank oracle, so both
@@ -8,7 +9,7 @@ circuit-family matroids and matrix-backed linear matroids work as overlays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 from matlift.core import (
@@ -51,9 +52,12 @@ class StarWitness:
         return f"circuit #{self.circuit + 1} not in cl_N of {{{', '.join(str(i + 1) for i in self.collection)}}}"
 
 
-@dataclass(frozen=True)
-class LiftSpec:
-    """A base matroid plus an overlay matroid on its circuit list.
+class LiftSpec(RankMatroid):
+    """The lift M^N of a base matroid M and an overlay N on M's circuit
+    list, as a rank oracle on M's ground set: r(X) = r_M(X) + r_N({circuits
+    of M inside X}), both terms read from one ``rank_and_circuits`` query,
+    and rank r(M) + r(N).  It is a matroid rank function when the spec
+    passes (*'); ``build_lift`` materializes it then.
 
     Every overlay query goes through ``overlay_rank``, which asks N for the
     rank of one representative per parallel class met: the least element
@@ -64,21 +68,27 @@ class LiftSpec:
     table is built once, from ``overlay.parallel_classes()``.
     """
 
-    base: Matroid
-    overlay: RankMatroid
-    _table: tuple = field(init=False, repr=False, compare=False)
-    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    __slots__ = ("base", "overlay", "_table", "_memo")
 
-    def __post_init__(self) -> None:
-        if self.overlay.n != len(self.base.circuits):
+    def __init__(self, base: Matroid, overlay: RankMatroid) -> None:
+        if overlay.n != len(base.circuits):
             raise ValueError(
-                f"overlay ground set has {self.overlay.n} elements, "
-                f"base has {len(self.base.circuits)} circuits"
+                f"overlay ground set has {overlay.n} elements, "
+                f"base has {len(base.circuits)} circuits"
             )
-        classes = tuple((c, c & -c) for c in self.overlay.parallel_classes())
+        self.base = base
+        self.overlay = overlay
+        self.n = base.n
+        self.full_rank = base.full_rank + overlay.full_rank
+        classes = tuple((c, c & -c) for c in overlay.parallel_classes())
         heads = mask_of(head.bit_length() - 1 for _, head in classes)
         head_of = {e: head for c, head in classes for e in elements_of(c & ~head)}
-        object.__setattr__(self, "_table", (heads, mask_of(head_of), head_of, classes))
+        self._table = (heads, mask_of(head_of), head_of, classes)
+        self._memo: dict[Mask, int] = {}
+
+    def rank(self, mask: Mask) -> int:
+        r, inside = self.base.rank_and_circuits(mask)
+        return r + self.overlay_rank(inside)
 
     def overlay_rank(self, mask: Mask) -> int:
         """r_N(mask) as r_N(reps(mask)), memoized by reps(mask).  reps
@@ -190,13 +200,6 @@ def elementary_lift(m: Matroid, members: Iterable[int]) -> Matroid:
     return build_lift(LiftSpec(m, ClassOverlay(len(m.circuits), members)))
 
 
-def lift_rank(spec: LiftSpec, mask: Mask) -> int:
-    """The lift rank formula r(X) = r_M(X) + r_N({circuits of M|X}), with
-    both terms read from one query of M's circuit index."""
-    r, inside = spec.base.rank_and_circuits(mask)
-    return r + spec.overlay_rank(inside)
-
-
 def _first_escape(rank: Callable[[Mask], int], members: Mask, targets: Mask) -> Optional[int]:
     """The lowest index in ``targets`` outside cl_N(members), or None, for
     N with rank function ``rank``.
@@ -294,17 +297,17 @@ def check_star(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:
 
 
 def build_lift(spec: LiftSpec) -> Matroid:
-    """The lift M^N with rank r(X) = r_M(X) + r_N(circuits of M|X).
+    """The lift M^N: ``spec.rank`` materialized as a circuit family.
 
-    Refuses overlays failing (*'); the result is materialized as a circuit
-    family, axiom-validated, and has rank r(M) + r(N).
+    Refuses overlays failing (*'); the result is axiom-validated and has
+    rank ``spec.full_rank`` = r(M) + r(N).
     """
     ok, witness = check_star_prime(spec)
     if not ok:
         assert witness is not None
         raise LiftConditionError(witness)
-    fam = circuits_from_rank_oracle(lambda mask: lift_rank(spec, mask), spec.base.n)
-    return Matroid(spec.base.n, fam)
+    fam = circuits_from_rank_oracle(spec.rank, spec.n)
+    return Matroid(spec.n, fam)
 
 
 def lift_ranks(spec: LiftSpec) -> Iterator[tuple[Mask, int]]:

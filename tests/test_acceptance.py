@@ -17,7 +17,7 @@ from pathlib import Path
 from matlift.cli import main
 from matlift.core import mask_of, validate_circuits
 from matlift.gain import GainGraph, balanced_circuit_audit, zaslavsky_lift
-from matlift.gf import WitnessProblem, lift_witness, verify_witness
+from matlift.gf import lift_witness, verify_witness
 from matlift.groups import builtin_group, elementary_abelian_group, group_partitions, primitive_partition, symmetric_group_3
 from matlift.krt import (
     KrtSpec,
@@ -93,7 +93,7 @@ def test_criterion_03_representable_witness_suite(announce):
         rng = random.Random(20240803)
         for _ in range(200):
             a, x = random_witness_instance(rng)
-            w = lift_witness(WitnessProblem(a, x))
+            w = lift_witness(a, x)
             ok, witness = check_star_prime(w.spec)
             assert ok, f"(*') failed: {witness}"
             assert verify_witness(w.spec, w.l)

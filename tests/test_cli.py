@@ -482,6 +482,10 @@ class TestRepWitness:
         assert main(["--json", str(json_path), "rep", "witness", str(gfm), "--x", "2,1"]) == 0
         assert load_report(json_path)["inputs"]["x_columns"] == [2, 1]
 
+    def test_repeated_x_columns_refused(self, capsys):
+        assert main(["rep", "witness", str(TESTDATA / "u24.gfm"), "--x", "1,1"]) == 2
+        assert capsys.readouterr().err == "error: repeated columns in X\n"
+
     def test_above_sweep_bound_exits_2_fast(self, capsys, tmp_path):
         # 3x26 over GF(2) with X = {1}: the check would sweep 2^25 subsets of
         # K\X, past MAX_SWEEP_GROUND, so the command refuses before building

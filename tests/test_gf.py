@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -16,7 +17,6 @@ from matlift.gf import (
     DependentColumnsError,
     GfMatrix,
     LinearMatroid,
-    WitnessProblem,
     column_circuits,
     column_matroid,
     lift_witness,
@@ -56,10 +56,10 @@ def _corrupted(a: GfMatrix, x: tuple[int, ...], w) -> list[tuple[str, LiftSpec, 
     """Broken (spec, L) pairs from a witness of (A, X): the overlay replaced
     by the free and by the all-loops matroid, L relaxed at its first
     circuit-hyperplane, and L = K\\X' for another X' of the same size."""
-    count = len(w.m.circuits)
+    count = len(w.spec.base.circuits)
     out = [
-        ("free overlay", LiftSpec(w.m, _matrix_overlay(count, count)), w.l),
-        ("all-loops overlay", LiftSpec(w.m, _matrix_overlay(count, 0)), w.l),
+        ("free overlay", LiftSpec(w.spec.base, _matrix_overlay(count, count)), w.l),
+        ("all-loops overlay", LiftSpec(w.spec.base, _matrix_overlay(count, 0)), w.l),
     ]
     hyperplanes = [c for c in w.l.circuits if is_circuit_hyperplane(w.l, c)]
     if hyperplanes:
@@ -78,9 +78,9 @@ def sweep_matches_per_subset_loop():
     the sweep bound, which both refuse, are left out."""
     built = []
 
-    def recording(problem: WitnessProblem):
-        w = _lift_witness(problem)
-        built.append((problem, w))
+    def recording(a: GfMatrix, x_columns: tuple[int, ...]):
+        w = _lift_witness(a, x_columns)
+        built.append((a, x_columns, w))
         return w
 
     globals()["lift_witness"] = recording
@@ -88,10 +88,10 @@ def sweep_matches_per_subset_loop():
         yield
     finally:
         globals()["lift_witness"] = _lift_witness
-    for problem, w in built:
+    for a, x_columns, w in built:
         if w.l.n > MAX_SWEEP_GROUND:
             continue
-        for _, spec, l in [("witness", w.spec, w.l)] + _corrupted(problem.a, problem.x_columns, w):
+        for _, spec, l in [("witness", w.spec, w.l)] + _corrupted(a, x_columns, w):
             assert verify_witness(spec, l) == verify_witness_per_subset(spec, l)
 
 
@@ -170,9 +170,9 @@ class TestColumnMatroid:
             x = tuple(sorted(cols[: rng.randint(1, 2)]))
             if gf_rank_bruteforce(a, x) < len(x):
                 continue
-            witness = lift_witness(WitnessProblem(a, x))
+            witness = lift_witness(a, x)
             contracted = contract(k, mask_of(x))
-            assert witness.m == contracted
+            assert witness.spec.base == contracted
             done += 1
 
     def test_matches_bruteforce(self):
@@ -225,24 +225,24 @@ class TestCircuitVector:
 class TestWitness:
     def test_paper_u24_example(self):
         a = GfMatrix(3, [[1, 0, 1, 1], [0, 1, 1, 2]])
-        w = lift_witness(WitnessProblem(a, (0,)))
-        assert w.m == uniform_matroid(1, 3)
+        w = lift_witness(a, (0,))
+        assert w.spec.base == uniform_matroid(1, 3)
         assert w.l == uniform_matroid(2, 3)
         assert w.spec.overlay.full_rank == 1
         assert verify_witness(w.spec, w.l)
 
     def test_empty_x(self):
         a = GfMatrix(2, [[1, 0, 1], [0, 1, 1]])
-        w = lift_witness(WitnessProblem(a, ()))
+        w = lift_witness(a, ())
         k = column_matroid(a)
-        assert w.m == k and w.l == k
+        assert w.spec.base == k and w.l == k
         assert w.spec.overlay.full_rank == 0
         assert verify_witness(w.spec, w.l)
 
     def test_dependent_x_reported(self):
         a = GfMatrix(2, [[1, 1, 0], [0, 0, 1]])
         with pytest.raises(DependentColumnsError) as err:
-            lift_witness(WitnessProblem(a, (0, 1)))
+            lift_witness(a, (0, 1))
         assert err.value.columns == (0, 1)
         assert err.value.combination == (1, 1)
 
@@ -252,7 +252,7 @@ class TestWitness:
         a = GfMatrix(5, [[1, 2, 0, 3], [0, 0, 1, 1]])
         x = (2, 0, 1)
         with pytest.raises(DependentColumnsError) as err:
-            lift_witness(WitnessProblem(a, x))
+            lift_witness(a, x)
         assert err.value.columns == x
         combo = err.value.combination
         assert combo[-1] == 1
@@ -265,7 +265,7 @@ class TestWitness:
         # that does not grow X's basis and 0 past it
         a = GfMatrix(7, [[1, 0, 2], [0, 1, 3]])
         with pytest.raises(DependentColumnsError) as err:
-            lift_witness(WitnessProblem(a, x))
+            lift_witness(a, x)
         assert err.value.columns == x
         assert err.value.combination == combination
         assert str(err.value) == f"columns {[c + 1 for c in x]} are dependent (kernel vector {list(combination)})"
@@ -273,34 +273,44 @@ class TestWitness:
     def test_dependent_zero_column(self):
         a = GfMatrix(3, [[1, 0, 2], [0, 0, 1]])
         with pytest.raises(DependentColumnsError) as err:
-            lift_witness(WitnessProblem(a, (0, 1, 2)))
+            lift_witness(a, (0, 1, 2))
         assert err.value.combination == (0, 1, 0)
+
+    @pytest.mark.parametrize("x, message", [
+        ((4,), "column 4 out of range"),
+        ((-1,), "column -1 out of range"),
+        ((1, 1), "repeated columns in X"),
+    ])
+    def test_bad_x_refused(self, x, message):
+        a = GfMatrix(3, [[1, 0, 1, 1], [0, 1, 1, 2]])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lift_witness(a, x)
 
     def test_x_is_every_column(self):
         a = GfMatrix(2, [[1, 0], [0, 1]])
-        w = lift_witness(WitnessProblem(a, (0, 1)))
-        assert w.m == w.l == Matroid(0, [])
+        w = lift_witness(a, (0, 1))
+        assert w.spec.base == w.l == Matroid(0, [])
         assert w.spec.overlay == Matroid(0, [])
         assert verify_witness(w.spec, w.l)
 
     def test_quotient_without_circuits(self):
         a = GfMatrix(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        w = lift_witness(WitnessProblem(a, (0,)))
-        assert w.m.circuits == () and w.b_matrix is None
+        w = lift_witness(a, (0,))
+        assert w.spec.base.circuits == () and w.b_matrix is None
         assert w.spec.overlay == Matroid(0, [])
         assert verify_witness(w.spec, w.l)
 
     def test_wrong_overlay_fails_verification(self):
         a = GfMatrix(3, [[1, 0, 1, 1], [0, 1, 1, 2]])
-        w = lift_witness(WitnessProblem(a, (0,)))
+        w = lift_witness(a, (0,))
         from matlift.lifts import LiftSpec
 
-        loops = uniform_matroid(0, len(w.m.circuits))
-        assert not verify_witness(LiftSpec(w.m, loops), w.l)
+        loops = uniform_matroid(0, len(w.spec.base.circuits))
+        assert not verify_witness(LiftSpec(w.spec.base, loops), w.l)
 
     def test_build_lift_equals_l_exactly(self):
         a = GfMatrix(3, [[1, 0, 1, 1], [0, 1, 1, 2]])
-        w = lift_witness(WitnessProblem(a, (0,)))
+        w = lift_witness(a, (0,))
         assert build_lift(w.spec) == w.l
 
     def test_overlay_invariant_under_vector_scaling(self):
@@ -316,7 +326,7 @@ class TestWitness:
             x = tuple(sorted(cols[:1]))
             if gf_rank_bruteforce(a, x) < len(x):
                 continue
-            w = lift_witness(WitnessProblem(a, x))
+            w = lift_witness(a, x)
             if w.b_matrix is None:
                 continue
             scaled_rows = [list(row) for row in w.b_matrix.data]
@@ -375,12 +385,12 @@ def test_witness_matches_contraction_and_deletion(kind):
     rng = random.Random(f"witness-{kind}")
     for _ in range(50):
         a, x = _differential_case(rng, kind)
-        w = lift_witness(WitnessProblem(a, x))
+        w = lift_witness(a, x)
         k = column_matroid(a)
-        assert w.m == contract(k, mask_of(x))
+        assert w.spec.base == contract(k, mask_of(x))
         assert w.l == delete(k, mask_of(x))
-        assert len(w.circuit_vectors) == len(w.m.circuits)
-        for j, (c, v) in enumerate(zip(w.m.circuits, w.circuit_vectors)):
+        assert len(w.circuit_vectors) == len(w.spec.base.circuits)
+        for j, (c, v) in enumerate(zip(w.spec.base.circuits, w.circuit_vectors)):
             assert mask_of(i for i, e in enumerate(v) if e) == c
             assert next(e for e in v if e) == 1
             image = [row[j] for row in w.b_matrix.data]
@@ -395,7 +405,7 @@ def test_sweep_agrees_with_per_subset_loop_on_corruptions():
     verdicts: Counter = Counter()
     for _ in range(120):
         a, x = _differential_case(rng, rng.choice(["empty", "spanning", "random"]))
-        w = lift_witness(WitnessProblem(a, x))
+        w = lift_witness(a, x)
         assert verify_witness(w.spec, w.l) and verify_witness_per_subset(w.spec, w.l)
         for kind, spec, l in _corrupted(a, x, w):
             got = verify_witness(spec, l)
@@ -414,7 +424,7 @@ def test_verify_witness_refuses_above_the_sweep_bound():
     # 2x18 over GF(3), X = {1}: K\X has 17 elements
     rng = random.Random(17)
     a = GfMatrix(3, [[1] + [rng.randrange(3) for _ in range(17)], [0] + [rng.randrange(3) for _ in range(17)]])
-    w = lift_witness(WitnessProblem(a, (0,)))
+    w = lift_witness(a, (0,))
     with pytest.raises(ValueError, match="2\\^17 subsets refused"):
         verify_witness(w.spec, w.l)
 
@@ -550,7 +560,7 @@ def test_witness_suite_random_instances():
     rng = random.Random(20240818)
     for _ in range(36):
         a, x = random_witness_instance(rng)
-        w = lift_witness(WitnessProblem(a, x))
+        w = lift_witness(a, x)
         assert check_star_prime(w.spec)[0]
         assert verify_witness(w.spec, w.l)
 

@@ -28,7 +28,6 @@ from matlift.lifts import (
     is_modular_pair,
     is_perfect,
     MAX_SWEEP_GROUND,
-    lift_rank,
     lift_ranks,
     require_sweepable,
 )
@@ -299,17 +298,17 @@ class TestStarConditions:
 def _zoo_lift_specs() -> list[LiftSpec]:
     """The lift specs the zoo builds, the witness specs of seeded GF(p)
     instances, and the parallel-chain obstruction with a free overlay."""
-    from matlift.gf import WitnessProblem, lift_witness
+    from matlift.gf import lift_witness
 
     u13 = uniform_matroid(1, 3)
     specs = [
         LiftSpec(u13, uniform_matroid(2, 3)),
         LiftSpec(u13, rank_one_overlay(len(u13.circuits), [])),
-        lift_witness(WitnessProblem(GfMatrix(3, [[1, 0, 1, 1], [0, 1, 1, 2]]), (0,))).spec,
+        lift_witness(GfMatrix(3, [[1, 0, 1, 1], [0, 1, 1, 2]]), (0,)).spec,
     ]
     rng = random.Random(79)
     for _ in range(6):
-        specs.append(lift_witness(WitnessProblem(*random_witness_instance(rng))).spec)
+        specs.append(lift_witness(*random_witness_instance(rng)).spec)
     chain = contract(build_krt(KrtSpec(4, 3)).to_matroid(), mask_of([6, 7]))
     specs.append(LiftSpec(chain, uniform_matroid(len(chain.circuits), len(chain.circuits))))
     return specs
@@ -606,7 +605,7 @@ class TestLiftRanks:
             spec = LiftSpec(m, random_overlay(rng, len(m.circuits)))
             got = list(lift_ranks(spec))
             assert len(got) == 1 << m.n
-            assert dict(got) == {mask: lift_rank(spec, mask) for mask in range(1 << m.n)}
+            assert dict(got) == {mask: spec.rank(mask) for mask in range(1 << m.n)}
 
     def test_bound_is_shared(self):
         require_sweepable(MAX_SWEEP_GROUND)
@@ -643,6 +642,7 @@ class TestBuildLift:
         overlay = uniform_matroid(count, count)  # free overlay: closures are trivial
         spec = LiftSpec(m, overlay)
         assert not check_star_prime(spec)[0]
+        assert spec.full_rank == m.full_rank + count  # the oracle stands though (*') fails
         with pytest.raises(LiftConditionError):
             build_lift(spec)
 
@@ -709,8 +709,10 @@ def test_lift_rank_formula_matches_built_matroid():
         if not check_star_prime(spec)[0]:
             continue
         lifted = build_lift(spec)
+        assert isinstance(spec, RankMatroid) and spec.full_rank == lifted.full_rank
         for mask in range(1 << m.n):
-            assert lifted.rank(mask) == lift_rank(spec, mask)
+            assert lifted.rank(mask) == spec.rank(mask)
+            assert lifted.closure(mask) == spec.closure(mask)
         built += 1
 
 
@@ -726,4 +728,5 @@ def test_flats_of_base_are_flats_of_lift():
         lifted = build_lift(spec)
         for f in flats(m):
             assert lifted.closure(f) == f
+            assert spec.is_flat(f)
         built += 1

@@ -39,6 +39,7 @@ ALLOWED = {
     "core.uniform_matroid": "public constructor",
     "core.is_sparse_paving": "public predicate; the CLI's K(r,t) are SparsePaving already",
     "core.validate_circuits": "public validator; check validates through Matroid(...)",
+    "core.validate_hyperplanes": "public validator; gain lift3 validates through Matroid(...)",
     "lifts.is_linear_class": "public predicate; lift elementary reads it from elementary_lift",
     "lifts.is_modular_pair": "public predicate",
     "lifts.is_perfect": "public predicate",

@@ -28,7 +28,7 @@ from matlift.core import (
     uniform_matroid,
 )
 from matlift.gain import GainEdge, GainGraph, graphic_matroid, rank2_lift_k3, zaslavsky_lift
-from matlift.gf import GfMatrix, WitnessProblem, column_matroid, lift_witness
+from matlift.gf import GfMatrix, column_matroid, lift_witness
 from matlift.groups import FinGroup, GroupPartition, builtin_group, group_partitions
 from matlift.krt import IngletonWitness, KrtSpec, VamosLikeMinor, build_krt
 from matlift.lifts import (
@@ -38,7 +38,6 @@ from matlift.lifts import (
     build_lift,
     elementary_lift,
     is_linear_class,
-    lift_rank,
 )
 
 # The Cayley table of S3 as a .grp file.
@@ -344,11 +343,11 @@ def check_star_rebuild(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:
 
 
 def verify_witness_per_subset(spec: LiftSpec, l: Matroid) -> bool:
-    """``lift_rank`` against L's rank on X = 0, 1, ..., 2^n - 1, each set
+    """``spec.rank`` against L's rank on X = 0, 1, ..., 2^n - 1, each set
     queried cold."""
     if spec.base.n != l.n:
         raise ValueError("ground set mismatch")
-    return all(lift_rank(spec, mask) == l.rank(mask) for mask in range(1 << l.n))
+    return all(spec.rank(mask) == l.rank(mask) for mask in range(1 << l.n))
 
 
 def check_star_per_member(spec: LiftSpec) -> tuple[bool, Optional[StarWitness]]:
@@ -830,7 +829,7 @@ def rep_witness_specs() -> list[LiftSpec]:
             a = GfMatrix(p, [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)])
             if gf_rank_bruteforce(a, range(cols)) == rows and gf_rank_bruteforce(a, (0, 1)) == 2:
                 break
-        specs.append(lift_witness(WitnessProblem(a, (0, 1))).spec)
+        specs.append(lift_witness(a, (0, 1)).spec)
     return specs
 
 
@@ -964,8 +963,8 @@ def zoo() -> tuple[tuple[str, Matroid], ...]:
     add("U_{1,3}^rank1", build_lift(LiftSpec(u13, rank_one_overlay(len(u13.circuits), []))))
 
     a = GfMatrix(3, [[1, 0, 1, 1], [0, 1, 1, 2]])
-    witness = lift_witness(WitnessProblem(a, (0,)))
-    add("witness M (U_{2,4}/col1)", witness.m)
+    witness = lift_witness(a, (0,))
+    add("witness M (U_{2,4}/col1)", witness.spec.base)
     add("witness L (U_{2,4}\\col1)", witness.l)
     add("witness lift", build_lift(witness.spec))
 
