@@ -192,18 +192,21 @@ class Matroid(RankMatroid):
 
     Queries go through one bit-parallel circuit index built at
     construction: ``_avoid[x]`` has bit k set when circuit k misses element
-    x, ``_upto[s]`` has the bits of the circuits with at most s elements (a
-    prefix, since canonical order sorts by size) and ``_members`` is the
-    family as a set.  The circuits inside X are ``_upto[|X|]`` ANDed with
-    ``_avoid[x]`` for each x outside X.  The rank oracle keeps one running
-    mask of the circuits inside what is left of X and, while it is nonzero,
-    removes the largest element of the first of them.  An element of a
-    circuit lies in the closure of the rest, so each removal keeps the
-    rank, and what is left at the end is independent: r(X) is |X| minus
-    the removals.  Query masks must lie inside the ground set.
+    x and ``_upto[s]`` has the bits of the circuits with at most s elements
+    (a prefix, since canonical order sorts by size).  The circuits inside X
+    are ``_upto[|X|]`` ANDed with ``_avoid[x]`` for each x outside X.  The
+    only circuit with |X| elements inside X is X itself, so X is a circuit
+    exactly when one of them has an index at or above the length of
+    ``_upto[|X| - 1]``.  The rank oracle keeps one running mask of the
+    circuits inside what is left of X and, while it is nonzero, removes
+    the largest element of the first of them.  An element of a circuit
+    lies in the closure of the rest, so each removal keeps the rank, and
+    what is left at the end is independent: r(X) is |X| minus the
+    removals.  Query masks must lie inside the ground set, but
+    ``is_circuit`` answers False for 0 and for any mask outside it.
     """
 
-    __slots__ = ("circuits", "_avoid", "_upto", "_members")
+    __slots__ = ("circuits", "_avoid", "_upto")
 
     def __init__(self, n: int, circuits: Iterable[Mask], *, validate: bool = True) -> None:
         if not 0 <= n <= MAX_GROUND:
@@ -217,7 +220,6 @@ class Matroid(RankMatroid):
         self.circuits = fam
         self._avoid = _avoid_rows(fam, n)
         self._upto = [(1 << bisect_right(sizes, s)) - 1 for s in range(n + 1)]
-        self._members = frozenset(fam)
         self.full_rank = self.rank(self.full_mask)
         if validate:
             report = self._axiom_report(fam)
@@ -236,7 +238,8 @@ class Matroid(RankMatroid):
         return f"Matroid(n={self.n}, circuits={len(self.circuits)}, rank={self.full_rank})"
 
     def is_circuit(self, mask: Mask) -> bool:
-        return mask in self._members
+        k = mask.bit_count()
+        return bool(k and not mask >> self.n and self._within(mask) >> self._upto[k - 1].bit_length())
 
     def rank(self, mask: Mask) -> int:
         return self.rank_and_circuits(mask)[0]
@@ -305,13 +308,12 @@ class Matroid(RankMatroid):
     def _flags(self, pivot: Mask, unions: Iterable[Mask]) -> bool:
         """True when some union U (each containing ``pivot``) is a member,
         or some element of ``pivot`` lies in every member inside U."""
-        within = self._within
-        members = self._members
+        within, upto = self._within, self._upto
         rows = [self._avoid[e] for e in elements_of(pivot)]
         for u in unions:
-            if u in members:
-                return True
             inside = within(u)
+            if inside >> upto[u.bit_count() - 1].bit_length():
+                return True
             for row in rows:
                 if not inside & row:
                     return True
@@ -358,10 +360,9 @@ class Matroid(RankMatroid):
             return False
         within = self._within
         below = self._upto[k]
-        members = self._members
         for x in subsets_of_size(self.full_mask, k + 1):
             inside = within(x)
-            if not inside or (inside & below and x in members):
+            if not inside or (inside & below and inside >> below.bit_length()):
                 return False
         small = [c for c in order if c.bit_count() <= k]
         return not any(
@@ -453,16 +454,6 @@ class SparsePaving(RankMatroid):
         self.circuit_hyperplanes = chs
         self._ch_set = frozenset(chs)
         self.full_rank = r
-
-    @classmethod
-    def of(cls, m: "Matroid | SparsePaving") -> "SparsePaving":
-        """``m`` as a SparsePaving; ``ValueError`` if it is not sparse paving."""
-        if isinstance(m, SparsePaving):
-            return m
-        if not is_sparse_paving(m):
-            raise ValueError("not a sparse paving matroid")
-        r = m.full_rank
-        return cls(m.n, r, (c for c in m.circuits if c.bit_count() == r))
 
     def rank(self, mask: Mask) -> int:
         k = mask.bit_count()

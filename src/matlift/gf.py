@@ -15,7 +15,7 @@ construction projects K modulo span(X) by reducing against X's basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from matlift.core import (
     MAX_GROUND,
@@ -209,7 +209,6 @@ class LiftWitness:
 
     l: Matroid
     spec: LiftSpec
-    b_matrix: Optional[GfMatrix]
     circuit_vectors: tuple[tuple[int, ...], ...]
 
 
@@ -223,8 +222,9 @@ def lift_witness(a: GfMatrix, x_columns: Sequence[int]) -> LiftWitness:
     and stripped of X's pivot rows, is a column of A_M, which represents
     M = K/X; the same columns as given form A_L, which represents L = K\\X.
     Each circuit C of M comes with its kernel vector x_C from the circuit
-    search, and N is the column matroid of B = [A_L x_C].  The returned
-    spec always satisfies (*').
+    search, and N is the column matroid of B = [A_L x_C], kept as
+    ``spec.overlay.matrix`` when M has circuits.  The returned spec always
+    satisfies (*').
     """
     for c in x_columns:
         if not 0 <= c < a.cols:
@@ -239,7 +239,7 @@ def lift_witness(a: GfMatrix, x_columns: Sequence[int]) -> LiftWitness:
             raise DependentColumnsError(x_columns, residue[rows:])
     if k == a.cols:
         empty = Matroid(0, [])
-        return LiftWitness(empty, LiftSpec(empty, empty), None, ())
+        return LiftWitness(empty, LiftSpec(empty, empty), ())
     rest = [c for c in range(a.cols) if c not in x_columns]
     a_l = GfMatrix(p, [[row[c] for c in rest] for row in a.data])
     # width 0: reduce against X's rows, appending and rescaling nothing
@@ -254,16 +254,14 @@ def lift_witness(a: GfMatrix, x_columns: Sequence[int]) -> LiftWitness:
     vectors = tuple(found[c] for c in m.circuits)
     if vectors:
         columns = [a_l.matvec(v) for v in vectors]
-        b: Optional[GfMatrix] = GfMatrix(p, [[col[i] for col in columns] for i in range(rows)])
-        n: RankMatroid = LinearMatroid(b)
+        n: RankMatroid = LinearMatroid(GfMatrix(p, [[col[i] for col in columns] for i in range(rows)]))
     else:
-        b = None
         n = Matroid(0, [])
     spec = LiftSpec(m, n)
     ok, witness = check_star_prime(spec)
     if not ok:
         raise AssertionError(f"witness construction violated (*'): {witness}")
-    return LiftWitness(l, spec, b, vectors)
+    return LiftWitness(l, spec, vectors)
 
 
 def verify_witness(spec: LiftSpec, l: Matroid) -> bool:

@@ -45,11 +45,11 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 # .ckt
 
 
-def parse_matroid_text(text: str, *, path: str = "<string>", validate: bool = True) -> Matroid:
-    return _read_ckt(_content_lines(text), path, 1, validate=validate)
+def parse_matroid_text(text: str, *, path: str = "<string>") -> Matroid:
+    return _read_ckt(_content_lines(text), path, 1)
 
 
-def _read_ckt(lines: list[tuple[int, str]], path: str, at: int, *, validate: bool = True) -> Matroid:
+def _read_ckt(lines: list[tuple[int, str]], path: str, at: int) -> Matroid:
     """A .ckt body from its ``(lineno, body)`` content lines; ``at`` is the
     line an empty body is reported at."""
     if not lines:
@@ -86,12 +86,12 @@ def _read_ckt(lines: list[tuple[int, str]], path: str, at: int, *, validate: boo
         if mask.bit_count() != len(toks):
             raise ParseError(path, lineno, f"repeated element in circuit {body!r}")
         circuits.append(mask)
-    return Matroid(n, circuits, validate=validate)
+    return Matroid(n, circuits)
 
 
-def parse_matroid(path: str | Path, *, validate: bool = True) -> Matroid:
+def parse_matroid(path: str | Path) -> Matroid:
     p = Path(path)
-    return parse_matroid_text(p.read_text(), path=str(p), validate=validate)
+    return parse_matroid_text(p.read_text(), path=str(p))
 
 
 def emit_matroid_text(m: Matroid) -> str:

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from matlift.core import (
     MAX_GROUND,
     Mask,
-    Matroid,
     RankMatroid,
     SparsePaving,
     elements_of,
@@ -241,7 +240,7 @@ class IngletonWitness:
         }
 
 
-def is_ingleton_sparse_paving(m: Matroid | SparsePaving) -> tuple[bool, Optional[IngletonWitness]]:
+def is_ingleton_sparse_paving(sp: SparsePaving) -> tuple[bool, Optional[IngletonWitness]]:
     """The sparse-paving Ingleton criterion.
 
     A rank-r sparse paving matroid is Ingleton iff there is no disjoint
@@ -249,23 +248,22 @@ def is_ingleton_sparse_paving(m: Matroid | SparsePaving) -> tuple[bool, Optional
     I | P_i | P_j is a circuit for all {i,j} != {3,4} while I | P3 | P4 is a
     basis (any r-set that is not a circuit-hyperplane).  The witness is
     read off the first core in increasing mask order and its first support
-    in combinations order.  Raises ``ValueError`` unless m is sparse paving.
+    in combinations order.
     """
-    sp = SparsePaving.of(m)
-    for core, supports in _configurations(sp, key=None):
+    for core, supports in _configurations(sp):
         if supports:
             return False, IngletonWitness(core, supports[min(supports, key=elements_of)])
     return True, None
 
 
-def _configurations(sp: SparsePaving, key: Optional[Callable]) -> Iterator[tuple[Mask, dict[Mask, Pairing]]]:
+def _configurations(sp: SparsePaving) -> Iterator[tuple[Mask, dict[Mask, Pairing]]]:
     """(C, ``_five_of_six_supports`` of F_C) for F_C = {H - C : C ⊆ H
     circuit-hyperplane} at every core C of a five-of-six configuration, in
-    ``key`` order: the (r-4)-element intersections of two
+    increasing mask order: the (r-4)-element intersections of two
     circuit-hyperplanes, such as C | P1 | P3 and C | P2 | P4."""
     chs = sp.circuit_hyperplanes
     cores = {a & b for a, b in combinations(chs, 2) if (a & b).bit_count() == sp.r - 4}
-    for core in sorted(cores, key=key):
+    for core in sorted(cores):
         yield core, _five_of_six_supports({h & ~core for h in chs if core & ~h == 0})
 
 
@@ -323,7 +321,7 @@ class VamosLikeMinor:
         }
 
 
-def scan_vamos_like_minors(m: Matroid | SparsePaving) -> list[VamosLikeMinor]:
+def scan_vamos_like_minors(sp: SparsePaving) -> list[VamosLikeMinor]:
     """Every Vamos-like rank-4, 8-element minor M/C\\D of a sparse paving M,
     ordered by C and then by D in combinations order.
 
@@ -334,13 +332,13 @@ def scan_vamos_like_minors(m: Matroid | SparsePaving) -> list[VamosLikeMinor]:
     are the supports of five-of-six configurations among those sets, found
     without materializing any minor, at the cores of ``_configurations``.
     """
-    sp = SparsePaving.of(m)
     out = []
-    for core, supports in _configurations(sp, key=elements_of):
+    for core, supports in _configurations(sp):
         rest = sp.full_mask & ~core
-        for s in sorted(supports, key=lambda s: elements_of(rest & ~s)):
-            local = tuple(sorted(_in_labels_of(p, s) for p in supports[s]))
+        for s, pairs in supports.items():
+            local = tuple(sorted(_in_labels_of(p, s) for p in pairs))
             out.append(VamosLikeMinor(core, rest & ~s, local))
+    out.sort(key=lambda w: (elements_of(w.contracted), elements_of(w.deleted)))
     return out
 
 

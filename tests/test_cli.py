@@ -728,7 +728,7 @@ def test_check_large_saved_family(wall_dir, name, n, circuits, rank):
 def test_iso_large_saved_family_with_relabeling(wall_dir, tmp_path):
     from matlift.io import parse_matroid
 
-    m = parse_matroid(wall_dir / "s3.ckt", validate=False)
+    m = parse_matroid(wall_dir / "s3.ckt")
     rng = random.Random(113)
     perm = list(range(m.n))
     rng.shuffle(perm)
@@ -749,7 +749,7 @@ def test_large_saved_family_takes_the_bounded_certificate(wall_dir, name, monkey
     thousands on these families."""
     from matlift.io import parse_matroid
 
-    m = parse_matroid(wall_dir / name, validate=False)
+    m = parse_matroid(wall_dir / name)
     k = m.full_rank
     s, count = m._upto[k].bit_length(), len(m.circuits)
     calls = 0

@@ -670,12 +670,18 @@ class TestCircuitIndexAgainstBruteForce:
         rng = random.Random(73)
         for name, m in zoo():
             fresh = Matroid(m.n, m.circuits, validate=False)
+            if m.n <= 10:
+                members = set(m.circuits)
+                assert all(fresh.is_circuit(mask) == (mask in members) for mask in range(1 << m.n)), name
+            # is_circuit is total: False off the ground set and for the empty set
+            assert not fresh.is_circuit(0) and not fresh.is_circuit(fresh.full_mask << 2 | 0b11), name
             masks = range(1 << m.n) if m.n <= 8 else [rng.getrandbits(m.n) for _ in range(40)]
             for mask in masks:
                 inside = [c for c in m.circuits if c & ~mask == 0]
                 assert _circuits_within(fresh, mask) == inside, name
                 assert fresh.rank_and_circuits(mask)[1] == mask_of(m.circuits.index(c) for c in inside)
                 assert fresh.rank(mask) == rank_bruteforce(m, mask), (name, mask)
+        assert not Matroid(3, [0b111]).is_circuit(0b11111)
 
     def test_queries_match_subset_scan_on_k88(self):
         m = build_krt(KrtSpec(8, 8)).to_matroid()
@@ -891,13 +897,6 @@ class TestSparsePavingConstruction:
     def test_rejects_malformed_members(self, n, r, fam):
         with pytest.raises(ValueError):
             SparsePaving(n, r, fam)
-
-    def test_of(self):
-        sp = build_krt(KrtSpec(4, 3))
-        assert SparsePaving.of(sp) is sp
-        assert SparsePaving.of(k43()).circuit_hyperplanes == sp.circuit_hyperplanes
-        with pytest.raises(ValueError):
-            SparsePaving.of(Matroid(4, [mask_of([0, 1]), mask_of([0, 2]), mask_of([1, 2])]))
 
 
 class TestRankEdgeCases:

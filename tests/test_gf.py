@@ -296,7 +296,7 @@ class TestWitness:
     def test_quotient_without_circuits(self):
         a = GfMatrix(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         w = lift_witness(a, (0,))
-        assert w.spec.base.circuits == () and w.b_matrix is None
+        assert w.spec.base.circuits == ()
         assert w.spec.overlay == Matroid(0, [])
         assert verify_witness(w.spec, w.l)
 
@@ -327,16 +327,17 @@ class TestWitness:
             if gf_rank_bruteforce(a, x) < len(x):
                 continue
             w = lift_witness(a, x)
-            if w.b_matrix is None:
+            if not w.spec.base.circuits:
                 continue
-            scaled_rows = [list(row) for row in w.b_matrix.data]
-            p = w.b_matrix.p
-            for j in range(w.b_matrix.cols):
+            b = w.spec.overlay.matrix
+            scaled_rows = [list(row) for row in b.data]
+            p = b.p
+            for j in range(b.cols):
                 factor = rng.randrange(1, p)
-                for i in range(w.b_matrix.rows):
+                for i in range(b.rows):
                     scaled_rows[i][j] = (scaled_rows[i][j] * factor) % p
             scaled = LinearMatroid(GfMatrix(p, scaled_rows))
-            for mask in range(1 << w.b_matrix.cols):
+            for mask in range(1 << b.cols):
                 assert scaled.rank(mask) == w.spec.overlay.rank(mask)
             done += 1
 
@@ -393,7 +394,7 @@ def test_witness_matches_contraction_and_deletion(kind):
         for j, (c, v) in enumerate(zip(w.spec.base.circuits, w.circuit_vectors)):
             assert mask_of(i for i, e in enumerate(v) if e) == c
             assert next(e for e in v if e) == 1
-            image = [row[j] for row in w.b_matrix.data]
+            image = [row[j] for row in w.spec.overlay.matrix.data]
             augmented = GfMatrix(a.p, [[row[i] for i in x] + [e] for row, e in zip(a.data, image)])
             assert gf_rank_bruteforce(augmented, range(len(x) + 1)) == len(x)
         assert verify_witness(w.spec, w.l)

@@ -74,6 +74,8 @@ class TestModularPair:
         u13 = uniform_matroid(1, 3)
         with pytest.raises(ValueError):
             is_modular_pair(u13, mask_of([0]), mask_of([0, 1]))
+        with pytest.raises(ValueError, match="^modular pair arguments must be circuits$"):
+            is_modular_pair(Matroid(3, [0b111]), 0b11111, 0b111)
 
     def test_union_nullity_at_least_two(self):
         # For distinct circuits the union always has nullity >= 2, so the
