@@ -2,14 +2,16 @@
 
 Given a matrix A over GF(p) whose column matroid is K and an independent
 column set X, builds the overlay matroid N on the circuits of M = K/X so
-that M^N equals L = K\\X.  Matrices are immutable tuples of tuples, safe to
-share across threads.
+that M^N equals L = K\\X.  Inside this module a matrix is a list of column
+tuples; ``GfMatrix`` is the validated input type and hands its columns
+over once, through ``columns()``.
 
 Every elimination goes through one echelon kernel, ``_reduce_into``.  A
 rank is the size of the basis the columns build, with no matrix copied or
 re-eliminated.  ``column_circuits`` runs it along a fundamental-circuit
 search that reports each circuit with its kernel vector, and the witness
-construction projects K modulo span(X) by reducing against X's basis.
+construction reduces K's columns against X's basis, reading M off the
+residues and N off X's coordinates.
 """
 
 from __future__ import annotations
@@ -73,14 +75,8 @@ class GfMatrix:
     def __repr__(self) -> str:
         return f"GfMatrix(p={self.p}, {self.rows}x{self.cols})"
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.data)
-
-    def matvec(self, v: Sequence[int]) -> tuple[int, ...]:
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        p = self.p
-        return tuple(sum(row[j] * v[j] for j in range(self.cols)) % p for row in self.data)
+    def columns(self) -> list[tuple[int, ...]]:
+        return list(zip(*self.data))
 
 
 Row = tuple[int, list[int]]
@@ -109,10 +105,11 @@ def _reduce_into(p: int, basis: list[Row], v: Sequence[int], width: int) -> Sequ
     return v
 
 
-def column_circuits(a: GfMatrix) -> dict[Mask, tuple[int, ...]]:
-    """The circuits of the column matroid of ``a``, each with its kernel
-    vector: the dependence of the columns supported exactly on the
-    circuit, scaled so its first nonzero entry is 1.
+def column_circuits(p: int, columns: Sequence[tuple[int, ...]]) -> dict[Mask, tuple[int, ...]]:
+    """The circuits of the matroid of ``columns`` over GF(p), each with its
+    kernel vector: the dependence of the columns supported exactly on the
+    circuit, scaled so its first nonzero entry is 1.  Columns of no
+    entries are loops.
 
     A fundamental-circuit search over the independent sets I, depth-first
     in lexicographic order.  Each later column outside the span of I is
@@ -124,9 +121,10 @@ def column_circuits(a: GfMatrix) -> dict[Mask, tuple[int, ...]]:
     I = C - max(C).  A column in the span of I leaves I's subtree, as it
     makes no circuit with an independent proper superset of I.
     """
-    if a.cols > MAX_GROUND:
+    n = len(columns)
+    if n > MAX_GROUND:
         raise ValueError(f"column matroid supports at most {MAX_GROUND} columns")
-    p, rows, n = a.p, a.rows, a.cols
+    rows = len(columns[0]) if columns else 0
     found: dict[Mask, tuple[int, ...]] = {}
 
     def extend(indep: Mask, members: list[int], step: list[Row], later: list[tuple[int, Sequence[int]]]) -> None:
@@ -146,54 +144,55 @@ def column_circuits(a: GfMatrix) -> dict[Mask, tuple[int, ...]]:
             extend(indep | 1 << e, members + [e], [row], [(f, v) for f, (_, v) in grown[k + 1:]])
 
     # column e followed by the unit vector e, its combination of columns
-    extend(0, [], [], [(e, a.column(e) + tuple(int(i == e) for i in range(n))) for e in range(n)])
+    extend(0, [], [], [(e, col + tuple(int(i == e) for i in range(n))) for e, col in enumerate(columns)])
     return found
 
 
-def column_matroid(a: GfMatrix) -> Matroid:
-    """The matroid of linear dependence on the columns of ``a``: the
+def column_matroid(p: int, columns: Sequence[tuple[int, ...]]) -> Matroid:
+    """The matroid of linear dependence on ``columns`` over GF(p): the
     circuits ``column_circuits`` finds."""
-    return Matroid(a.cols, column_circuits(a), validate=False)
+    return Matroid(len(columns), column_circuits(p, columns), validate=False)
 
 
 class LinearMatroid(RankMatroid):
-    """Rank-oracle matroid of a matrix's columns, without materialized circuits.
+    """Rank-oracle matroid of column vectors over GF(p), without
+    materialized circuits.
 
     Used as the overlay N in witness constructions, where the ground set (the
     circuit list of M) can be large but only ranks and closures of index sets
-    are ever needed.  The matrix is row-reduced once to r(N) rows, which
-    keeps every column dependence; a rank query walks the mask's elements
-    lazily, inserting their columns into a fresh echelon basis, and stops
-    when it holds r(N) rows.
+    are ever needed.  A rank query walks the mask's elements lazily,
+    inserting their columns into a fresh echelon basis (a pivot may sit at
+    any entry), and stops when it holds r(N) rows.
     """
 
-    __slots__ = ("matrix", "_columns")
+    __slots__ = ("p", "columns")
 
-    def __init__(self, matrix: GfMatrix) -> None:
-        self.matrix = matrix
-        self.n = matrix.cols
-        row_basis: list[Row] = []
-        for row in matrix.data:
-            _reduce_into(matrix.p, row_basis, row, matrix.cols)
-        self._columns = [tuple(row[j] for _, row in row_basis) for j in range(matrix.cols)]
-        self.full_rank = len(row_basis)
+    def __init__(self, p: int, columns: Sequence[tuple[int, ...]]) -> None:
+        self.p = p
+        self.columns = columns
+        self.n = len(columns)
+        basis: list[Row] = []
+        for col in columns:
+            _reduce_into(p, basis, col, len(col))
+        self.full_rank = len(basis)
 
     def rank(self, mask: Mask) -> int:
-        p, columns, full = self.matrix.p, self._columns, self.full_rank
+        p, columns, full = self.p, self.columns, self.full_rank
         basis: list[Row] = []
         rest = mask
         while rest and len(basis) < full:
             low = rest & -rest
             rest ^= low
-            _reduce_into(p, basis, columns[low.bit_length() - 1], full)
+            col = columns[low.bit_length() - 1]
+            _reduce_into(p, basis, col, len(col))
         return len(basis)
 
     def parallel_classes(self) -> list[Mask]:
-        """The nonzero reduced columns grouped by their multiple with
-        leading entry 1."""
-        p = self.matrix.p
+        """The nonzero columns grouped by their multiple with leading
+        entry 1."""
+        p = self.p
         classes: dict[tuple[int, ...], Mask] = {}
-        for e, col in enumerate(self._columns):
+        for e, col in enumerate(self.columns):
             lead = next((x for x in col if x), 0)
             if lead:
                 inv = pow(lead, p - 2, p)
@@ -218,13 +217,15 @@ def lift_witness(a: GfMatrix, x_columns: Sequence[int]) -> LiftWitness:
 
     Inserts the X columns into one echelon basis, each followed by its unit
     vector so that a column that does not grow the basis reports the
-    dependence it lies in.  Every other column, reduced against that basis
-    and stripped of X's pivot rows, is a column of A_M, which represents
-    M = K/X; the same columns as given form A_L, which represents L = K\\X.
-    Each circuit C of M comes with its kernel vector x_C from the circuit
-    search, and N is the column matroid of B = [A_L x_C], kept as
-    ``spec.overlay.matrix`` when M has circuits.  The returned spec always
-    satisfies (*').
+    dependence it lies in.  Every other column a_c, followed by a zero
+    tail, reduces against that basis to a residue r_c, zero on X's pivot
+    rows, and a tail t_c with a_c = r_c - A_X t_c.  The residues stripped
+    of X's pivot rows form A_M, which represents M = K/X; the columns as
+    given form A_L, which represents L = K\\X.  Each circuit C of M comes
+    with its kernel vector x_C from the circuit search.  A_M x_C = 0, so
+    A_L x_C = -A_X y_C with y_C = sum_c x_C[c] t_c, and as A_X has
+    independent columns, N is the matroid of the columns y_C, which are
+    X's coordinates of A_L x_C.  The returned spec always satisfies (*').
     """
     for c in x_columns:
         if not 0 <= c < a.cols:
@@ -232,36 +233,27 @@ def lift_witness(a: GfMatrix, x_columns: Sequence[int]) -> LiftWitness:
     if len(set(x_columns)) != len(x_columns):
         raise ValueError("repeated columns in X")
     p, rows, k = a.p, a.rows, len(x_columns)
+    columns = a.columns()
     basis: list[Row] = []
     for i, c in enumerate(x_columns):
-        residue = _reduce_into(p, basis, a.column(c) + tuple(int(j == i) for j in range(k)), rows)
+        residue = _reduce_into(p, basis, columns[c] + tuple(int(j == i) for j in range(k)), rows)
         if len(basis) == i:
             raise DependentColumnsError(x_columns, residue[rows:])
-    if k == a.cols:
-        empty = Matroid(0, [])
-        return LiftWitness(empty, LiftSpec(empty, empty), ())
-    rest = [c for c in range(a.cols) if c not in x_columns]
-    a_l = GfMatrix(p, [[row[c] for c in rest] for row in a.data])
+    rest = [columns[c] for c in range(a.cols) if c not in x_columns]
     # width 0: reduce against X's rows, appending and rescaling nothing
-    projected = [_reduce_into(p, basis, a.column(c), 0) for c in rest]
+    reduced = [_reduce_into(p, basis, col + (0,) * k, 0) for col in rest]
     pivots = {pivot for pivot, _ in basis}
     kept = [i for i in range(rows) if i not in pivots]
-    # X spanning the row space leaves M the rank-0 matroid: one zero row
-    a_m = GfMatrix(p, [[v[i] for v in projected] for i in kept] or [[0] * len(rest)])
-    found = column_circuits(a_m)
-    m = Matroid(a_m.cols, found, validate=False)
-    l = column_matroid(a_l)
+    found = column_circuits(p, [tuple(v[i] for i in kept) for v in reduced])
+    m = Matroid(len(rest), found, validate=False)
     vectors = tuple(found[c] for c in m.circuits)
-    if vectors:
-        columns = [a_l.matvec(v) for v in vectors]
-        n: RankMatroid = LinearMatroid(GfMatrix(p, [[col[i] for col in columns] for i in range(rows)]))
-    else:
-        n = Matroid(0, [])
+    tails = [v[rows:] for v in reduced]
+    n = LinearMatroid(p, [tuple(sum(x * t[i] for x, t in zip(v, tails)) % p for i in range(k)) for v in vectors])
     spec = LiftSpec(m, n)
     ok, witness = check_star_prime(spec)
     if not ok:
         raise AssertionError(f"witness construction violated (*'): {witness}")
-    return LiftWitness(l, spec, vectors)
+    return LiftWitness(column_matroid(p, rest), spec, vectors)
 
 
 def verify_witness(spec: LiftSpec, l: Matroid) -> bool:

@@ -348,8 +348,8 @@ def _in_labels_of(mask: Mask, ground: Mask) -> Mask:
     return mask_of(elems.index(e) for e in elements_of(mask))
 
 
-def antichain_check(big: KrtSpec, small: KrtSpec, *, proper: bool = True) -> bool:
-    """True iff no (proper) minor of K(big) is isomorphic to K(small).
+def antichain_check(big: KrtSpec, small: KrtSpec) -> bool:
+    """True iff no proper minor of K(big) is isomorphic to K(small).
 
     Kept, with no command, as the paper's claim that the K(r,t) of the
     r <= 2t-3 regime form a minor antichain.
@@ -363,11 +363,11 @@ def antichain_check(big: KrtSpec, small: KrtSpec, *, proper: bool = True) -> boo
     """
     if not big.in_antichain_regime or not small.in_antichain_regime:
         raise ValueError("antichain check applies in the r <= 2t-3 regime")
-    k_big = build_krt(big)
-    want = build_krt(small).circuit_hyperplanes
-    if proper and big.ground_size == small.ground_size and big.r == small.r:
+    if big.ground_size == small.ground_size and big.r == small.r:
         # The only candidate would be the zero-operation minor.
         return True
+    k_big = build_krt(big)
+    want = build_krt(small).circuit_hyperplanes
     c_size = big.r - small.r
     d_size = big.ground_size - small.ground_size - c_size
     if c_size < 0 or d_size < 0:

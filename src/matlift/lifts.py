@@ -4,7 +4,7 @@ the elementary lift from a linear class as the M^N of a rank-1 overlay
 
 The overlay matroid N lives on the circuit list of a base matroid M, indexed
 in M's canonical circuit order.  N only has to provide a rank oracle, so both
-circuit-family matroids and matrix-backed linear matroids work as overlays.
+circuit-family matroids and GF(p) column-vector matroids work as overlays.
 """
 
 from __future__ import annotations
@@ -65,7 +65,8 @@ class LiftSpec(RankMatroid):
     memoizes N's ranks by reps(S): at most one key per set of classes, and
     ``RANK_CACHE_LIMIT`` keys in all.  This grow-only dict is the only rank
     memo, as N's ranks are the only ones asked again and again.  The class
-    table is built once, from ``overlay.parallel_classes()``.
+    table is built once, from ``overlay.parallel_classes()``: a mask of the
+    singleton classes, and each larger class with its head.
     """
 
     __slots__ = ("base", "overlay", "_table", "_memo")
@@ -80,10 +81,9 @@ class LiftSpec(RankMatroid):
         self.overlay = overlay
         self.n = base.n
         self.full_rank = base.full_rank + overlay.full_rank
-        classes = tuple((c, c & -c) for c in overlay.parallel_classes())
-        heads = mask_of(head.bit_length() - 1 for _, head in classes)
-        head_of = {e: head for c, head in classes for e in elements_of(c & ~head)}
-        self._table = (heads, mask_of(head_of), head_of, classes)
+        classes = overlay.parallel_classes()
+        singles = mask_of(c.bit_length() - 1 for c in classes if c & (c - 1) == 0)
+        self._table = (singles, tuple((c, c & -c) for c in classes if c & (c - 1)))
         self._memo: dict[Mask, int] = {}
 
     def rank(self, mask: Mask) -> int:
@@ -92,21 +92,13 @@ class LiftSpec(RankMatroid):
 
     def overlay_rank(self, mask: Mask) -> int:
         """r_N(mask) as r_N(reps(mask)), memoized by reps(mask).  reps
-        keeps mask's heads, drops its loops and replaces its other elements
-        by their heads, found element by element or class by class,
-        whichever is fewer."""
-        heads, others, head_of, classes = self._table
-        reps = mask & heads
-        rest = mask & others
-        if rest.bit_count() <= len(classes):
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                reps |= head_of[low.bit_length() - 1]
-        else:
-            for c, head in classes:
-                if mask & c:
-                    reps |= head
+        keeps mask's singleton classes, drops its loops and adds the head
+        of each class of two or more elements that mask meets."""
+        singles, multi = self._table
+        reps = mask & singles
+        for c, head in multi:
+            if mask & c:
+                reps |= head
         memo = self._memo
         r = memo.get(reps)
         if r is None:

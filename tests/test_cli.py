@@ -592,6 +592,21 @@ class TestExitMap:
         bad.write_text("group 2\na b\na b\na b\n")  # not a Latin square
         self.expect(["gain", "partitions", str(bad)], 2, "error:", capsys, tmp_path)
 
+    @pytest.mark.parametrize("group, message", [
+        ("builtin:z0", "cyclic group order must be positive"),
+        ("builtin:z4^2", "4 is not prime"),
+        ("builtin:z2^0", "need at least one factor"),
+        ("builtin:d1", "dihedral group needs m >= 2"),
+        ("no-inverse.grp", "{path}:1: element a has no inverse"),
+    ])
+    def test_bad_group(self, group, message, capsys, tmp_path):
+        if group.endswith(".grp"):
+            path = tmp_path / group
+            path.write_text("group 2\ne a\ne a\na a\n")  # an identity, but a * x = e has no solution
+            group, message = str(path), message.format(path=path)
+        self.expect(["gain", "partitions", group], 2, f"error: {message}", capsys, tmp_path)
+        assert load_report(tmp_path / "report.json")["error"] == f"error: {message}"
+
     def test_ckt_axiom_violation(self, capsys, tmp_path):
         bad = tmp_path / "bad.ckt"
         bad.write_text("matroid 4 circuits\n1 2\n1 2 3\n")

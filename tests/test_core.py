@@ -530,7 +530,8 @@ class TestCircuitEnumerator:
             # U(r,5) as Vandermonde columns over GF(7), then a zero column
             # (a loop) and twice column 1 (a parallel pair)
             rows = [[pow(x, i, 7) for x in range(1, 6)] + [0, 2 * pow(1, i, 7)] for i in range(r)]
-            m = column_matroid(GfMatrix(7, rows))
+            a = GfMatrix(7, rows)
+            m = column_matroid(a.p, a.columns())
             assert m.is_circuit(1 << 5) and m.is_circuit(1 | 1 << 6), r
             self.assert_matches_bruteforce(m.rank, m.n, f"U({r},5) + loop + parallel")
         m = Matroid(4, [0b1, 0b110])  # a loop beside a parallel pair
@@ -543,7 +544,7 @@ class TestCircuitEnumerator:
         for _ in range(60):
             a = random_gf_matrix(rng, p=rng.choice([2, 3, 5, 7, 251]), max_rows=4, max_cols=9)
             self.assert_matches_bruteforce(lambda mask: gf_rank_bruteforce(a, elements_of(mask)), a.cols, repr(a))
-            self.assert_matches_bruteforce(LinearMatroid(a).rank, a.cols, repr(a))
+            self.assert_matches_bruteforce(LinearMatroid(a.p, a.columns()).rank, a.cols, repr(a))
 
     @pytest.mark.parametrize("r,t", [(r, t) for t in (3, 4, 5) for r in range(4, 2 * t - 1)])
     def test_sparse_paving_to_matroid_matches_bruteforce(self, r, t):

@@ -170,9 +170,8 @@ class TestObstruction:
                 overlay = uniform_matroid(2, count)
             elif roll < 0.6:
                 rows = rng.randint(1, 2)
-                overlay = column_matroid(
-                    GfMatrix(3, [[rng.randrange(3) for _ in range(count)] for _ in range(rows)])
-                )
+                a = GfMatrix(3, [[rng.randrange(3) for _ in range(count)] for _ in range(rows)])
+                overlay = column_matroid(a.p, a.columns())
             else:
                 overlay = uniform_matroid(rng.randint(0, 2), count)
             s = LiftSpec(m, overlay)
@@ -267,7 +266,7 @@ class TestIngleton:
         checked = 0
         while checked < 500:
             a = random_gf_matrix(rng, max_rows=4, max_cols=8)
-            m = column_matroid(a)
+            m = column_matroid(a.p, a.columns())
             quad = [rng.randrange(1 << m.n) for _ in range(4)]
             sat, _, _ = ingleton_inequality(m, *quad)
             assert sat
@@ -450,34 +449,29 @@ class TestAntichain:
         assert antichain_check(KrtSpec(7, 5), KrtSpec(5, 4))
 
     def test_equal_specs_proper(self):
-        assert antichain_check(KrtSpec(5, 4), KrtSpec(5, 4), proper=True)
-
-    def test_equal_specs_with_identity_minor(self):
-        assert not antichain_check(KrtSpec(5, 4), KrtSpec(5, 4), proper=False)
+        assert antichain_check(KrtSpec(5, 4), KrtSpec(5, 4))
 
     def test_regime_enforced(self):
         with pytest.raises(ValueError):
             antichain_check(KrtSpec(6, 4), KrtSpec(5, 4))
 
-    # in-regime pairs with n <= 12, as (big, small, proper)
+    # in-regime pairs with n <= 12
     @pytest.mark.parametrize(
-        "big,small,proper",
+        "big,small",
         [
-            ((7, 5), (5, 4), True),
-            ((5, 4), (5, 4), True),
-            ((5, 4), (5, 4), False),
-            ((5, 5), (5, 5), False),
-            ((5, 5), (5, 4), True),
-            ((6, 5), (5, 4), True),
-            ((4, 5), (4, 4), True),
-            ((5, 5), (4, 4), True),
-            ((6, 5), (4, 4), True),
-            ((7, 5), (4, 4), True),
+            ((7, 5), (5, 4)),
+            ((5, 4), (5, 4)),
+            ((5, 5), (5, 4)),
+            ((6, 5), (5, 4)),
+            ((4, 5), (4, 4)),
+            ((5, 5), (4, 4)),
+            ((6, 5), (4, 4)),
+            ((7, 5), (4, 4)),
         ],
     )
-    def test_matches_minor_bruteforce(self, big, small, proper):
+    def test_matches_minor_bruteforce(self, big, small):
         big, small = KrtSpec(*big), KrtSpec(*small)
-        assert antichain_check(big, small, proper=proper) == antichain_bruteforce(big, small, proper=proper)
+        assert antichain_check(big, small) == antichain_bruteforce(big, small)
 
 
 def _probe_masks(rng: random.Random, sp: SparsePaving) -> list:

@@ -130,6 +130,12 @@ def gf_kernel_basis(p: int, rows: Sequence[Sequence[int]]) -> list[tuple[int, ..
     return basis
 
 
+def matvec(a: GfMatrix, v: Sequence[int]) -> tuple[int, ...]:
+    """The product A v over GF(p), one row at a time."""
+    assert len(v) == a.cols, "vector length mismatch"
+    return tuple(sum(x * y for x, y in zip(row, v)) % a.p for row in a.data)
+
+
 def _columns(a: GfMatrix, cols: Sequence[int]) -> list[list[int]]:
     return [[row[c] for c in cols] for row in a.data]
 
@@ -556,13 +562,13 @@ def find_family_isomorphism_per_direction(
     return None
 
 
-def antichain_bruteforce(big: KrtSpec, small: KrtSpec, *, proper: bool = True) -> bool:
-    """True iff no (proper) minor of K(big) is isomorphic to K(small), by
+def antichain_bruteforce(big: KrtSpec, small: KrtSpec) -> bool:
+    """True iff no proper minor of K(big) is isomorphic to K(small), by
     materializing every minor of the right shape and comparing circuit
     families."""
     m_big = build_krt(big).to_matroid()
     m_small = build_krt(small).to_matroid()
-    if proper and m_big.n == m_small.n and m_big.full_rank == m_small.full_rank:
+    if m_big.n == m_small.n and m_big.full_rank == m_small.full_rank:
         return True
     return not has_minor_isomorphic_to(m_big, m_small)
 
@@ -877,7 +883,8 @@ def random_base_matroid(rng: random.Random, max_elems: int = 8, max_circuits: in
     for _ in range(60):
         roll = rng.random()
         if roll < 0.5:
-            m = column_matroid(random_gf_matrix(rng, max_rows=3, max_cols=max_elems))
+            a = random_gf_matrix(rng, max_rows=3, max_cols=max_elems)
+            m = column_matroid(a.p, a.columns())
         elif roll < 0.75:
             n = rng.randint(2, max_elems)
             m = uniform_matroid(rng.randint(0, n - 1), n)
@@ -902,7 +909,7 @@ def random_overlay(rng: random.Random, count: int):
     if roll < 0.8:
         rows = rng.randint(1, 3)
         data = [[rng.randrange(3) for _ in range(count)] for _ in range(rows)]
-        return column_matroid(GfMatrix(3, data))
+        return column_matroid(3, GfMatrix(3, data).columns())
     return uniform_matroid(rng.randint(0, count), count)
 
 
@@ -987,6 +994,7 @@ def zoo() -> tuple[tuple[str, Matroid], ...]:
     for k in range(4):
         add(f"random sparse paving #{k}", random_sparse_paving(rng))
     for k in range(4):
-        add(f"random column matroid #{k}", column_matroid(random_gf_matrix(rng, max_rows=3, max_cols=7)))
+        a = random_gf_matrix(rng, max_rows=3, max_cols=7)
+        add(f"random column matroid #{k}", column_matroid(a.p, a.columns()))
 
     return tuple(entries)
