@@ -9,7 +9,7 @@ report carries its witness), 2 usage or parse error, 3 inconclusive (a
 search ran out of its budget, and the report says which).  A handler
 returns its own code only where the checks cannot express it: ``iso`` and
 ``gain partitions`` out of budget exit 3, and ``krt certify`` follows facts
-a-d.  An exception ends the run with exit 1 for a ``core.CheckFailedError``
+a-d.  An exception ends the run with exit 1 for a ``CheckFailedError``
 (stderr ``check failed``), 2 for any other ``ValueError`` or an ``OSError``
 (``error``) and 3 for a broken internal invariant (``internal error``); with
 ``--json`` the report as filled so far is still written, with that stderr
@@ -19,9 +19,11 @@ Argparse usage errors and ``--help`` write no report.  Reports are
 deterministic; wall time lives in its own key so the rest of a report is
 byte-stable across runs.
 
-This module imports only the standard library and ``matlift.core``; each
-command handler imports the layers it runs, so a job loads no module it
-never calls.
+This module imports only the standard library and the rank-oracle kernel
+``matlift.oracle``; each command handler imports the layers it runs,
+``matlift.core`` among them, so a job loads no module it never calls.  The
+``krt`` commands other than ``krt build --out`` rank a ``SparsePaving``
+and never load ``core``.
 """
 
 from __future__ import annotations
@@ -33,18 +35,10 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from matlift.core import (
-    DEFAULT_NODE_BUDGET,
-    CheckFailedError,
-    CircuitAxiomError,
-    Matroid,
-    SearchBudgetExceeded,
-    find_isomorphism,
-    mask_of,
-    one_based,
-)
+from matlift.oracle import CheckFailedError, SearchBudgetExceeded, mask_of, one_based
 
 if TYPE_CHECKING:
+    from matlift.core import Matroid
     from matlift.groups import FinGroup
 
 EXIT_OK = 0
@@ -131,6 +125,7 @@ def _krt(args: argparse.Namespace):
 
 
 def cmd_check(args: argparse.Namespace, rep: Report) -> None:
+    from matlift.core import CircuitAxiomError
     from matlift.io import parse_matroid
     rep["inputs"] = {"matroid": args.matroid}
     try:
@@ -371,6 +366,7 @@ def cmd_gain_lift3(args: argparse.Namespace, rep: Report) -> None:
 
 def cmd_iso(args: argparse.Namespace, rep: Report) -> Optional[int]:
     """Exit 3 when the search runs out of its node budget."""
+    from matlift.core import DEFAULT_NODE_BUDGET, find_isomorphism
     from matlift.io import parse_matroid
     rep["inputs"] = {"m1": args.m1, "m2": args.m2}
     m1, m2 = parse_matroid(args.m1), parse_matroid(args.m2)

@@ -9,9 +9,8 @@ directly into the matroid kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from matlift.core import MAX_GROUND, Mask, Matroid, elements_of, mask_of, matroid_from_hyperplanes
 from matlift.groups import FinGroup, GroupPartition, primitive_partition
@@ -21,17 +20,22 @@ class NoPartitionError(ValueError):
     """The group has no nontrivial partition, so the rank-2 lift does not exist."""
 
 
-@dataclass(frozen=True)
 class GainEdge:
     """Edge (i, j, label) with 0-based vertices i < j, oriented i -> j."""
 
-    i: int
-    j: int
-    label: int
+    __slots__ = ("i", "j", "label")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.i < self.j:
-            raise ValueError(f"need 0 <= i < j, got ({self.i}, {self.j})")
+    def __init__(self, i: int, j: int, label: int) -> None:
+        if not 0 <= i < j:
+            raise ValueError(f"need 0 <= i < j, got ({i}, {j})")
+        self.i = i
+        self.j = j
+        self.label = label
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GainEdge):
+            return NotImplemented
+        return (self.i, self.j, self.label) == (other.i, other.j, other.label)
 
 
 class GainGraph:
@@ -87,8 +91,7 @@ class GainGraph:
         return sorted(flats, key=lambda m: (m.bit_count(), m))
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(NamedTuple):
     """A cycle of the underlying multigraph, as a closed edge walk, and
     whether it is balanced: the oriented label product along the walk is
     the identity."""
@@ -199,8 +202,7 @@ def balanced_circuit_audit(m: Matroid, gg: GainGraph) -> Optional[Cycle]:
     return next((c for c in cycles(gg) if c.balanced != m.is_circuit(c.mask)), None)
 
 
-@dataclass(frozen=True)
-class Rank2LiftResult:
+class Rank2LiftResult(NamedTuple):
     """The rank-2 lift of the 3-vertex gain graph and the data it is built
     from; ``rank2_lift_k3`` certifies it before returning."""
 

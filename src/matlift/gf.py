@@ -16,8 +16,7 @@ residues and N off X's coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from matlift.core import (
     MAX_GROUND,
@@ -201,8 +200,7 @@ class LinearMatroid(RankMatroid):
         return list(classes.values())
 
 
-@dataclass(frozen=True)
-class LiftWitness:
+class LiftWitness(NamedTuple):
     """Output of the witness construction: L = K\\X, and the lift spec
     (M, N) with M = K/X its base and the overlay N on M's circuits."""
 

@@ -10,12 +10,11 @@ disjoint subgroups less the identity (``primitive_partition``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import count
 from typing import Iterable, Optional, Sequence
 
-from matlift.core import SearchBudgetExceeded, is_prime
+from matlift.oracle import SearchBudgetExceeded, is_prime
 
 MAX_GROUP_ORDER = 64  # the largest order any command takes; z2^5 already exhausts the budget below
 # Cover search calls of group_partitions before SearchBudgetExceeded: z2^4
@@ -137,12 +136,22 @@ class FinGroup:
         return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
-@dataclass(frozen=True)
 class GroupPartition:
     """Disjoint nonempty parts covering the non-identity elements, each part
     plus the identity a subgroup."""
 
-    parts: tuple[frozenset[int], ...]
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[frozenset[int], ...]) -> None:
+        self.parts = parts
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GroupPartition):
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash(self.parts)
 
     @staticmethod
     def from_parts(parts: Iterable[Iterable[int]]) -> "GroupPartition":

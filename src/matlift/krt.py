@@ -9,17 +9,15 @@ residue 0 back to 2t so the element names match the published tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
-from matlift.core import (
+from matlift.oracle import (
     MAX_GROUND,
     Mask,
     RankMatroid,
     SparsePaving,
     elements_of,
-    find_family_isomorphism,
     mask_of,
     one_based,
     subsets_of_size,
@@ -29,7 +27,6 @@ from matlift.core import (
 Pairing = tuple[Mask, Mask, Mask, Mask]
 
 
-@dataclass(frozen=True)
 class KrtSpec:
     """Parameters of K(r,t): rank r >= 4, t >= 3, r <= 2t-2.
 
@@ -37,10 +34,11 @@ class KrtSpec:
     r >= 5 and r <= 2t-3; both regimes are tracked and never extrapolated.
     """
 
-    r: int
-    t: int
+    __slots__ = ("r", "t")
 
-    def __post_init__(self) -> None:
+    def __init__(self, r: int, t: int) -> None:
+        self.r = r
+        self.t = t
         if self.r < 4 or self.t < 3 or self.r > 2 * self.t - 2:
             raise ValueError(
                 f"K(r,t) needs r >= 4, t >= 3, r <= 2t-2; got r={self.r}, t={self.t}"
@@ -48,6 +46,11 @@ class KrtSpec:
         if self.ground_size > MAX_GROUND:
             # refused before any block is listed, as SparsePaving would
             raise ValueError(f"ground set size {self.ground_size} outside [0, {MAX_GROUND}]")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, KrtSpec):
+            return NotImplemented
+        return (self.r, self.t) == (other.r, other.t)
 
     @property
     def ground_size(self) -> int:
@@ -102,8 +105,7 @@ def build_krt(spec: KrtSpec) -> SparsePaving:
     return SparsePaving(spec.ground_size, spec.r, spec.circuit_hyperplanes)
 
 
-@dataclass(frozen=True)
-class FactWitness:
+class FactWitness(NamedTuple):
     """One rank computation backing an obstruction fact."""
 
     pair: tuple[int, int]
@@ -132,8 +134,7 @@ class FactWitness:
         }
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     """Facts (a)-(d) of the no-overlay obstruction for K(r,t).
 
     With M = K/X and L = K\\X:
@@ -223,8 +224,7 @@ def ingleton_inequality(
     return lhs >= rhs, lhs, rhs
 
 
-@dataclass(frozen=True)
-class IngletonWitness:
+class IngletonWitness(NamedTuple):
     """A failing configuration in the sparse-paving Ingleton criterion:
     I with four disjoint pairs, five block unions circuits, the sixth a
     basis.  (core, p3, p4) is the basis side; using the pairs in this order
@@ -304,8 +304,7 @@ def _by_least(pairs: tuple[Mask, ...]) -> list[Mask]:
     return sorted(pairs, key=lambda p: p & -p)
 
 
-@dataclass(frozen=True)
-class VamosLikeMinor:
+class VamosLikeMinor(NamedTuple):
     """A rank-4, 8-element Vamos-like minor: which elements were contracted
     and deleted (original labels) and the pair partition in minor labels."""
 
@@ -361,6 +360,8 @@ def antichain_check(big: KrtSpec, small: KrtSpec) -> bool:
     are isomorphic exactly when these families are, so only minors with
     2t'-1 of them are compared.
     """
+    from matlift.core import find_family_isomorphism
+
     if not big.in_antichain_regime or not small.in_antichain_regime:
         raise ValueError("antichain check applies in the r <= 2t-3 regime")
     if big.ground_size == small.ground_size and big.r == small.r:

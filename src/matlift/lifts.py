@@ -9,7 +9,6 @@ circuit-family matroids and GF(p) column-vector matroids work as overlays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 from matlift.core import (
@@ -41,12 +40,19 @@ class LiftConditionError(CheckFailedError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
 class StarWitness:
     """A failing instance: circuit ``c`` escapes cl_N of the collection."""
 
-    collection: tuple[int, ...]
-    circuit: int
+    __slots__ = ("collection", "circuit")
+
+    def __init__(self, collection: tuple[int, ...], circuit: int) -> None:
+        self.collection = collection
+        self.circuit = circuit
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StarWitness):
+            return NotImplemented
+        return (self.collection, self.circuit) == (other.collection, other.circuit)
 
     def __str__(self) -> str:
         return f"circuit #{self.circuit + 1} not in cl_N of {{{', '.join(str(i + 1) for i in self.collection)}}}"

@@ -522,7 +522,7 @@ class TestIso:
         def exhausted(m1, m2, *, node_budget):
             raise SearchBudgetExceeded(f"isomorphism search exceeded {node_budget} nodes")
 
-        monkeypatch.setattr("matlift.cli.find_isomorphism", exhausted)
+        monkeypatch.setattr("matlift.core.find_isomorphism", exhausted)
         json_path = tmp_path / "iso.json"
         v8 = str(TESTDATA / "v8.ckt")
         code, out = run(["--json", str(json_path), "iso", v8, v8], capsys)
@@ -658,35 +658,40 @@ def test_failing_check_exits_1(capsys, monkeypatch, tmp_path):
     assert checks == [{"name": "linear_class", "pass": True}, {"name": "rank_increase", "pass": False}]
 
 
-# Each command family and the exact set of matlift modules a job of it loads.
+# Each command family and the exact set of matlift modules a job of it loads
+# besides matlift, matlift.cli and the rank-oracle kernel matlift.oracle.
+# Only the jobs that build a circuit-family Matroid load matlift.core.
 LAYER_CASES = [
     (["--help"], set()),
     (["krt", "certify", "4", "3"], {"krt"}),
     (["krt", "ingleton", "5", "4"], {"krt"}),
     (["krt", "vamos-scan", "4", "3"], {"krt"}),
     (["krt", "build", "4", "3"], {"krt"}),
-    (["krt", "build", "4", "3", "--out", "{tmp}/k43.ckt"], {"krt", "io"}),
-    (["check", "{v8}"], {"io"}),
-    (["rank", "{v8}", "1,2"], {"io"}),
-    (["iso", "{v8}", "{v8}"], {"io"}),
-    (["lift", "general", "{tmp}/s.lift"], {"io", "lifts"}),
-    (["lift", "elementary", "{v8}", "--class", "1"], {"io", "lifts"}),
-    (["rep", "witness", "{tmp}/u24.gfm", "--x", "1"], {"gf", "io", "lifts"}),
-    (["gain", "lift3", "builtin:s3"], {"gain", "groups"}),
-    (["gain", "lift3", "builtin:s3", "--out", "{tmp}/s3.ckt"], {"gain", "groups", "io"}),
-    (["gain", "lift3", "builtin:z2^3"], {"gain", "groups"}),
-    (["gain", "build", "builtin:z2", "3"], {"gain", "groups"}),
+    (["krt", "build", "4", "3", "--out", "{tmp}/k43.ckt"], {"core", "krt", "io"}),
+    (["check", "{v8}"], {"core", "io"}),
+    (["rank", "{v8}", "1,2"], {"core", "io"}),
+    (["iso", "{v8}", "{v8}"], {"core", "io"}),
+    (["lift", "general", "{tmp}/s.lift"], {"core", "io", "lifts"}),
+    (["lift", "elementary", "{v8}", "--class", "1"], {"core", "io", "lifts"}),
+    (["rep", "witness", "{tmp}/u24.gfm", "--x", "1"], {"core", "gf", "io", "lifts"}),
+    (["gain", "lift3", "builtin:s3"], {"core", "gain", "groups"}),
+    (["gain", "lift3", "builtin:s3", "--out", "{tmp}/s3.ckt"], {"core", "gain", "groups", "io"}),
+    (["gain", "lift3", "builtin:z2^3"], {"core", "gain", "groups"}),
+    (["gain", "build", "builtin:z2", "3"], {"core", "gain", "groups"}),
     (["gain", "partitions", "builtin:s3"], {"groups"}),
     (["gain", "partitions", "builtin:z2^2"], {"groups"}),
-    (["gain", "partitions", "{tmp}/s3.grp"], {"groups", "io"}),
+    (["gain", "partitions", "{tmp}/s3.grp"], {"core", "groups", "io"}),
 ]
 
+# Prints the exit code, the matlift modules loaded and whether dataclasses
+# (which pulls in inspect, ast, dis and tokenize) was loaded.
 LOADED_MODULES = """
 import contextlib, io, json, sys
 from matlift import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("matlift"))]))
+loaded = sorted(m for m in sys.modules if m.startswith("matlift"))
+print(json.dumps([code, loaded, "dataclasses" in sys.modules]))
 """
 
 
@@ -701,9 +706,10 @@ def test_command_loads_only_its_layers(argv, layers, tmp_path):
     proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    code, loaded = json.loads(proc.stdout)
+    code, loaded, dataclasses_loaded = json.loads(proc.stdout)
     assert code in (0, 1)
-    assert set(loaded) == {"matlift", "matlift.cli", "matlift.core"} | {f"matlift.{m}" for m in layers}
+    assert set(loaded) == {"matlift", "matlift.cli", "matlift.oracle"} | {f"matlift.{m}" for m in layers}
+    assert not dataclasses_loaded
 
 
 # ---------------------------------------------------------------------------

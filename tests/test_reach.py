@@ -33,8 +33,8 @@ ALLOWED = {
     "gain.graphic_matroid": "the base of zaslavsky_lift",
     "gain.balanced_class_indices": "the linear class of zaslavsky_lift",
     # base methods that every oracle the CLI builds overrides
-    "core.RankMatroid.rank": "abstract; each subclass defines its oracle",
-    "core.RankMatroid.parallel_classes": "the singleton default for oracles without their own",
+    "oracle.RankMatroid.rank": "abstract; each subclass defines its oracle",
+    "oracle.RankMatroid.parallel_classes": "the singleton default for oracles without their own",
     # public constructors, predicates and validators
     "core.uniform_matroid": "public constructor",
     "core.is_sparse_paving": "public predicate; the CLI's K(r,t) are SparsePaving already",
